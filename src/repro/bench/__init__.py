@@ -11,11 +11,7 @@ from repro.bench.experiments import (
     run_fig10b,
     run_table1,
 )
-from repro.bench.dessweep import (
-    measure_des_case,
-    measure_partitioned_case,
-    run_des_sweep,
-)
+from repro.bench.dessweep import measure_des_case, run_des_sweep
 from repro.bench.fastmodel import measure_case, run_sweep
 from repro.bench.loadgen import run_bench, run_case
 from repro.bench.harness import (
@@ -55,7 +51,6 @@ __all__ = [
     "measure_case",
     "run_sweep",
     "measure_des_case",
-    "measure_partitioned_case",
     "run_des_sweep",
     "run_case",
     "run_bench",

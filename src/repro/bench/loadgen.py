@@ -57,7 +57,6 @@ def DEADLOCK_CONFIG(**overrides) -> RunConfig:
     base = dict(
         plan=FaultPlan.single(FaultKind.MSG_DROP, seed=5, rate=1.0),
         recovery=RecoveryPolicy(retry=False),
-        engine="vector",
         watchdog_stall_horizon=10.0,
     )
     base.update(overrides)

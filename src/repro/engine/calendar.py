@@ -187,44 +187,6 @@ class CalendarQueue:
         self._count -= len(bucket)
         return (t, bucket)
 
-    def drain_time_batch(self) -> tuple:
-        """Remove every payload at the earliest timestamp, as an array.
-
-        Returns ``(time, payloads)`` where ``payloads`` is a numpy array
-        of the equal-time batch in exactly the order repeated
-        :meth:`pop` calls would have produced — insertion order for
-        ``"fifo"``, ``(time, seq)`` order for ``"heap"``.  Unlike
-        :meth:`pop_bucket` the batch is a snapshot: later pushes at the
-        same timestamp open a fresh bucket instead of appending to the
-        drained one, which is the contract batch engines want (a window
-        is classified once, atomically).  Payloads must be homogeneous
-        scalars (the token codes of the array/vector engines) for the
-        array conversion to be meaningful.
-
-        Raises :class:`IndexError` when empty.
-        """
-        if not self._count:
-            raise IndexError("drain from empty CalendarQueue")
-        if self._mode == "heap":
-            heap = self._heap
-            t = heap[0][0]
-            out = []
-            while heap and heap[0][0] == t:
-                out.append(heapq.heappop(heap)[2])
-            self._count -= len(out)
-            return (t, np.asarray(out))
-        cur = self._cur
-        if cur is not None and self._cur_pos < len(cur):
-            t = self._cur_time
-            batch = cur[self._cur_pos :]
-            self._cur = None
-            self._cur_time = None
-            self._count -= len(batch)
-            return (t, np.asarray(batch))
-        t, batch = self._next_bucket()
-        self._count -= len(batch)
-        return (t, np.asarray(batch))
-
     def _next_bucket(self) -> tuple:
         times = self._times
         if self._cur_time is not None:

@@ -729,7 +729,7 @@ def edge_cost_tables(
 # Pricing already flows per pair through the CommCosts matrices (built
 # from the topology's tiered latencies/bandwidths), so these helpers add
 # *metadata*, never arithmetic — every float an engine pays is unchanged
-# and the three engines stay bit-identical by construction.
+# and both engines stay bit-identical by construction.
 # ---------------------------------------------------------------------------
 #: Same rank: no wire.
 LINK_TIER_LOCAL = 0
@@ -826,7 +826,7 @@ def validate_fabric_reach(machine, design: Design | str) -> None:
 # Validation: identical typed errors from both engines.
 # ---------------------------------------------------------------------------
 #: Engine names accepted by ``des_execute(engine=...)``.
-VALID_ENGINES = ("auto", "array", "vector", "reference")
+VALID_ENGINES = ("auto", "array", "reference")
 
 
 def coerce_design(design: Design | str) -> Design:

@@ -450,9 +450,7 @@ def run_chaos_matrix(
     if scenarios is None:
         scenarios = default_scenarios(quick=quick)
     if engines is None:
-        engines = (
-            ("auto",) if quick else ("reference", "array", "vector")
-        )
+        engines = ("auto",) if quick else ("reference", "array")
     else:
         engines = tuple(engines)
 

@@ -67,8 +67,7 @@ class RunConfig:
         or its string value; the alias ``"zerocopy"`` maps to
         ``shmem_readonly``).
     engine:
-        DES engine: ``"auto"`` / ``"array"`` / ``"vector"`` /
-        ``"reference"``.
+        DES engine: ``"auto"`` / ``"array"`` / ``"reference"``.
     scheduler:
         Fast-model scheduling pass: ``"auto"`` / ``"batched"`` /
         ``"reference"``.
@@ -130,16 +129,6 @@ class RunConfig:
         not the instance).
     trace_enabled:
         Record the full DES trace stream (disable for throughput runs).
-    epoch_lookahead:
-        Manual epoch width (simulated seconds) for the epoch-compiled
-        ``vector`` engine.  ``None`` (the default) lets the compiler
-        use its structure-derived safe bound; a narrower explicit width
-        splits the playout into finer epochs, and an over-wide one is
-        clamped back to the safe bound on every epoch (counted in
-        ``EpochStats.overwide_clamps``) — the playout is bit-identical
-        either way.  Setting it with the ``reference`` or ``array``
-        engine raises :class:`~repro.errors.ConfigurationError` (those
-        interpreters have no epochs).
     """
 
     design: Design | str = Design.SHMEM_READONLY
@@ -160,7 +149,6 @@ class RunConfig:
     watchdog_stall_horizon: float | None = None
     watchdog_wall_limit: float | None = None
     trace_enabled: bool = True
-    epoch_lookahead: float | None = None
 
     def __post_init__(self):
         design = self.design
@@ -183,21 +171,6 @@ class RunConfig:
                 parameter="tasks_per_gpu",
                 value=self.tasks_per_gpu,
             )
-        if self.epoch_lookahead is not None:
-            if self.engine in ("reference", "array"):
-                raise ConfigurationError(
-                    "epoch_lookahead requires the epoch-compiled engine "
-                    f"(vector/auto), got engine={self.engine!r}",
-                    parameter="epoch_lookahead",
-                    value=self.epoch_lookahead,
-                )
-            if self.epoch_lookahead <= 0:
-                raise ConfigurationError(
-                    f"epoch_lookahead must be > 0, got "
-                    f"{self.epoch_lookahead}",
-                    parameter="epoch_lookahead",
-                    value=self.epoch_lookahead,
-                )
         # Validate the stale knobs eagerly so a bad config fails at
         # construction, not mid-solve.
         self.build_stale_policy()
@@ -499,8 +472,6 @@ class RunConfig:
             out["stale_k"] = self.stale_k
         if self.stale_ceiling is not None:
             out["stale_ceiling"] = self.stale_ceiling
-        if self.epoch_lookahead is not None:
-            out["epoch_lookahead"] = self.epoch_lookahead
         if self.watchdog_stall_horizon is not None:
             out.setdefault("watchdog", {})[
                 "stall_horizon"
@@ -571,7 +542,6 @@ class RunConfig:
             "watchdog_stall_horizon": self.watchdog_stall_horizon,
             "watchdog_wall_limit": self.watchdog_wall_limit,
             "trace_enabled": self.trace_enabled,
-            "epoch_lookahead": self.epoch_lookahead,
         }
 
     def fingerprint(self) -> str:

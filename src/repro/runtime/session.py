@@ -201,7 +201,6 @@ class SolverSession:
             trace_enabled=self.config.trace_enabled,
             engine=self.config.engine,
             stale=self.config.build_stale_policy(),
-            epoch_lookahead=self.config.epoch_lookahead,
         )
 
     def simulate(self, lower):
@@ -254,7 +253,6 @@ class SolverSession:
             recovery=recovery,
             watchdog=cfg.build_watchdog(),
             stale=cfg.build_stale_policy(),
-            epoch_lookahead=cfg.epoch_lookahead,
         )
         x = ex.x
         repaired: list[int] = []

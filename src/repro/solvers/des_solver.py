@@ -95,16 +95,15 @@ def resolve_engine(engine: str, n: int) -> str:
     ``"auto"`` picks the array engine once the system is large enough
     (``n >= ARRAY_MIN_COMPONENTS``) for its vectorised precompute to pay
     for itself; tiny systems stay on the reference engine, whose
-    per-event overhead is negligible at that scale.  ``"vector"`` selects
-    the windowed batch engine (:mod:`repro.solvers.des_vector`).  All
-    engines produce bit-identical traces and results, so the choice is
-    purely a throughput decision.
+    per-event overhead is negligible at that scale.  Both engines
+    produce bit-identical traces and results, so the choice is purely a
+    throughput decision.
     """
     if engine == "auto":
         from repro.solvers.des_array import ARRAY_MIN_COMPONENTS
 
         return "array" if n >= ARRAY_MIN_COMPONENTS else "reference"
-    if engine in ("array", "vector", "reference"):
+    if engine in ("array", "reference"):
         return engine
     raise ConfigurationError(
         f"unknown DES engine {engine!r}; valid choices: "
@@ -144,7 +143,6 @@ def des_execute(
     recovery=None,
     watchdog=None,
     stale: StalePolicy | None = None,
-    epoch_lookahead: float | None = None,
 ) -> DesExecution:
     """Play out a multi-GPU SpTRSV at event granularity.
 
@@ -159,10 +157,9 @@ def des_execute(
 
     ``engine`` selects the playout implementation: ``"reference"`` (one
     generator per process), ``"array"`` (the flat state machine in
-    :mod:`repro.solvers.des_array`), ``"vector"`` (the windowed batch
-    engine in :mod:`repro.solvers.des_vector`), or ``"auto"`` (array
-    from ``ARRAY_MIN_COMPONENTS`` components up — see
-    :func:`resolve_engine`).  All engines are bit-identical in every
+    :mod:`repro.solvers.des_array`), or ``"auto"`` (array from
+    ``ARRAY_MIN_COMPONENTS`` components up — see
+    :func:`resolve_engine`).  Both engines are bit-identical in every
     observable (trace, solution, times, fault/event counts).
 
     Resilience hooks (all optional, all bit-transparent when absent):
@@ -177,12 +174,6 @@ def des_execute(
       delivery starves its dependant and the deadlock detector fires;
     * ``watchdog`` — a :class:`~repro.resilience.watchdog.Watchdog`
       polled at every clock advance (no-progress stall detection).
-
-    ``epoch_lookahead`` overrides the epoch-compiled vector engine's
-    structure-derived window width (narrower widths split epochs finer;
-    over-wide ones are clamped per epoch, so the playout stays
-    bit-identical either way).  The scalar interpreters have no epochs
-    and ignore it.
 
     Under ``Design.STALE_SYNC`` a component may leave its dependency
     park once at most ``stale.k`` contributions are still missing
@@ -222,7 +213,7 @@ def des_execute(
         Runs identically after every engine (pure function of the
         finished run's observables), so the repaired solution, the
         appended trace records, and the extended wall clock stay
-        bit-identical across reference, array, and vector.
+        bit-identical across reference and array.
         """
         if stale is not None:
             x, total_time = _stale_validation_pass(
@@ -237,16 +228,10 @@ def des_execute(
             events=events,
         )
 
-    if resolved in ("array", "vector"):
-        extra = {}
-        if resolved == "vector":
-            from repro.solvers.des_vector import execute_vector as _execute
+    if resolved == "array":
+        from repro.solvers.des_array import execute_array
 
-            extra["epoch_lookahead"] = epoch_lookahead
-        else:
-            from repro.solvers.des_array import execute_array as _execute
-
-        x, total_time, trace, page_faults, events = _execute(
+        x, total_time, trace, page_faults, events = execute_array(
             lower,
             b,
             dist,
@@ -259,7 +244,6 @@ def des_execute(
             recovery=recovery,
             watchdog=watchdog,
             stale=stale,
-            **extra,
         )
         return _finish(x, total_time, trace, page_faults, events)
     n_gpus = machine.n_gpus

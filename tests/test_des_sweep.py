@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench import dessweep
-from repro.bench.dessweep import (
-    measure_des_case,
-    measure_partitioned_case,
-    run_des_sweep,
-)
+from repro.bench.dessweep import measure_des_case, run_des_sweep
 from repro.exec_model.artefacts import (
     get_artefacts,
     load_artefacts,
@@ -84,37 +80,43 @@ class TestMeasureCase:
             "tiny", str(path), n_gpus=2, repeats=1
         )
         assert res["identical"] is True
-        assert res["identical_vector"] is True
         assert res["verified"] == "trace"
         assert res["analysis_shared"] is True
         assert res["n"] == TINY["n"]
         assert res["events"] > 0
         assert res["t_reference"] > 0 and res["t_array"] > 0
-        assert res["t_vector"] > 0
-        assert res["events_per_sec_vector"] > 0
+        assert res["events_per_sec_array"] > 0
         assert res["enforce_floor"] is False  # tiny: below MEDIUM_N
 
-    def test_array_only_engine_selection(self, tmp_path):
+    def test_large_case_skips_reference_and_checks_repeat(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(dessweep, "SKIP_REFERENCE_N", 100)
         low = _tiny_matrix(5)
         path = spill_artefacts(low, tmp_path / "case.pkl")
-        res = measure_des_case(
-            "tiny", str(path), n_gpus=2, repeats=1, engines=("array",)
-        )
-        assert res["t_vector"] is None
-        assert res["vector_over_array"] is None
-        assert res["identical_vector"] is True  # vacuously: not measured
+        res = measure_des_case("tiny", str(path), n_gpus=2, repeats=1)
+        assert res["t_reference"] is None and res["speedup"] is None
+        assert res["t_array"] > 0
+        assert res["identical"] is True
+        assert res["verified"] == "repeat"
 
-    def test_partitioned_measurement_verifies_digest(self, tmp_path):
+
+class TestScaleOutCase:
+    @pytest.mark.parametrize("record_level", [False, True])
+    def test_row_checks_reference_against_array(self, tmp_path, record_level):
         low = _tiny_matrix(6)
-        path = spill_artefacts(low, tmp_path / "case.pkl")
-        case = measure_des_case("tiny", str(path), n_gpus=4, repeats=1)
-        part = measure_partitioned_case(
-            case, str(path), n_gpus=4, repeats=1, n_workers=2
+        path = spill_artefacts(low, tmp_path / "so.pkl")
+        config = dessweep._scaleout_config(
+            {"n_nodes": 2, "gpus_per_node": 2, "node_run": 4},
+            dessweep.Design.SHMEM_READONLY,
         )
-        assert part["partition_identical"] is True
-        assert part["partition_workers"] == 2
-        assert part["partition_rounds"] >= 1
-        assert part["t_partitioned"] > 0
+        row = dessweep.measure_scaleout_case(
+            "tiny-2x2", str(path), config, record_level=record_level
+        )
+        assert row["identical"] is True
+        assert row["verified"] == ("trace" if record_level else "counters")
+        assert row["n_gpus"] == 4 and row["analysis_shared"] is True
+        assert row["flat"]["events"] > 0 and row["hierarchical"]["events"] > 0
 
 
 class TestSweep:
@@ -126,21 +128,13 @@ class TestSweep:
         payload = run_des_sweep(cases=cases, repeats=1, jobs=2)
         assert [c["name"] for c in payload["cases"]] == ["tiny-a", "tiny-b"]
         assert payload["all_identical"] is True
-        assert payload["partition_identical"] is True
         assert payload["analysis_shared"] is True
         assert payload["floor_misses"] == []
         assert payload["acceptance"] is None  # no scale-50k in this table
-        assert payload["engines"] == ["array", "vector"]
         assert payload["pass"] is True
         for c in payload["cases"]:
-            assert "digest" not in c  # internal hand-off, stripped
-            assert c["t_vector"] > 0
-            assert c["t_partitioned"] > 0
+            assert c["t_array"] > 0
         json.dumps(payload)  # BENCH_des.json payload must be serialisable
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="valid"):
-            run_des_sweep(cases={"tiny": TINY}, engines=("warp",))
 
     def test_quick_selection_excludes_acceptance_case(self):
         quick = set(dessweep.QUICK_CASES)

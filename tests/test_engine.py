@@ -3,9 +3,6 @@
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.engine.calendar import CalendarQueue
 from repro.engine.des import Simulator
 from repro.engine.events import Acquire, Release, Signal, Timeout, Wait
@@ -386,107 +383,6 @@ class TestCalendarQueue:
         q.push(1.0, "a")
         assert q.peek() == (1.0, "a")
         assert len(q) == 2 and bool(q)
-
-
-class TestDrainTimeBatch:
-    """``drain_time_batch``: the batch engines' atomic window drain."""
-
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]),
-                st.integers(min_value=0, max_value=99),
-            ),
-            min_size=1,
-            max_size=60,
-        ),
-        mode=st.sampled_from(["fifo", "heap"]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_batch_drain_equals_repeated_pop(self, events, mode):
-        """One drain_time_batch == the run of pops at that timestamp.
-
-        The fifo contract requires pushes at ``time >= now``; pushing
-        the whole schedule before the first pop satisfies it for any
-        push order, and heap mode accepts any order by construction.
-        """
-        batched = CalendarQueue(mode=mode)
-        popped = CalendarQueue(mode=mode)
-        for t, payload in events:
-            batched.push(t, payload)
-            popped.push(t, payload)
-        drained = 0
-        while batched:
-            t, batch = batched.drain_time_batch()
-            assert isinstance(batch, np.ndarray)
-            for expect in batch.tolist():
-                tp, payload = popped.pop()
-                assert tp == t
-                assert payload == expect
-            assert popped.peek() is None or popped.peek()[0] > t
-            drained += len(batch)
-        assert drained == len(events)
-        assert not popped
-
-    @given(
-        times=st.lists(
-            st.floats(
-                min_value=0.0,
-                max_value=10.0,
-                allow_nan=False,
-                allow_infinity=False,
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_bulk_push_then_batch_drain_is_time_sorted(self, times):
-        q = CalendarQueue()
-        q.bulk_push(np.array(times), np.arange(len(times)))
-        seen = []
-        while q:
-            t, batch = q.drain_time_batch()
-            seen.append((t, len(batch)))
-        drained_times = [t for t, _ in seen]
-        assert drained_times == sorted(set(float(t) for t in times))
-        assert sum(c for _, c in seen) == len(times)
-
-    def test_snapshot_semantics_same_time_repush(self):
-        """Unlike pop_bucket, the drained batch is a snapshot: a later
-        push at the drained timestamp opens a fresh bucket."""
-        q = CalendarQueue()
-        q.push(1.0, 10)
-        q.push(1.0, 11)
-        t, batch = q.drain_time_batch()
-        assert t == 1.0 and batch.tolist() == [10, 11]
-        q.push(1.0, 12)  # same timestamp, after the snapshot
-        t2, batch2 = q.drain_time_batch()
-        assert t2 == 1.0 and batch2.tolist() == [12]
-        assert not q
-
-    def test_partial_pop_then_batch_drains_remainder(self):
-        q = CalendarQueue()
-        for payload in (1, 2, 3):
-            q.push(2.0, payload)
-        assert q.pop() == (2.0, 1)
-        t, batch = q.drain_time_batch()
-        assert t == 2.0 and batch.tolist() == [2, 3]
-
-    def test_empty_raises(self):
-        for mode in ("fifo", "heap"):
-            with pytest.raises(IndexError):
-                CalendarQueue(mode=mode).drain_time_batch()
-
-    def test_heap_mode_orders_by_time_then_insertion(self):
-        q = CalendarQueue(mode="heap")
-        q.push(3.0, 30)
-        q.push(1.0, 10)
-        q.push(1.0, 11)
-        t, batch = q.drain_time_batch()
-        assert t == 1.0 and batch.tolist() == [10, 11]
-        assert q.drain_time_batch() == (3.0, np.array([30]))
-
 
 
 class TestResourceBank:

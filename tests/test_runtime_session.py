@@ -167,6 +167,7 @@ def test_zerocopy_alias_maps_to_readonly_design():
         ({"distribution": "striped"}, "valid choices"),
         ({"n_gpus": 0}, "n_gpus"),
         ({"tasks_per_gpu": 0}, "tasks_per_gpu"),
+        ({"engine": "vector"}, "valid choices"),
     ],
 )
 def test_bad_config_raises_typed_error(kwargs, needle):
@@ -187,6 +188,34 @@ def test_configuration_error_is_solver_and_value_error():
         assert "array" in err.choices
 
 
+def _des_execute_vector(lower, b):
+    from repro.machine.node import dgx1
+    from repro.solvers.des_solver import des_execute
+    from repro.tasks.schedule import block_distribution
+
+    des_execute(
+        lower, b, block_distribution(lower.shape[0], 2), dgx1(2),
+        engine="vector",
+    )
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [
+        lambda lower, b: RunConfig(engine="vector"),
+        lambda lower, b: RunConfig.from_mapping({"engine": "vector"}),
+        _des_execute_vector,
+    ],
+    ids=["RunConfig", "from_mapping", "des_execute"],
+)
+def test_removed_vector_engine_lists_remaining_choices(surface, system):
+    lower, b, _ = system
+    with pytest.raises(ConfigurationError) as ei:
+        surface(lower, b)
+    assert ei.value.parameter == "engine"
+    assert ei.value.choices == ("auto", "array", "reference")
+
+
 @pytest.mark.parametrize(
     "mapping, needle",
     [
@@ -196,6 +225,7 @@ def test_configuration_error_is_solver_and_value_error():
         ({"plan": {"specs": [{"rate": 0.1}]}}, "needs a 'kind'"),
         ({"plan": {"specs": [{"kind": "meteor"}]}}, "unknown fault kind"),
         ({"watchdog": {"deadline": 2.0}}, "unknown watchdog key"),
+        ({"epoch_lookahead": 1.0}, "unknown RunConfig key"),
     ],
 )
 def test_from_mapping_rejects_unknown_keys(mapping, needle):

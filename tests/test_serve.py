@@ -28,6 +28,7 @@ from repro.resilience.recovery import RecoveryPolicy
 from repro.runtime.config import RunConfig
 from repro.runtime.session import SolverSession
 from repro.serve import (
+    LADDER,
     AdmissionController,
     DegradationLadder,
     DegradeMode,
@@ -48,7 +49,6 @@ def deadlock_config(**overrides) -> RunConfig:
     base = dict(
         plan=FaultPlan.single(FaultKind.MSG_DROP, seed=5, rate=1.0),
         recovery=RecoveryPolicy(retry=False),
-        engine="vector",
         watchdog_stall_horizon=10.0,
     )
     base.update(overrides)
@@ -162,24 +162,24 @@ class TestCircuitBreaker:
 # Degradation ladder
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_full_walk_from_vector_shmem(self):
+    def test_full_walk_from_readonly_shmem(self):
         ladder = DegradationLadder()
-        cfg = RunConfig(engine="vector")
-        assert ladder.next_mode(DegradeMode.EXACT, cfg) is (
-            DegradeMode.ENGINE_FALLBACK
+        cfg = RunConfig()
+        assert LADDER == (
+            DegradeMode.EXACT, DegradeMode.STALE, DegradeMode.ESTIMATE
         )
-        assert ladder.next_mode(DegradeMode.ENGINE_FALLBACK, cfg) is (
-            DegradeMode.STALE
-        )
+        assert ladder.next_mode(DegradeMode.EXACT, cfg) is DegradeMode.STALE
         assert ladder.next_mode(DegradeMode.STALE, cfg) is (
             DegradeMode.ESTIMATE
         )
         assert ladder.next_mode(DegradeMode.ESTIMATE, cfg) is None
 
-    def test_array_engine_skips_fallback_rung(self):
+    @pytest.mark.parametrize("engine", ["auto", "array", "reference"])
+    def test_ladder_does_not_depend_on_engine(self, engine):
         ladder = DegradationLadder()
-        cfg = RunConfig(engine="array")
+        cfg = RunConfig(engine=engine)
         assert ladder.next_mode(DegradeMode.EXACT, cfg) is DegradeMode.STALE
+        assert ladder.derive_config(cfg, DegradeMode.STALE).engine == engine
 
     def test_stale_design_skips_stale_rung(self):
         ladder = DegradationLadder()
@@ -189,13 +189,6 @@ class TestDegradationLadder:
         assert ladder.next_mode(DegradeMode.EXACT, cfg) is (
             DegradeMode.ESTIMATE
         )
-
-    def test_fallback_config_drops_epoch_lookahead(self):
-        ladder = DegradationLadder()
-        cfg = RunConfig(engine="vector", epoch_lookahead=0.5)
-        derived = ladder.derive_config(cfg, DegradeMode.ENGINE_FALLBACK)
-        assert derived.engine == "array"
-        assert derived.epoch_lookahead is None
 
     def test_stale_config_is_valid_and_certifiable(self):
         ladder = DegradationLadder(stale_k=2, stale_ceiling=1e-8)
@@ -226,7 +219,7 @@ class TestFingerprints:
 
     def test_round_trip_preserves_fingerprint(self):
         cfg = RunConfig(
-            engine="vector",
+            engine="array",
             plan=FaultPlan.single(FaultKind.BITFLIP, bit=30),
             recovery=RecoveryPolicy(residual_ceiling=1e-10),
             stale_k=None,
@@ -489,6 +482,9 @@ class TestSolveServiceEndToEnd:
         assert res.status == "degraded"
         assert res.mode == DegradeMode.ESTIMATE.value
         assert res.degraded_from == "exact"
+        # One deadlocking solve per solving rung (exact, stale), then
+        # the estimate: no rung re-runs the same engine.
+        assert res.attempts == 2
         assert res.estimate is not None and res.estimate["total_time"] > 0
 
     def test_breaker_opens_and_fast_fails_hard_clients(self):
@@ -496,11 +492,14 @@ class TestSolveServiceEndToEnd:
 
         async def run():
             async with SolveService(breaker_threshold=2) as svc:
-                await svc.submit(
-                    SolveRequest(
-                        config=cfg, workload=WORKLOAD, allow_degraded=True
+                # Each ladder walk feeds the breaker one structural
+                # failure (its exact rung), so two walks trip it.
+                for _ in range(2):
+                    await svc.submit(
+                        SolveRequest(
+                            config=cfg, workload=WORKLOAD, allow_degraded=True
+                        )
                     )
-                )
                 with pytest.raises(CircuitOpenError) as ei:
                     await svc.submit(
                         SolveRequest(
@@ -526,11 +525,12 @@ class TestSolveServiceEndToEnd:
 
         async def run():
             async with SolveService(breaker_threshold=2) as svc:
-                await svc.submit(
-                    SolveRequest(
-                        config=cfg, workload=WORKLOAD, allow_degraded=True
+                for _ in range(2):
+                    await svc.submit(
+                        SolveRequest(
+                            config=cfg, workload=WORKLOAD, allow_degraded=True
+                        )
                     )
-                )
                 # The healthy config shares the matrix but not the key:
                 # its breaker stays closed and it solves exactly.
                 healthy = await svc.submit(

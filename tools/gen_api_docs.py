@@ -24,7 +24,6 @@ SUBPACKAGES = [
     "repro.machine.mesh",
     "repro.engine",
     "repro.engine.protocol",
-    "repro.engine.epoch",
     "repro.exec_model",
     "repro.tasks",
     "repro.solvers",

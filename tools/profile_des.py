@@ -12,12 +12,12 @@ through a chosen engine and reports
 * the same table as JSON (``--json``) for trend tooling.
 
     python tools/profile_des.py --engine array --case des-medium-8k
-    python tools/profile_des.py --engine vector --n 20000 --top 40
-    python tools/profile_des.py --engine epoch --case scale-50k \\
-        --json PROF_des.json
+    python tools/profile_des.py --engine reference --n 20000 --top 40
+    python tools/profile_des.py --case scale-50k --json PROF_des.json
     python tools/profile_des.py --config '{"engine": "array", "n_gpus": 8}'
 
-The engine comes from ``--engine`` or the RunConfig; workload knobs
+The engine comes from ``--engine`` or the RunConfig (``auto`` is
+resolved by system size and reported by name); workload knobs
 (``--n``, ``--levels``, ``--dependency``, ...) override the selected
 case's generator parameters.
 """
@@ -38,11 +38,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.bench.dessweep import DES_CASES  # noqa: E402
-from repro.engine.protocol import VALID_ENGINES  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.exec_model.artefacts import get_artefacts  # noqa: E402
 from repro.runtime import RunConfig, load_run_config  # noqa: E402
-from repro.solvers.des_solver import des_execute  # noqa: E402
+from repro.solvers.des_solver import des_execute, resolve_engine  # noqa: E402
 from repro.workloads.generators import dag_profile_matrix  # noqa: E402
 
 
@@ -70,6 +69,7 @@ def profile_run(
     """Profile one engine on one workload; returns the report payload."""
     lower = dag_profile_matrix(**knobs)
     n = lower.shape[0]
+    engine = resolve_engine(engine, n)
     art = get_artefacts(lower)
     machine = cfg.resolve_machine()
     dist = cfg.build_distribution(n, machine.n_gpus, lower=lower)
@@ -151,9 +151,8 @@ def render(report: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--engine", default=None,
-        help=f"DES engine to profile (one of {', '.join(VALID_ENGINES)}; "
-        "default: the RunConfig's engine)",
+        "--engine", default=None, choices=("array", "reference"),
+        help="DES engine to profile (default: the RunConfig's engine)",
     )
     parser.add_argument(
         "--case", default="des-medium-8k", choices=sorted(DES_CASES),
@@ -190,17 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_run_config(args.config)
-        engine = args.engine or cfg.engine
-        if engine not in VALID_ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; valid choices: "
-                + ", ".join(VALID_ENGINES),
-                parameter="engine",
-                value=engine,
-                choices=tuple(VALID_ENGINES),
-            )
         report = profile_run(
-            cfg, engine, _workload(args),
+            cfg, args.engine or cfg.engine, _workload(args),
             repeats=args.repeats, top=args.top, trace=args.trace,
         )
     except ConfigurationError as err:
