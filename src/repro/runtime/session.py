@@ -139,7 +139,11 @@ class SolverSession:
     :meth:`simulate` any number of times.  The analysis-artefact bundle
     of the most recent matrix is held with a strong reference, so
     repeated calls on the same matrix reuse the DAG, level sets,
-    placement, and comm-cost tables instead of rebuilding them.
+    placement, and comm-cost tables instead of rebuilding them.  When
+    the configured engine resolves to the array engine, the first
+    :meth:`solve` / :meth:`execute` also compiles its
+    :class:`~repro.solvers.des_array.ArrayProgram`, and later solves of
+    the same matrix only drain it.
     """
 
     def __init__(self, config: RunConfig | None = None, **overrides):
@@ -155,6 +159,7 @@ class SolverSession:
         self._artefacts = None
         self._dist = None
         self._costs = None
+        self._program = None
 
     @property
     def machine(self):
@@ -183,7 +188,29 @@ class SolverSession:
             self._costs = self._artefacts.comm_costs(
                 machine, self.config.design
             )
+            self._program = None
         return self._artefacts
+
+    def _array_program(self, lower):
+        """The bound matrix's array-engine program, compiled on first use;
+        ``None`` when the configured engine resolves to the reference
+        engine."""
+        from repro.solvers.des_solver import resolve_engine
+
+        if resolve_engine(self.config.engine, lower.shape[0]) != "array":
+            return None
+        if self._program is None:
+            from repro.solvers.des_array import compile_program
+
+            self._program = compile_program(
+                lower,
+                self._dist,
+                self.machine,
+                self.config.design,
+                self._artefacts.dag,
+                self._costs,
+            )
+        return self._program
 
     def execute(self, lower, b):
         """Event-granular playout only (no faults, no repair, no report)."""
@@ -201,6 +228,7 @@ class SolverSession:
             trace_enabled=self.config.trace_enabled,
             engine=self.config.engine,
             stale=self.config.build_stale_policy(),
+            program=self._array_program(lower),
         )
 
     def simulate(self, lower):
@@ -253,6 +281,7 @@ class SolverSession:
             recovery=recovery,
             watchdog=cfg.build_watchdog(),
             stale=cfg.build_stale_policy(),
+            program=self._array_program(lower),
         )
         x = ex.x
         repaired: list[int] = []

@@ -1,33 +1,40 @@
 """Array-based DES fast path: the event-granular playout without generators.
 
 This module is the *compiling interpreter* of the shared execution
-protocol in :mod:`repro.engine.protocol`: at build time it compiles the
-protocol's lifecycle tables, token layout, and timing rules into flat
-integer/float arrays, then drains them with a branchy hot loop — the
-same components, notifiers, warp slots, link channels, and
-unified-memory page table as the reference engine
+protocol in :mod:`repro.engine.protocol`: :func:`compile_program`
+compiles the protocol's lifecycle tables, token layout, and timing
+rules into flat integer/float arrays once per structure, and
+:func:`execute_array` drains them with a branchy hot loop once per
+right-hand side — the same components, notifiers, warp slots, link
+channels, and unified-memory page table as the reference engine
 (:func:`repro.solvers.des_solver.des_execute`, which *walks* the same
 tables with generator objects), as a flat state machine instead of one
 Python generator per process:
 
+* **compile once, drain per solve** — an :class:`ArrayProgram` holds
+  everything that depends only on the structure, placement, machine and
+  design (index and ownership lists, per-warp and per-edge cost tables,
+  link-bank rows, the sorted dispatch-front calendar seed, and each
+  edge's fan-out delay); a drain builds only what depends on ``b`` and
+  on the run itself.  A :class:`~repro.runtime.session.SolverSession`
+  keeps one program across its solves;
 * **exact-time event calendar** — pending events live in FIFO buckets
   keyed by timestamp (the inline form of
   :class:`repro.engine.calendar.CalendarQueue`'s ``"fifo"`` mode): a
   dict maps each distinct time to a list of integer tokens and a small
   heap orders the distinct times.  The initial dispatch front (one
   spawn per component, launch times known upfront) is bucketed with one
-  vectorised stable argsort, and every zero-delay event — waiter
-  hand-overs, readiness wakes, notifier spawns — is a plain
+  vectorised stable argsort at compile time, and every zero-delay event
+  — waiter hand-overs, readiness wakes, notifier spawns — is a plain
   ``list.append`` into the bucket being drained;
 * **warp-batch state machines** — events are integer tokens, classed by
   range so the hottest kinds decode cheapest: ``-1 - e`` is edge ``e``'s
   *update* delivery, ``(i << 3) | state`` a component step,
   ``n*8 + e`` a local edge's start hop, and ``n*8 + nnz + (e << 2 |
   state)`` a cross-GPU transfer step.  All per-warp and per-edge costs
-  (gather, solve, update increments, notify latencies, link rows, wire
-  times) are precomputed in vectorised NumPy passes and indexed straight
-  off the token, so one engine tick is an integer compare plus a handful
-  of float adds;
+  (gather, solve, update chains, notify latencies, link rows, wire
+  times) are precomputed and indexed straight off the token, so one
+  engine tick is an integer compare plus a handful of float adds;
 * **pooled resources** — every warp-slot pool and link channel is a row
   in one :class:`~repro.engine.resources.ResourceBank`; the hot loop
   hoists the bank's parallel lists into locals and runs the
@@ -52,7 +59,9 @@ counts.  Two invariants carry the proof:
    is produced by the same sequence of binary64 operations the
    reference generators execute (NumPy float64 and Python floats share
    binary64 semantics), so times collide exactly where the reference
-   ties and differ exactly where it doesn't.
+   ties and differ exactly where it doesn't.  Compiling a fan-out's
+   delays ahead of the solve keeps the chain: the same sequential
+   ``uc += inc; delay = uc + notify`` adds, only run earlier.
 
 ``tests/test_des_array.py`` enforces the contract over every workload
 generator; the causality checker replays the traces against machine
@@ -62,6 +71,7 @@ physics.
 from __future__ import annotations
 
 import gc
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -97,6 +107,7 @@ from repro.engine.protocol import (
     XFER_RETIRE,
     XFER_SHIFT,
     TokenLayout,
+    coerce_design,
     delivery_action,
     design_hooks,
     edge_cost_tables,
@@ -109,6 +120,7 @@ from repro.engine.protocol import (
     remap_plan,
     solve_cost_table,
     validate_diagonals,
+    validate_fabric_reach,
     wake_threshold,
     wire_time,
 )
@@ -122,7 +134,12 @@ from repro.resilience.faults import flip_mantissa_bit
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import Distribution
 
-__all__ = ["execute_array", "ARRAY_MIN_COMPONENTS"]
+__all__ = [
+    "ArrayProgram",
+    "compile_program",
+    "execute_array",
+    "ARRAY_MIN_COMPONENTS",
+]
 
 #: Below this size ``engine="auto"`` keeps the reference engine: the
 #: vectorised precompute passes cost more than the generator overhead
@@ -130,15 +147,215 @@ __all__ = ["execute_array", "ARRAY_MIN_COMPONENTS"]
 ARRAY_MIN_COMPONENTS = 64
 
 
-def execute_array(
+@dataclass(frozen=True, eq=False)
+class ArrayProgram:
+    """The solve-invariant half of an array-engine run.
+
+    Everything here depends only on the structure, placement, machine
+    and design, never on ``b``: :func:`compile_program` builds it once,
+    and every :func:`execute_array` drain reads it without writing.
+    The lists are shared across drains, so a drain that must rewrite
+    routing (a fail-stop remap) copies them first.
+
+    Per-edge lists are aligned with ``lower.indices``; the diagonal
+    slots carry unused values.  ``e_delay``/``rel`` (each edge's
+    fan-out delay, each component's release offset) are ``None`` under
+    a page-table design, whose update costs depend on the run.
+    """
+
+    lower: CscMatrix
+    dist: Distribution
+    machine: MachineConfig
+    design: Design
+    costs: CommCosts
+    unified: bool
+    layout: TokenLayout
+    # Per component.
+    indptr_l: list
+    g_l: list
+    in_degree_l: list
+    in_counts_l: list
+    gather_l: list
+    solve_l: list
+    rel: list | None
+    # Per edge.
+    idx_l: list
+    col_l: list
+    srcg_l: list
+    dstg_l: list
+    inc_l: list | None
+    dl_l: list | None
+    e_delay: list | None
+    spawn_code_l: list
+    elink_l: list
+    ewire_l: list
+    col_of: np.ndarray
+    notify_l: list
+    # Pooled resources: warp-slot rows first (rid == PE rank), then one
+    # link row per directed PE pair that carries at least one edge.
+    bank_rows: tuple
+    pair_rid: np.ndarray
+    pair_wire: np.ndarray
+    # The dispatch front: distinct spawn times (ascending, so already a
+    # valid heap) and each time's tokens in spawn order.
+    seed_times: list
+    seed_codes: list
+
+    def compiled_for(self, lower, dist, machine, design) -> bool:
+        """Whether this program was compiled for exactly this system."""
+        return (
+            self.lower is lower
+            and self.dist is dist
+            and self.machine is machine
+            and self.design is coerce_design(design)
+        )
+
+
+def _fanout_delays(cols, indptr_l, inc_l, dl_l, e_delay, rel) -> None:
+    """Accumulate the update fan-out of each column in ``cols``.
+
+    A producer pays its dependants' update costs one after another, so
+    edge ``e`` is delivered ``uc + notify`` after the solve, where ``uc``
+    sums the increments up to and including ``e`` (in edge order), and
+    the component releases its warp slot once the whole chain is paid.
+    Writes ``e_delay`` per edge and ``rel`` per column with the exact
+    binary64 chain the reference engine's producer runs at solve time.
+    """
+    for i in cols:
+        uc = 0.0
+        for e in range(indptr_l[i] + 1, indptr_l[i + 1]):
+            uc += inc_l[e]
+            e_delay[e] = uc + dl_l[e]
+        rel[i] = uc
+
+
+def compile_program(
     lower: CscMatrix,
-    b: np.ndarray,
     dist: Distribution,
     machine: MachineConfig,
-    design: Design,
-    *,
+    design: Design | str,
     dag: DependencyDag,
     costs: CommCosts,
+) -> ArrayProgram:
+    """Compile one system's solve-invariant tables for the array engine.
+
+    Raises the same typed errors as :func:`~repro.solvers.des_solver.des_execute`
+    for a system no engine can play out (unreachable rank pair, wrong
+    distribution size, missing diagonal).
+    """
+    from repro.solvers.des_solver import MESSAGES_IN_FLIGHT_PER_LINK
+
+    design = coerce_design(design)
+    validate_fabric_reach(machine, design)
+    n = lower.shape[0]
+    if dist.n != n:
+        raise SolverError("distribution does not match the matrix")
+    n_gpus = machine.n_gpus
+    gpu_spec = machine.gpu
+    unified = design_hooks(design).page_table
+    topo = machine.topology
+    phys = machine.active_gpus
+
+    indptr = lower.indptr
+    gpu_of = dist.gpu_of
+    in_counts = np.diff(dag.in_ptr)
+    col_nnz = np.diff(indptr)
+    nnz = int(indptr[-1])
+
+    # The reference engine discovers a missing diagonal when the solve
+    # front reaches the column; with the whole structure in hand the
+    # array engine can reject it upfront (identical error either way).
+    validate_diagonals(indptr, lower.indices, n)
+
+    indptr_l = indptr.tolist()
+
+    # Per-entry edge tables, aligned with ``indices``/``data``.
+    col_of = np.repeat(np.arange(n, dtype=np.int64), col_nnz)
+    src_g_e = gpu_of[col_of]
+    dst_g_e = gpu_of[lower.indices]
+    local_e = src_g_e == dst_g_e
+    if not unified:
+        inc_e, dl_e = edge_cost_tables(costs, src_g_e, dst_g_e, local_e)
+        inc_l = inc_e.tolist()
+        dl_l = dl_e.tolist()
+        e_delay = [0.0] * nnz
+        rel = [0.0] * n
+        _fanout_delays(range(n), indptr_l, inc_l, dl_l, e_delay, rel)
+    else:
+        inc_l = dl_l = e_delay = rel = None
+
+    # One notifier per matrix entry.  Its spawn token encodes the edge's
+    # class — local hop or cross-GPU transfer — so a component's whole
+    # update fan-out is ingested with a single slice-extend.
+    layout = TokenLayout.for_system(n, nnz)
+
+    bank_rows = [(f"gpu{g}.warps", gpu_spec.warp_slots) for g in range(n_gpus)]
+    pair_rid = np.full(n_gpus * n_gpus, -1, dtype=np.int64)
+    pair_wire = np.zeros(n_gpus * n_gpus)
+    cross_pairs = np.unique(src_g_e[~local_e] * n_gpus + dst_g_e[~local_e])
+    for p in cross_pairs.tolist():
+        src_pe, dst_pe = p // n_gpus, p % n_gpus
+        ga, gb = int(phys[src_pe]), int(phys[dst_pe])
+        capacity = link_capacity(topo, ga, gb, MESSAGES_IN_FLIGHT_PER_LINK)
+        pair_rid[p] = len(bank_rows)
+        bank_rows.append((f"link{src_pe}->{dst_pe}", capacity))
+        pair_wire[p] = wire_time(topo, ga, gb)
+    pair_e = src_g_e * n_gpus + dst_g_e
+
+    # The initial dispatch front, bucketed by launch time.
+    launch = launch_times(dist.n_tasks, gpu_spec.t_kernel_launch)
+    spawn_times = launch[dist.task_of()]
+    order = np.argsort(spawn_times, kind="stable")
+    # State COMP_ACQUIRE (= 0): the shift alone encodes the token.
+    codes_sorted = (order.astype(np.int64) << COMP_SHIFT).tolist()
+    uniq, starts = np.unique(spawn_times[order], return_index=True)
+    bounds = starts.tolist()
+    bounds.append(n)
+
+    return ArrayProgram(
+        lower=lower,
+        dist=dist,
+        machine=machine,
+        design=design,
+        costs=costs,
+        unified=unified,
+        layout=layout,
+        indptr_l=indptr_l,
+        g_l=gpu_of.tolist(),
+        in_degree_l=dag.in_degree.tolist(),
+        in_counts_l=in_counts.tolist(),
+        gather_l=gather_cost_table(costs.gather, in_counts).tolist(),
+        solve_l=solve_cost_table(
+            gpu_spec.t_per_nnz, col_nnz, in_counts
+        ).tolist(),
+        rel=rel,
+        idx_l=lower.indices.tolist(),
+        col_l=col_of.tolist(),
+        srcg_l=src_g_e.tolist(),
+        dstg_l=dst_g_e.tolist(),
+        inc_l=inc_l,
+        dl_l=dl_l,
+        e_delay=e_delay,
+        spawn_code_l=layout.spawn_codes(local_e).tolist(),
+        elink_l=np.where(local_e, -1, pair_rid[pair_e]).tolist(),
+        ewire_l=np.where(local_e, 0.0, pair_wire[pair_e]).tolist(),
+        col_of=col_of,
+        notify_l=costs.notify.tolist(),
+        bank_rows=tuple(bank_rows),
+        pair_rid=pair_rid,
+        pair_wire=pair_wire,
+        seed_times=uniq.tolist(),
+        seed_codes=[
+            codes_sorted[bounds[j] : bounds[j + 1]]
+            for j in range(len(starts))
+        ],
+    )
+
+
+def execute_array(
+    program: ArrayProgram,
+    b: np.ndarray,
+    *,
     trace_enabled: bool = True,
     max_events: int = 50_000_000,
     injector=None,
@@ -146,7 +363,7 @@ def execute_array(
     watchdog=None,
     stale=None,
 ) -> tuple[np.ndarray, float, Trace, int, int]:
-    """Play out one event-granular SpTRSV on the array engine.
+    """Drain one event-granular SpTRSV of a compiled program.
 
     Returns ``(x, total_time, trace, page_faults, events)`` — the exact
     fields of :class:`~repro.solvers.des_solver.DesExecution`, produced
@@ -159,10 +376,13 @@ def execute_array(
     """
     from repro.solvers.des_solver import MESSAGES_IN_FLIGHT_PER_LINK
 
-    n = lower.shape[0]
+    lower = program.lower
+    machine = program.machine
+    costs = program.costs
+    n, nnz = program.layout.n, program.layout.nnz
     n_gpus = machine.n_gpus
     gpu_spec = machine.gpu
-    unified = design_hooks(design).page_table
+    unified = program.unified
     # Stale-sync: the ready park releases once at most ``wake_at``
     # contributions are missing (0 = fully synchronous); the caller
     # (``des_execute``) owns the post-hoc validation pass.
@@ -177,61 +397,44 @@ def execute_array(
     failure_mode = faulty and injector.has_gpu_failures
 
     # ----------------------------------------------------------------
-    # Vectorised precompute: per-warp and per-edge cost tables.
+    # Compiled tables, hoisted into locals for the hot loop.
     # ----------------------------------------------------------------
-    indptr = lower.indptr
-    gpu_of = dist.gpu_of
-    in_counts = np.diff(dag.in_ptr)
-    col_nnz = np.diff(indptr)
-    nnz = int(indptr[-1])
-
-    # The reference engine discovers a missing diagonal when the solve
-    # front reaches the column; with the whole structure in hand the
-    # array engine can reject it upfront (identical error either way).
-    validate_diagonals(indptr, lower.indices, n)
-
-    indptr_l = indptr.tolist()
-    idx_l = lower.indices.tolist()
-    data_l = lower.data.tolist()
-    g_l = gpu_of.tolist()
-    b_l = np.asarray(b, dtype=np.float64).tolist()
-    remaining = dag.in_degree.tolist()
-    in_counts_l = in_counts.tolist()
-    gather_l = gather_cost_table(costs.gather, in_counts).tolist()
-    solve_l = solve_cost_table(gpu_spec.t_per_nnz, col_nnz, in_counts).tolist()
-
-    # Per-entry edge tables, aligned with ``indices``/``data`` (the
-    # diagonal slots carry unused values; the update loop starts past
-    # them).
-    col_of = np.repeat(np.arange(n, dtype=np.int64), col_nnz)
-    src_g_e = gpu_of[col_of]
-    dst_g_e = gpu_of[lower.indices]
-    local_e = src_g_e == dst_g_e
-    srcg_l = src_g_e.tolist()
-    dstg_l = dst_g_e.tolist()
-    if not unified:
-        inc_e, dl_e = edge_cost_tables(costs, src_g_e, dst_g_e, local_e)
-        inc_l = inc_e.tolist()
-        dl_l = dl_e.tolist()
-    else:
-        inc_l = dl_l = None
-    notify_l = costs.notify.tolist()
+    indptr_l = program.indptr_l
+    idx_l = program.idx_l
+    col_l = program.col_l
+    g_l = program.g_l
+    in_counts_l = program.in_counts_l
+    gather_l = program.gather_l
+    solve_l = program.solve_l
+    rel = program.rel
+    srcg_l = program.srcg_l
+    dstg_l = program.dstg_l
+    inc_l = program.inc_l
+    dl_l = program.dl_l
+    spawn_code_l = program.spawn_code_l
+    elink_l = program.elink_l
+    ewire_l = program.ewire_l
+    notify_l = program.notify_l
+    pair_rid = program.pair_rid
+    pair_wire = program.pair_wire
+    col_of = program.col_of
     update_local = costs.update_local
+    # The protocol's TokenLayout fixes the token ranges; its bases are
+    # hoisted into locals for the hot loop (the literal shift/mask
+    # constants below are the compiled form of COMP_SHIFT=3 /
+    # XFER_SHIFT=2, pinned by tests/test_protocol_parity).
+    n8 = program.layout.local_base
+    m8 = program.layout.xfer_base
+    f8 = program.layout.failure_base
 
-    # One notifier per matrix entry, its runtime fields (contribution
-    # value, post-transfer delay) written at solve time.  The spawn
-    # token already encodes the edge's class — local hop or cross-GPU
-    # transfer — so a component's whole update fan-out is ingested with
-    # a single slice-extend.  The protocol's TokenLayout fixes the
-    # ranges; its bases and shifts are hoisted into locals for the hot
-    # loop (the literal shift/mask constants below are the compiled form
-    # of COMP_SHIFT=3 / XFER_SHIFT=2, pinned by tests/test_protocol_parity).
-    layout = TokenLayout.for_system(n, nnz)
-    n8 = layout.local_base
-    m8 = layout.xfer_base
-    spawn_code_l = layout.spawn_codes(local_e).tolist()
-    e_contrib = [0.0] * nnz
-    e_delay = [0.0] * nnz
+    # Per-solve values: a delivery's contribution is computed when it
+    # lands, ``data[e] * x[col[e]]``, from the solved ``x``.
+    data_l = lower.data.tolist()
+    b_l = np.asarray(b, dtype=np.float64).tolist()
+    remaining = program.in_degree_l.copy()
+    # Page-table designs pay run-dependent update costs, so their
+    # fan-out delays are written at solve time.
+    e_delay = [0.0] * nnz if unified else program.e_delay
 
     # Resilience state.  ``e_attempt`` counts delivery attempts per edge
     # (the injector's fate tables and the retry backoff are keyed on it);
@@ -242,30 +445,32 @@ def execute_array(
     e_attempt = [0] * nnz if (delivery_faulty or link_faulty) else None
     done_l = [False] * n
     dead: set = set()
-    f8 = layout.failure_base
-    gpu_np = gpu_of.copy() if failure_mode else gpu_of
-    fail_gpu = [g for _t, g in injector.gpu_failures] if failure_mode else []
+    gpu_np = program.dist.gpu_of
+    fail_gpu = []
+    if failure_mode:
+        fail_gpu = [g for _t, g in injector.gpu_failures]
+        gpu_np = gpu_np.copy()
+        if recovery is not None and recovery.remap_on_failure:
+            # Copy-on-write: a remap rewrites ownership, routing and
+            # fan-out delays mid-run, so this drain works on private
+            # copies and the program stays valid for the next solve.
+            g_l = g_l.copy()
+            srcg_l = srcg_l.copy()
+            dstg_l = dstg_l.copy()
+            spawn_code_l = spawn_code_l.copy()
+            elink_l = elink_l.copy()
+            ewire_l = ewire_l.copy()
+            pair_rid = pair_rid.copy()
+            pair_wire = pair_wire.copy()
+            if not unified:
+                inc_l = inc_l.copy()
+                dl_l = dl_l.copy()
+                e_delay = e_delay.copy()
+                rel = rel.copy()
 
-    # Pooled resources: warp-slot rows first (rid == PE rank), then one
-    # link row per directed PE pair that carries at least one edge.
     bank = ResourceBank()
-    for g in range(n_gpus):
-        bank.add(f"gpu{g}.warps", gpu_spec.warp_slots)
-    pair_rid = np.full(n_gpus * n_gpus, -1, dtype=np.int64)
-    pair_wire = np.zeros(n_gpus * n_gpus)
-    cross_pairs = np.unique(src_g_e[~local_e] * n_gpus + dst_g_e[~local_e])
-    for p in cross_pairs.tolist():
-        src_pe, dst_pe = p // n_gpus, p % n_gpus
-        ga, gb = int(phys[src_pe]), int(phys[dst_pe])
-        capacity = link_capacity(topo, ga, gb, MESSAGES_IN_FLIGHT_PER_LINK)
-        pair_rid[p] = bank.add(f"link{src_pe}->{dst_pe}", capacity)
-        pair_wire[p] = wire_time(topo, ga, gb)
-    elink_l = np.where(
-        local_e, -1, pair_rid[src_g_e * n_gpus + dst_g_e]
-    ).tolist()
-    ewire_l = np.where(
-        local_e, 0.0, pair_wire[src_g_e * n_gpus + dst_g_e]
-    ).tolist()
+    for name, capacity in program.bank_rows:
+        bank.add(name, capacity)
 
     um: UnifiedMemory | None = None
     s_left = s_indeg = None
@@ -279,22 +484,10 @@ def execute_array(
         phys_l = [int(p) for p in phys]
 
     # ----------------------------------------------------------------
-    # Inline FIFO calendar: ingest the initial dispatch front.
+    # Inline FIFO calendar, seeded with the compiled dispatch front.
     # ----------------------------------------------------------------
-    task_of = dist.task_of()
-    launch = launch_times(dist.n_tasks, gpu_spec.t_kernel_launch)
-    spawn_times = launch[task_of]
-    order = np.argsort(spawn_times, kind="stable")
-    # State COMP_ACQUIRE (= 0): the shift alone encodes the token.
-    codes_sorted = (order.astype(np.int64) << COMP_SHIFT).tolist()
-    uniq, starts = np.unique(spawn_times[order], return_index=True)
-    theap = uniq.tolist()  # ascending ⇒ already a valid heap
-    bounds = starts.tolist()
-    bounds.append(n)
-    buckets = {
-        t: codes_sorted[bounds[j] : bounds[j + 1]]
-        for j, t in enumerate(theap)
-    }
+    theap = program.seed_times.copy()
+    buckets = dict(zip(theap, map(list.copy, program.seed_codes)))
     if failure_mode:
         # Failure tokens join the calendar *after* the dispatch front but
         # before any runtime append, matching the reference engine's
@@ -359,7 +552,7 @@ def execute_array(
                 if code < 0:
                     # -------------------- update delivery (hottest)
                     e = -1 - code
-                    contrib = e_contrib[e]
+                    contrib = data_l[e] * x_l[col_l[e]]
                     if delivery_faulty:
                         att = e_attempt[e]
                         fate = injector.delivery_fate(e, att)
@@ -584,6 +777,11 @@ def execute_array(
                                                 costs.update_remote[sg, dg]
                                             )
                                             dl_l[ee] = notify_l[sg][dg]
+                                if not unified:
+                                    _fanout_delays(
+                                        np.nonzero(~done_np)[0].tolist(),
+                                        indptr_l, inc_l, dl_l, e_delay, rel,
+                                    )
                         continue
                     # -------------------- cross-GPU transfer steps
                     c = code - m8
@@ -726,8 +924,7 @@ def execute_array(
                 if st == COMP_POST:
                     lo = indptr_l[i]
                     hi = indptr_l[i + 1]
-                    xi = (b_l[i] - left_sum[i]) / data_l[lo]
-                    x_l[i] = xi
+                    x_l[i] = (b_l[i] - left_sum[i]) / data_l[lo]
                     done_l[i] = True
                     g = g_l[i]
                     if emit is not None:
@@ -736,13 +933,11 @@ def execute_array(
                         c_solve += 1
                     if watchdog is not None:
                         watchdog.progress(now, i)
-                    uc = 0.0
                     if not unified:
-                        for e in range(lo + 1, hi):
-                            uc += inc_l[e]
-                            e_contrib[e] = data_l[e] * xi
-                            e_delay[e] = uc + dl_l[e]
+                        # Compiled fan-out: the delays are structural.
+                        uc = rel[i]
                     else:
+                        uc = 0.0
                         for e in range(lo + 1, hi):
                             dg = dstg_l[e]
                             if dg == g:
@@ -763,7 +958,6 @@ def execute_array(
                                     else:
                                         c_fault += 1
                                 e_delay[e] = uc + notify_l[g][dg]
-                            e_contrib[e] = data_l[e] * xi
                     if hi > lo + 1:
                         # Spawn the whole fan-out at once: the start
                         # hops all land at ``now`` in edge order (the

@@ -143,6 +143,7 @@ def des_execute(
     recovery=None,
     watchdog=None,
     stale: StalePolicy | None = None,
+    program=None,
 ) -> DesExecution:
     """Play out a multi-GPU SpTRSV at event granularity.
 
@@ -161,6 +162,12 @@ def des_execute(
     ``ARRAY_MIN_COMPONENTS`` components up — see
     :func:`resolve_engine`).  Both engines are bit-identical in every
     observable (trace, solution, times, fault/event counts).
+
+    ``program`` is a :class:`~repro.solvers.des_array.ArrayProgram`
+    compiled for exactly this ``(lower, dist, machine, design)``: the
+    array engine then drains it instead of compiling one for this call
+    (a :class:`~repro.runtime.session.SolverSession` passes the one it
+    keeps across solves).  The reference engine ignores it.
 
     Resilience hooks (all optional, all bit-transparent when absent):
 
@@ -229,16 +236,17 @@ def des_execute(
         )
 
     if resolved == "array":
-        from repro.solvers.des_array import execute_array
+        from repro.solvers.des_array import compile_program, execute_array
 
+        if program is None:
+            program = compile_program(lower, dist, machine, design, dag, costs)
+        elif not program.compiled_for(lower, dist, machine, design):
+            raise SolverError(
+                "array program was compiled for a different system"
+            )
         x, total_time, trace, page_faults, events = execute_array(
-            lower,
+            program,
             b,
-            dist,
-            machine,
-            design,
-            dag=dag,
-            costs=costs,
             trace_enabled=trace_enabled,
             injector=injector,
             recovery=recovery,

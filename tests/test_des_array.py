@@ -354,3 +354,167 @@ class TestFaultedErrorParity:
                     injector=plan.build(lower, dist),
                     recovery=RecoveryPolicy(),
                 )
+
+
+# ---------------------------------------------------------------------------
+# Compile once, drain per solve: a session compiles one ArrayProgram per
+# bound matrix and every drain of it must equal a fresh reference run.
+# ---------------------------------------------------------------------------
+
+import repro.solvers.des_array as des_array_mod  # noqa: E402
+from repro.exec_model.artefacts import get_artefacts  # noqa: E402
+from repro.runtime import SolverSession  # noqa: E402
+from repro.solvers.des_array import compile_program  # noqa: E402
+
+REUSE_DESIGNS = (
+    Design.SHMEM_READONLY,
+    Design.SHMEM_NAIVE,
+    Design.UNIFIED,
+    Design.STALE_SYNC,
+)
+REUSE_GENERATORS = [
+    g for g in GENERATORS if g[0] in ("banded", "level-major", "scattered")
+]
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Count compile_program calls (sessions import it at call time)."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return compile_program(*args, **kwargs)
+
+    monkeypatch.setattr(des_array_mod, "compile_program", counting)
+    return calls
+
+
+def _fresh_reference(session, lower, b, **kwargs):
+    cfg = session.config
+    machine = session.machine
+    dist = cfg.build_distribution(lower.shape[0], machine.n_gpus, lower=lower)
+    return des_execute(
+        lower, b, dist, machine, cfg.design,
+        engine="reference", stale=cfg.build_stale_policy(), **kwargs,
+    )
+
+
+class TestCompiledProgramReuse:
+    @pytest.mark.parametrize("design", REUSE_DESIGNS, ids=lambda d: d.value)
+    @pytest.mark.parametrize(
+        "gname,gen", REUSE_GENERATORS, ids=[g[0] for g in REUSE_GENERATORS]
+    )
+    def test_session_solves_match_fresh_reference(
+        self, gname, gen, design, compiles
+    ):
+        lower = gen(3)
+        session = SolverSession(n_gpus=2, design=design, engine="array")
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            b = rng.standard_normal(lower.shape[0])
+            res = session.solve(lower, b, with_report=False)
+            _assert_bit_identical(
+                _fresh_reference(session, lower, b), res.execution
+            )
+        assert len(compiles) == 1
+
+    def test_binding_a_new_matrix_recompiles(self, compiles):
+        _, gen = REUSE_GENERATORS[0]
+        first, second = gen(3), gen(4)
+        session = SolverSession(n_gpus=2, engine="array")
+        for lower in (first, second, second):
+            b = np.ones(lower.shape[0])
+            ex = session.execute(lower, b)
+            _assert_bit_identical(_fresh_reference(session, lower, b), ex)
+        assert compiles == [first, second]
+
+    def test_only_array_drains_compile(self, compiles):
+        _, gen = REUSE_GENERATORS[0]
+        lower = gen(3)
+        SolverSession(n_gpus=2, engine="array").simulate(lower)
+        SolverSession(n_gpus=2, engine="reference").solve(
+            lower, np.ones(lower.shape[0])
+        )
+        assert compiles == []
+
+    def test_program_for_another_system_rejected(self):
+        _, gen = REUSE_GENERATORS[0]
+        lower, other = gen(3), gen(4)
+        machine = dgx1(2)
+        dist = block_distribution(lower.shape[0], 2)
+        costs = get_artefacts(lower).comm_costs(machine, Design.SHMEM_READONLY)
+        program = compile_program(
+            lower, dist, machine, Design.SHMEM_READONLY,
+            build_dag(lower), costs,
+        )
+        with pytest.raises(SolverError, match="different system"):
+            des_execute(
+                other, np.ones(other.shape[0]),
+                block_distribution(other.shape[0], 2), machine,
+                engine="array", program=program,
+            )
+
+    @pytest.mark.parametrize(
+        "design", (Design.SHMEM_READONLY, Design.UNIFIED),
+        ids=lambda d: d.value,
+    )
+    @pytest.mark.parametrize(
+        "gname,gen", REUSE_GENERATORS, ids=[g[0] for g in REUSE_GENERATORS]
+    )
+    def test_remap_leaves_the_program_intact(self, gname, gen, design):
+        """A fail-stop remap drains on copies: the next solve is clean."""
+        lower, b, dist, machine, _, T = _remap_fixture(gen, design)
+        art = get_artefacts(lower)
+        program = compile_program(
+            lower, dist, machine, design, art.dag,
+            art.comm_costs(machine, design),
+        )
+        plan = FaultPlan.single(FaultKind.GPU_FAIL, gpu=2, t_start=0.3 * T)
+
+        def run(engine, faulted, program=None):
+            return des_execute(
+                lower, b, dist, machine, design,
+                engine=engine,
+                injector=plan.build(lower, dist) if faulted else None,
+                recovery=RecoveryPolicy() if faulted else None,
+                program=program,
+            )
+
+        faulted = run("array", True, program)
+        assert faulted.trace.count("remap") > 0
+        _assert_bit_identical(run("reference", True), faulted)
+        _assert_bit_identical(
+            run("reference", False), run("array", False, program)
+        )
+        _assert_bit_identical(run("reference", True), run("array", True, program))
+
+    def test_faulted_session_solves_repeat_bit_identically(self, compiles):
+        _, gen = REUSE_GENERATORS[0]
+        lower, b, dist, machine, design, T = _remap_fixture(
+            gen, Design.SHMEM_READONLY
+        )
+        plan = FaultPlan.single(FaultKind.GPU_FAIL, gpu=2, t_start=0.3 * T)
+        session = SolverSession(
+            machine=machine, design=design, engine="array", plan=plan
+        )
+        ref = _fresh_reference(
+            session, lower, b,
+            injector=plan.build(lower, dist), recovery=RecoveryPolicy(),
+        )
+        assert ref.trace.count("remap") > 0
+        for _ in range(2):
+            res = session.solve(lower, b, with_report=False)
+            _assert_bit_identical(ref, res.execution)
+        assert len(compiles) == 1
+
+
+def _remap_fixture(gen, design, n_gpus=4, seed=3):
+    """A system whose remap re-routes edges of unsolved columns."""
+    lower = gen(seed)
+    n = lower.shape[0]
+    machine = dgx1(n_gpus, require_p2p=design is not Design.UNIFIED)
+    dist = block_distribution(n, n_gpus)
+    b = np.random.default_rng(seed).standard_normal(n)
+    probe = des_execute(lower, b, dist, machine, design, engine="reference")
+    return lower, b, dist, machine, design, float(probe.total_time)

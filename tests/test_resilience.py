@@ -33,9 +33,9 @@ from repro.resilience.faults import (
 from repro.resilience.recovery import (
     RecoveryPolicy,
     residual_repair,
-    resilient_execute,
 )
 from repro.resilience.watchdog import Watchdog
+from repro.runtime import resilient_run
 from repro.solvers.serial import serial_forward
 from repro.tasks.schedule import (
     block_distribution,
@@ -247,7 +247,7 @@ def _recovered_vs_serial(plan, recovery=None, n=40, seed=5):
     lower = forest_lower(n, seed=seed)
     b = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
     dist = round_robin_distribution(n, 4, tasks_per_gpu=2)
-    res = resilient_execute(
+    res = resilient_run(
         lower, b, dist, dgx1(4), Design.SHMEM_READONLY,
         plan=plan,
         recovery=recovery,
@@ -333,7 +333,7 @@ class TestResilientExecute:
         lower = forest_lower(n, seed=seed)
         b = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
         dist = round_robin_distribution(n, 4, tasks_per_gpu=2)
-        res = resilient_execute(
+        res = resilient_run(
             lower, b, dist, dgx1(4), Design.SHMEM_READONLY,
             plan=FaultPlan.single(
                 FaultKind.BITFLIP, count=1, bit=bit, seed=seed
@@ -362,9 +362,9 @@ class TestFaultedTracePhysics:
         dist = block_distribution(n, 4)
         machine = dgx1(4)
         design = Design.SHMEM_READONLY
-        probe = resilient_execute(lower, b, dist, machine, design, plan=None)
+        probe = resilient_run(lower, b, dist, machine, design, plan=None)
         T = float(probe.execution.total_time)
-        res = resilient_execute(
+        res = resilient_run(
             lower, b, dist, machine, design,
             plan=FaultPlan(seed=9, specs=(
                 FaultSpec(FaultKind.MSG_DROP, rate=0.4),

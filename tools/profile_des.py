@@ -8,7 +8,12 @@ case (``--case`` from the sweep table, or explicit generator knobs)
 through a chosen engine and reports
 
 * a wall-clock summary (``perf_counter`` best-of-``--repeats``, events/s),
-* the top-``--top`` cProfile rows ranked by tottime (self time), and
+  split into the array engine's two phases: ``compile_s`` (building the
+  solve-invariant :class:`~repro.solvers.des_array.ArrayProgram`, paid
+  once per structure) and ``drain_s`` (one solve of it, paid per
+  right-hand side; the reference engine has no compile phase),
+* the top-``--top`` cProfile rows of one full compile + drain, ranked by
+  tottime (self time), and
 * the same table as JSON (``--json``) for trend tooling.
 
     python tools/profile_des.py --engine array --case des-medium-8k
@@ -41,6 +46,7 @@ from repro.bench.dessweep import DES_CASES  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.exec_model.artefacts import get_artefacts  # noqa: E402
 from repro.runtime import RunConfig, load_run_config  # noqa: E402
+from repro.solvers.des_array import compile_program  # noqa: E402
 from repro.solvers.des_solver import des_execute, resolve_engine  # noqa: E402
 from repro.workloads.generators import dag_profile_matrix  # noqa: E402
 
@@ -77,24 +83,39 @@ def profile_run(
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
 
-    def run():
+    def compile_():
+        if engine != "array":
+            return None
+        return compile_program(
+            lower, dist, machine, cfg.design, art.dag, costs
+        )
+
+    def drain(program):
         return des_execute(
             lower, b, dist, machine, cfg.design,
             dag=art.dag, costs=costs, engine=engine,
             trace_enabled=trace, stale=cfg.build_stale_policy(),
+            program=program,
         )
 
-    result = run()  # warmup; also provides the event count
-    times = []
+    program = compile_()
+    result = drain(program)  # warmup; also provides the event count
+    compile_times, drain_times = [], []
     for _ in range(max(repeats, 1)):
         t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    best = min(times)
+        program = compile_()
+        t1 = time.perf_counter()
+        drain(program)
+        t2 = time.perf_counter()
+        compile_times.append(t1 - t0)
+        drain_times.append(t2 - t1)
+    compile_s = min(compile_times) if engine == "array" else None
+    drain_s = min(drain_times)
+    best = (compile_s or 0.0) + drain_s
 
     prof = cProfile.Profile()
     prof.enable()
-    run()
+    drain(compile_())
     prof.disable()
     stats = pstats.Stats(prof)
     stats.sort_stats("tottime")
@@ -120,6 +141,8 @@ def profile_run(
         "workload": knobs,
         "events": int(result.events),
         "total_time_simulated": result.total_time,
+        "compile_s": compile_s,
+        "drain_s": drain_s,
         "wall_seconds": best,
         "events_per_sec": result.events / best if best > 0 else None,
         "repeats": repeats,
@@ -136,6 +159,12 @@ def render(report: dict) -> str:
         f"n={w['n']} events={report['events']} "
         f"wall={report['wall_seconds']:.4f}s "
         f"({report['events_per_sec']:.0f} ev/s)\n"
+    )
+    compile_s = report["compile_s"]
+    out.write(
+        "compile="
+        + ("-" if compile_s is None else f"{compile_s:.4f}s")
+        + f" drain={report['drain_s']:.4f}s\n"
     )
     out.write(
         f"{'%':>6} {'tottime':>9} {'cumtime':>9} {'ncalls':>10}  function\n"
