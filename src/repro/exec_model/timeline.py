@@ -28,8 +28,11 @@ pass over components, combining:
 Two interchangeable scheduling passes implement the list scheduling:
 
 * the **reference loop** (``scheduler="reference"``) walks components one
-  at a time through per-GPU :class:`~repro.machine.gpu.WarpScheduler`
-  heaps — O(n log W + nnz) with n Python iterations;
+  at a time on plain Python lists and floats, with each GPU's warp-slot
+  pool inlined as a ``heapq`` list (the
+  :class:`~repro.machine.gpu.WarpScheduler` rule) — O(n log W + nnz)
+  with n Python iterations and, on the flat pool, no numpy call per
+  component;
 * the **batched pass** (``scheduler="batched"``) walks
   :class:`~repro.analysis.levels.DispatchFronts` — maximal
   index-contiguous antichains — resolving each front's readiness,
@@ -53,6 +56,7 @@ sweeping designs and machines over one matrix pays the analysis once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -65,7 +69,7 @@ from repro.exec_model.artefacts import (
     get_artefacts,
 )
 from repro.exec_model.costmodel import CommCosts, Design
-from repro.machine.gpu import BatchWarpPool, WarpScheduler
+from repro.machine.gpu import BatchWarpPool
 from repro.machine.node import MachineConfig
 from repro.machine.specs import GpuSpec
 from repro.sparse.csc import CscMatrix
@@ -74,10 +78,12 @@ from repro.tasks.schedule import Distribution
 __all__ = ["ExecutionReport", "simulate_execution", "analysis_phase_time"]
 
 #: ``scheduler="auto"`` uses the batched pass when the mean dispatch-front
-#: width reaches this value.  The measured crossover is ~4 on a
-#: 100k-component system and a little higher on small systems where the
-#: per-front constant weighs more, so 8 keeps a safety margin; above it
-#: the batched pass wins roughly linearly with width.
+#: width reaches this value.  Against the list-based reference loop the
+#: measured crossover is ~15 (dag_profile systems with 6 nnz/row: at
+#: n = 20k the loop wins at width 10.5, 28 vs 44 ms, and ties at 15.6;
+#: at n = 50k it ties at 14.6 and loses at 41, 84 vs 43 ms).  Against
+#: the earlier numpy loop it was ~4, which is where 8 came from; above
+#: the crossover the batched pass wins roughly linearly with width.
 AUTO_WIDTH_THRESHOLD = 8.0
 
 
@@ -293,41 +299,79 @@ def _schedule_reference(
     Returns ``(finish, dispatch, ready, gpu_busy, gpu_spin, gpu_comm,
     gpu_finish)``; the per-component dispatch/ready times feed the
     causality checker in :mod:`repro.verify.causality`.
+
+    The loop runs on Python lists and floats: binary64 arithmetic is the
+    same on Python floats as on numpy float64, and a max over finite
+    non-negative values does not depend on order, so every output is
+    bit-identical to driving :class:`~repro.machine.gpu.WarpScheduler`
+    objects over the arrays.  The flat warp pool is that scheduler's
+    slot heap inlined, one list per GPU; ``sm_granularity`` keeps its
+    :class:`~repro.machine.sm.SmWarpScheduler` objects.  The per-GPU
+    sums are taken after the loop with ``np.bincount``, which adds its
+    weights in input order — component order, as a running sum would.
     """
     if sm_granularity:
         from repro.machine.sm import SmWarpScheduler
 
-        schedulers = [SmWarpScheduler(gpu_spec) for _ in range(n_gpus)]
-    else:
-        schedulers = [WarpScheduler(gpu_spec) for _ in range(n_gpus)]
-    n = len(gpu_of)
-    finish = np.zeros(n)
-    dispatch_t = np.zeros(n)
-    ready_t = np.zeros(n)
-    gpu_busy = np.zeros(n_gpus)
-    gpu_spin = np.zeros(n_gpus)
-    gpu_comm = np.zeros(n_gpus)
+        sm_pools = [SmWarpScheduler(gpu_spec) for _ in range(n_gpus)]
+    heaps: list[list[float]] = [[] for _ in range(n_gpus)]
+    warp_slots = gpu_spec.warp_slots
+    t_warp = gpu_spec.t_warp_dispatch
+    comm = gather_cost + update_cost
+    gpu_l = gpu_of.tolist()
+    not_before = comp_not_before.tolist()
+    ptr = in_ptr.tolist()
+    idx = in_idx.tolist()
+    notify = in_notify.tolist()
+    comm_l = comm.tolist()
+    work = solve.tolist()
+    n = len(gpu_l)
+    finish = [0.0] * n
+    dispatch_t = [0.0] * n
+    ready_t = [0.0] * n
+    lo = ptr[0]
     for i in range(n):
-        g = int(gpu_of[i])
-        sched = schedulers[g]
-        dispatch = sched.dispatch(float(comp_not_before[i]))
-        lo, hi = in_ptr[i], in_ptr[i + 1]
-        if hi > lo:
-            ready = float(np.max(finish[in_idx[lo:hi]] + in_notify[lo:hi]))
+        nb = not_before[i]
+        if sm_granularity:
+            pool = sm_pools[gpu_l[i]]
+            dispatch = pool.dispatch(nb)
         else:
-            ready = 0.0
-        start = dispatch if ready <= dispatch else ready
-        comm = gather_cost[i] + update_cost[i]
-        fin = start + comm + solve[i]
+            heap = heaps[gpu_l[i]]
+            if len(heap) < warp_slots:
+                dispatch = nb + t_warp
+            else:
+                free = heappop(heap)
+                dispatch = (free if free > nb else nb) + t_warp
+        hi = ptr[i + 1]
+        ready = 0.0
+        for k in range(lo, hi):
+            r = finish[idx[k]] + notify[k]
+            if r > ready:
+                ready = r
+        lo = hi
+        fin = (dispatch if ready <= dispatch else ready) + comm_l[i] + work[i]
         finish[i] = fin
         dispatch_t[i] = dispatch
         ready_t[i] = ready
-        sched.retire(fin)
-        gpu_busy[g] += solve[i]
-        gpu_spin[g] += max(0.0, ready - dispatch)
-        gpu_comm[g] += comm
-    gpu_finish = np.array([s.counters.last_finish for s in schedulers])
-    return finish, dispatch_t, ready_t, gpu_busy, gpu_spin, gpu_comm, gpu_finish
+        if sm_granularity:
+            pool.retire(fin)
+        else:
+            heappush(heap, fin)
+    finish_a = np.array(finish)
+    dispatch_a = np.array(dispatch_t)
+    ready_a = np.array(ready_t)
+    spin = np.maximum(ready_a - dispatch_a, 0.0)
+    gpu_finish = np.zeros(n_gpus)
+    np.maximum.at(gpu_finish, gpu_of, finish_a)
+    return (
+        finish_a,
+        dispatch_a,
+        ready_a,
+        np.bincount(gpu_of, weights=solve, minlength=n_gpus),
+        np.bincount(gpu_of, weights=spin, minlength=n_gpus),
+        np.bincount(gpu_of, weights=comm, minlength=n_gpus),
+        gpu_finish,
+    )
 
 
 def _schedule_batched(
