@@ -54,8 +54,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.recovery import (
     RecoveryPolicy,
-    ResilientResult,
-    resilient_execute,
     residual_repair,
 )
 from repro.resilience.service_faults import (
@@ -73,8 +71,6 @@ __all__ = [
     "FaultInjector",
     "flip_mantissa_bit",
     "RecoveryPolicy",
-    "ResilientResult",
-    "resilient_execute",
     "residual_repair",
     "Watchdog",
     "ServiceFaultKind",

@@ -497,6 +497,7 @@ def run_chaos_matrix(
                     machine,
                     design,
                     plan=None,
+                    recovery=RecoveryPolicy(),
                     engine=engine,
                     trace_enabled=False,
                 )

@@ -5,8 +5,9 @@ scheduler, machine, distribution, fault plan, recovery policy, watchdog,
 trace sink) as a frozen validated value; :class:`SolverSession` runs the
 configured pipeline — event-granular playout, recovery, residual
 certification, fast-model report — with analysis-artefact reuse across
-repeated solves.  :func:`resilient_run` is the functional core the
-session and the chaos harness share.
+repeated solves.  :func:`resilient_run` is its DES-and-repair stage,
+written once: the session calls it with cached analysis products and
+the chaos harness calls it directly.
 """
 
 from repro.runtime.config import (
@@ -16,7 +17,6 @@ from repro.runtime.config import (
     load_run_config,
 )
 from repro.runtime.session import SessionResult, SolverSession, resilient_run
-from repro.runtime.shims import SHIM_PREFIX, shim_warn
 
 __all__ = [
     "RunConfig",
@@ -26,6 +26,4 @@ __all__ = [
     "resilient_run",
     "VALID_DISTRIBUTIONS",
     "VALID_SCHEDULERS",
-    "SHIM_PREFIX",
-    "shim_warn",
 ]

@@ -20,15 +20,17 @@ same matrix never rebuild the structure — the ``build_counts`` /
 ``hits`` accounting on :class:`~repro.exec_model.artefacts.AnalysisArtefacts`
 makes this testable.
 
-:func:`resilient_run` is the functional core of the resilience pipeline
-(moved here from ``repro.resilience.recovery``;
-:func:`~repro.resilience.recovery.resilient_execute` remains as a
-deprecation shim).
+:func:`resilient_run` is the DES-and-repair stage of that pipeline,
+written once: :meth:`SolverSession.solve` calls it with the session's
+cached analysis products, the chaos harness calls it with its own
+distributions, and :class:`~repro.solvers.des_solver.DesSolver` solves
+through a session — so the path production and the benchmark run is
+the path the conformance cases audit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +41,8 @@ __all__ = ["SessionResult", "SolverSession", "resilient_run"]
 
 @dataclass(frozen=True)
 class SessionResult:
-    """Outcome of one :meth:`SolverSession.solve` pipeline run.
+    """Outcome of one :meth:`SolverSession.solve` / :func:`resilient_run`
+    pipeline run.
 
     Attributes
     ----------
@@ -51,7 +54,7 @@ class SessionResult:
     report:
         The fast-model :class:`~repro.exec_model.timeline.ExecutionReport`
         re-pricing of the same system (``None`` when ``with_report`` was
-        disabled).
+        disabled, and always ``None`` from :func:`resilient_run`).
     repaired:
         Components replayed by the residual check.
     residual:
@@ -78,31 +81,36 @@ def resilient_run(
     engine: str = "auto",
     trace_enabled: bool = True,
     stale=None,
-):
+    dag=None,
+    costs=None,
+    program=None,
+) -> SessionResult:
     """Run one faulted, recovered, residual-checked DES solve.
 
     Builds the :class:`~repro.resilience.faults.FaultInjector` from
     ``plan``, plays the system out on the selected engine with the
     recovery policy and watchdog wired in, then applies the post-solve
-    residual check/repair.  Any failure surfaces as a typed
-    :class:`~repro.errors.ReproError` subclass — this function either
-    returns a verified solution or raises; it never hangs (watchdog) and
-    never returns silently corrupted data (residual check).
+    residual check/repair.  ``recovery=None`` means the default
+    :class:`~repro.resilience.recovery.RecoveryPolicy` when ``plan``
+    injects faults, and no recovery (no residual check) otherwise; pass
+    a policy explicitly to certify a clean run.  ``dag`` / ``costs`` /
+    ``program`` forward cached analysis products to
+    :func:`~repro.solvers.des_solver.des_execute`.  Any failure surfaces
+    as a typed :class:`~repro.errors.ReproError` subclass — this
+    function either returns a verified solution or raises; it never
+    hangs (watchdog) and never returns silently corrupted data (residual
+    check).
 
-    Returns a :class:`~repro.resilience.recovery.ResilientResult`.
+    Returns a :class:`SessionResult` with ``report=None``.
     """
-    from repro.resilience.recovery import (
-        RecoveryPolicy,
-        ResilientResult,
-        residual_repair,
-    )
+    from repro.resilience.recovery import RecoveryPolicy, residual_repair
     from repro.solvers.des_solver import des_execute
     from repro.sparse.validate import residual_norm
 
     injector = None
     if plan is not None and not plan.is_null:
         injector = plan.build(lower, dist)
-    if recovery is None:
+    if recovery is None and injector is not None:
         recovery = RecoveryPolicy()
     ex = des_execute(
         lower,
@@ -110,24 +118,30 @@ def resilient_run(
         dist,
         machine,
         design,
-        engine=engine,
+        dag=dag,
+        costs=costs,
         trace_enabled=trace_enabled,
+        engine=engine,
         injector=injector,
         recovery=recovery,
         watchdog=watchdog,
         stale=stale,
+        program=program,
     )
     x = ex.x
     repaired: list[int] = []
-    if recovery.residual_check:
+    if recovery is not None and recovery.residual_check:
         x, repaired = residual_repair(
             lower, b, x, ceiling=recovery.residual_ceiling
         )
-    return ResilientResult(
+    return SessionResult(
         x=x,
         execution=ex,
+        report=None,
         repaired=tuple(repaired),
-        residual=residual_norm(lower, x, np.asarray(b, dtype=np.float64)),
+        residual=float(
+            residual_norm(lower, x, np.asarray(b, dtype=np.float64))
+        ),
     )
 
 
@@ -150,8 +164,6 @@ class SolverSession:
         if config is None:
             config = RunConfig(**overrides)
         elif overrides:
-            from dataclasses import replace
-
             config = replace(config, **overrides)
         self.config = config
         self._machine = None
@@ -251,53 +263,30 @@ class SolverSession:
 
         Plays the system out at event granularity with the configured
         fault plan / recovery policy / watchdog, residual-checks (and
-        selectively repairs) the solution per the policy, and — when
-        ``with_report`` — re-prices the execution through the fast model
-        for a comparable :class:`ExecutionReport`.
+        selectively repairs) the solution per the policy — all through
+        :func:`resilient_run`, fed the session's cached DAG, cost tables
+        and array program — and, when ``with_report``, re-prices the
+        execution through the fast model for a comparable
+        :class:`ExecutionReport`.
         """
-        from repro.resilience.recovery import RecoveryPolicy
-        from repro.solvers.des_solver import des_execute
-        from repro.sparse.validate import residual_norm
-
         cfg = self.config
         art = self._bind(lower)
-        injector = None
-        if cfg.plan is not None and not cfg.plan.is_null:
-            injector = cfg.plan.build(lower, self._dist)
-        recovery = cfg.recovery
-        if recovery is None and (injector is not None):
-            recovery = RecoveryPolicy()
-        ex = des_execute(
+        res = resilient_run(
             lower,
             b,
             self._dist,
             self.machine,
             cfg.design,
+            plan=cfg.plan,
+            recovery=cfg.recovery,
+            watchdog=cfg.build_watchdog(),
+            engine=cfg.engine,
+            trace_enabled=cfg.trace_enabled,
+            stale=cfg.build_stale_policy(),
             dag=art.dag,
             costs=self._costs,
-            trace_enabled=cfg.trace_enabled,
-            engine=cfg.engine,
-            injector=injector,
-            recovery=recovery,
-            watchdog=cfg.build_watchdog(),
-            stale=cfg.build_stale_policy(),
             program=self._array_program(lower),
         )
-        x = ex.x
-        repaired: list[int] = []
-        if recovery is not None and recovery.residual_check:
-            from repro.resilience.recovery import residual_repair
-
-            x, repaired = residual_repair(
-                lower, b, x, ceiling=recovery.residual_ceiling
-            )
-        report = self.simulate(lower) if with_report else None
-        return SessionResult(
-            x=x,
-            execution=ex,
-            report=report,
-            repaired=tuple(repaired),
-            residual=float(
-                residual_norm(lower, x, np.asarray(b, dtype=np.float64))
-            ),
-        )
+        if not with_report:
+            return res
+        return replace(res, report=self.simulate(lower))

@@ -20,7 +20,6 @@ from repro.solvers.numerics import (
 from repro.solvers.mixedprec import MixedPrecisionSolver, float32_forward
 from repro.solvers.multirhs import MultiRhsResult, multi_rhs_forward, solve_multi_rhs
 from repro.solvers.nvshmem import NaiveShmemSolver, ShmemSolver
-from repro.solvers.plan import PlanStats, SpTrsvPlan
 from repro.solvers.serial import SerialSolver, serial_backward, serial_forward
 from repro.solvers.syncfree import SyncFreeSolver
 from repro.solvers.threadlevel import ThreadLevelSolver, thread_level_schedule
@@ -59,8 +58,6 @@ __all__ = [
     "solve_multi_rhs",
     "MixedPrecisionSolver",
     "float32_forward",
-    "SpTrsvPlan",
-    "PlanStats",
     "emulate_unified_solve",
     "emulate_shmem_solve",
     "interleaved_order",

@@ -590,7 +590,15 @@ def _stale_validation_pass(
 
 
 class DesSolver(TriangularSolver):
-    """Solver front-end for the event-granular tier (small systems)."""
+    """Solver front-end for the event-granular tier (small systems).
+
+    A thin adapter over :class:`~repro.runtime.session.SolverSession`:
+    the arguments map onto a :class:`~repro.runtime.config.RunConfig`
+    (no fault plan, no recovery), and every solve runs the session
+    pipeline — DES playout plus the fast-model re-pricing, sharing one
+    artefact bundle — so conformance cases built on this class audit
+    the path the benchmark and the service run.
+    """
 
     name = "des-event-granular"
 
@@ -605,59 +613,30 @@ class DesSolver(TriangularSolver):
         stale: StalePolicy | None = None,
         node_run: int | None = None,
     ):
-        self.machine = machine if machine is not None else dgx1(4)
-        self.design = coerce_design(design)
+        from repro.runtime.config import RunConfig
+        from repro.runtime.session import SolverSession
+
+        config = RunConfig(
+            machine=machine if machine is not None else dgx1(4),
+            design=design,
+            engine=engine,
+            distribution=distribution,
+            tasks_per_gpu=tasks_per_gpu,
+            node_run=node_run,
+            stale_k=None if stale is None else stale.k,
+            stale_ceiling=None if stale is None else stale.ceiling,
+        )
+        self.machine = config.machine
+        self.design = config.design
         self.max_components = max_components
-        self.engine = engine
-        self.distribution = distribution
-        self.tasks_per_gpu = tasks_per_gpu
-        self.stale = resolve_stale_policy(self.design, stale)
-        # Locality knob of the hierarchical distribution; the node axis
-        # itself comes from the machine's topology (node_shape).
-        self.node_run = node_run
+        self.session = SolverSession(config)
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
-        from repro.tasks.schedule import build_distribution
-
         b = validate_system(lower, b)
-        n = lower.shape[0]
-        if n > self.max_components:
+        if lower.shape[0] > self.max_components:
             raise SolverError(
                 f"DES tier is for small systems (n <= {self.max_components}); "
                 "use the fast-model solvers for large inputs"
             )
-        # One artefact bundle feeds both tiers: the DES playout and the
-        # fast-model re-pricing share the DAG and cost tables instead of
-        # deriving the structure twice per solve.
-        art = get_artefacts(lower)
-        costs = art.comm_costs(self.machine, self.design)
-        dist = build_distribution(
-            self.distribution,
-            n,
-            self.machine.n_gpus,
-            tasks_per_gpu=self.tasks_per_gpu,
-            lower=lower,
-            machine=self.machine,
-            design=self.design,
-            node_run=self.node_run,
-        )
-        ex = des_execute(
-            lower,
-            b,
-            dist,
-            self.machine,
-            self.design,
-            dag=art.dag,
-            costs=costs,
-            engine=self.engine,
-            stale=self.stale,
-        )
-        # Re-price through the fast model for a comparable report, but keep
-        # the DES-exact wall clock by exposing it through the trace.
-        from repro.exec_model.timeline import simulate_execution
-
-        report = simulate_execution(
-            lower, dist, self.machine, self.design, artefacts=art, costs=costs
-        )
-        result = SolveResult(x=ex.x, report=report, solver=self.name)
-        return result
+        res = self.session.solve(lower, b)
+        return SolveResult(x=res.x, report=res.report, solver=self.name)

@@ -14,24 +14,20 @@ keying every array on the PE rank, never on the task.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis.dag import build_dag
-from repro.analysis.levels import compute_levels
 from repro.errors import TaskModelError
-from repro.exec_model.costmodel import Design, build_comm_costs
-from repro.exec_model.timeline import simulate_execution
-from repro.machine.node import MachineConfig, dgx1
-from repro.solvers.base import SolveResult, TriangularSolver, validate_system
-from repro.solvers.numerics import emulate_shmem_solve
-from repro.sparse.csc import CscMatrix
+from repro.machine.node import MachineConfig
+from repro.solvers.nvshmem import ShmemSolver
 from repro.tasks.schedule import Distribution, round_robin_distribution
 
 __all__ = ["ZeroCopySolver"]
 
 
-class ZeroCopySolver(TriangularSolver):
+class ZeroCopySolver(ShmemSolver):
     """Task-model-enabled zero-copy SpTRSV (the proposed design).
+
+    The NVSHMEM pipeline of :class:`~repro.solvers.nvshmem.ShmemSolver`
+    (inherited ``solve``) with the task-pool distribution in place of
+    the block one.
 
     Parameters
     ----------
@@ -45,7 +41,6 @@ class ZeroCopySolver(TriangularSolver):
     """
 
     name = "multi-gpu-zerocopy"
-    design = Design.SHMEM_READONLY
 
     def __init__(
         self,
@@ -59,11 +54,13 @@ class ZeroCopySolver(TriangularSolver):
             raise TaskModelError(
                 f"tasks_per_gpu must be >= 1, got {tasks_per_gpu}"
             )
-        self.machine = machine if machine is not None else dgx1(4)
+        super().__init__(
+            machine=machine,
+            emulate=emulate,
+            warp_reduce=warp_reduce,
+            shortcircuit=shortcircuit,
+        )
         self.tasks_per_gpu = tasks_per_gpu
-        self.emulate = emulate
-        self.warp_reduce = warp_reduce
-        self.shortcircuit = shortcircuit
 
     def distribution(self, n: int) -> Distribution:
         return round_robin_distribution(
@@ -72,32 +69,3 @@ class ZeroCopySolver(TriangularSolver):
             self.tasks_per_gpu,
             memories=self.machine.device_memories(),
         )
-
-    def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
-        b = validate_system(lower, b)
-        dist = self.distribution(lower.shape[0])
-        dag = build_dag(lower)
-        levels = compute_levels(dag)
-        if self.emulate:
-            x, _heap = emulate_shmem_solve(
-                lower,
-                b,
-                dist,
-                self.machine,
-                levels,
-                use_shortcircuit=self.shortcircuit,
-            )
-        else:
-            from repro.solvers.levelset import levelset_forward
-
-            x = levelset_forward(lower, b, levels)
-        costs = build_comm_costs(
-            self.machine,
-            self.design,
-            warp_reduce=self.warp_reduce,
-            shortcircuit=self.shortcircuit,
-        )
-        report = simulate_execution(
-            lower, dist, self.machine, self.design, dag=dag, costs=costs
-        )
-        return SolveResult(x=x, report=report, solver=self.name)

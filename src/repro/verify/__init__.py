@@ -36,7 +36,6 @@ from repro.verify.oracles import (
 from repro.verify.registry import (
     ConformanceCase,
     ConformanceRegistry,
-    PlanSolver,
     default_registry,
     discover_solver_classes,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "run_conformance",
     "ConformanceCase",
     "ConformanceRegistry",
-    "PlanSolver",
     "default_registry",
     "discover_solver_classes",
 ]

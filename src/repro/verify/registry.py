@@ -30,15 +30,12 @@ import pkgutil
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.machine.node import dgx1
-from repro.solvers.base import SolveResult, TriangularSolver
+from repro.solvers.base import TriangularSolver
 
 __all__ = [
     "ConformanceCase",
     "ConformanceRegistry",
-    "PlanSolver",
     "discover_solver_classes",
     "default_registry",
     "FORWARD_RELATIONS",
@@ -91,7 +88,7 @@ class ConformanceCase:
         Unique case name (CLI/report key).
     factory:
         Zero-argument constructor; a fresh solver is built per workload
-        so stateful solvers (refinement history, plan stats) cannot
+        so stateful solvers (refinement history, session caches) cannot
         leak between checks.
     solver_cls:
         The class the case covers (for gap accounting).
@@ -209,31 +206,6 @@ def discover_solver_classes() -> list[type]:
             continue
         found.append(cls)
     return sorted(found, key=lambda c: (c.__module__, c.__qualname__))
-
-
-class PlanSolver(TriangularSolver):
-    """Adapter running :class:`~repro.solvers.plan.SpTrsvPlan` per solve.
-
-    The plan API is analyse-once/solve-many and deliberately not a
-    :class:`TriangularSolver`; this wrapper folds it into the
-    conformance matrix so the plan's level-sweep kernel is audited by
-    the same oracles as every direct solver.
-    """
-
-    name = "plan-adapter"
-
-    def __init__(self, machine=None, tasks_per_gpu: int | None = 8):
-        self.machine = machine if machine is not None else dgx1(4)
-        self.tasks_per_gpu = tasks_per_gpu
-
-    def solve(self, lower, b) -> SolveResult:
-        from repro.solvers.plan import SpTrsvPlan
-
-        plan = SpTrsvPlan(
-            lower, machine=self.machine, tasks_per_gpu=self.tasks_per_gpu
-        )
-        res = plan.solve(np.asarray(b, dtype=np.float64))
-        return SolveResult(x=res.x, report=res.report, solver=self.name)
 
 
 def _cluster_des():
@@ -403,7 +375,15 @@ def default_registry() -> ConformanceRegistry:
     )
     add(
         ConformanceCase(
-            "plan-adapter", PlanSolver, PlanSolver, distribution="taskpool"
+            "des-2gpu-taskpool",
+            # Round-robin task pools through the session pipeline: the
+            # registry's taskpool row.
+            lambda: DesSolver(machine=dgx1(2), distribution="taskpool"),
+            DesSolver,
+            max_n=300,
+            relations=("differential", "permutation", "row_scaling"),
+            design="shmem_readonly",
+            distribution="taskpool",
         )
     )
     add(

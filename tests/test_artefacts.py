@@ -8,8 +8,8 @@ from repro.analysis.dag import build_dag
 from repro.exec_model import Design, simulate_execution
 from repro.exec_model.artefacts import AnalysisArtefacts, get_artefacts
 from repro.machine.node import dgx1, dgx2
+from repro.runtime.session import SolverSession
 from repro.solvers.des_solver import DesSolver
-from repro.solvers.plan import SpTrsvPlan
 from repro.tasks.schedule import block_distribution, round_robin_distribution
 from repro.workloads.generators import dag_profile_matrix, random_lower
 
@@ -83,17 +83,21 @@ def test_foreign_dag_gets_transient_bundle():
     assert get_artefacts(low) is art
 
 
-def test_plan_and_des_share_bundle():
+def test_session_and_des_share_bundle():
     low = dag_profile_matrix(200, 10, 2.5, "uniform", 0.5, 0.3, 0.2, seed=5)
     art = get_artefacts(low)
-    dag_builds = art.build_counts["dag"]
-    plan = SpTrsvPlan(low, machine=dgx1(2), tasks_per_gpu=4)
-    assert plan.dag is art.dag
+    session = SolverSession(machine=dgx1(2), distribution="taskpool",
+                            tasks_per_gpu=4)
+    b = low.matvec(np.ones(200))
+    for _ in range(2):
+        res = session.solve(low, b)
+        np.testing.assert_allclose(res.x, 1.0)
+    assert session._artefacts is art
     solver = DesSolver(machine=dgx1(2))
-    res = solver.solve(low, low.matvec(np.ones(200)))
+    res = solver.solve(low, b)
     np.testing.assert_allclose(res.x, 1.0)
-    # Neither tier re-derived the DAG.
-    assert art.build_counts["dag"] == dag_builds
+    # Neither the session nor the DES front end re-derived the DAG.
+    assert art.build_counts["dag"] == 1
 
 
 def test_manual_bundle_passthrough():

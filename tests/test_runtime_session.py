@@ -11,7 +11,7 @@ Three batteries:
   built exactly once);
 * **configuration surface** — every invalid knob raises a typed
   :class:`~repro.errors.ConfigurationError` naming the valid choices,
-  and the deprecation shims warn with the documented prefix.
+  and :func:`resilient_run` raises no DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.runtime import (
-    SHIM_PREFIX,
     RunConfig,
     SessionResult,
     SolverSession,
@@ -283,24 +282,8 @@ def test_to_mapping_round_trips():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims.
+# Deprecations.
 # ---------------------------------------------------------------------------
-def test_resilient_execute_shim_warns(system):
-    from repro.machine.node import dgx1
-    from repro.resilience.recovery import resilient_execute
-    from repro.tasks.schedule import block_distribution
-
-    lower, b, _ = system
-    machine = dgx1(2)
-    dist = block_distribution(lower.shape[0], 2)
-    with pytest.warns(DeprecationWarning, match=SHIM_PREFIX):
-        res = resilient_execute(
-            lower, b, dist, machine, Design.SHMEM_READONLY,
-            engine="reference",
-        )
-    assert residual_norm(lower, res.x, b) <= 1e-8
-
-
 def test_resilient_run_does_not_warn(system):
     from repro.machine.node import dgx1
     from repro.tasks.schedule import block_distribution
