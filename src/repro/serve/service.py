@@ -67,7 +67,7 @@ from repro.serve.request import (
     matrix_fingerprint,
     workload_key,
 )
-from repro.serve.workers import WorkerPool
+from repro.serve.workers import MatrixLru, WorkerPool
 
 __all__ = ["SolveService", "ServiceStats", "LoopWatchdog"]
 
@@ -270,10 +270,11 @@ class SolveService:
         self._injector = None
         self._spill = None
         self._running = False
-        # Parent-side caches: workload spec -> matrix (so N requests for
-        # the same generator share one build + one artefact bundle), and
+        # Parent-side caches: workload spec -> matrix, a small LRU (so N
+        # requests for the same generator share one build + one artefact
+        # bundle, and one-off specs do not pin theirs forever), and
         # (fingerprint, config fingerprint) -> fast-model estimate.
-        self._workloads: dict[str, object] = {}
+        self._workloads = MatrixLru()
         self._estimates: dict[tuple, dict] = {}
 
     # -- lifecycle -----------------------------------------------------
@@ -334,7 +335,7 @@ class SolveService:
         matrix = self._workloads.get(key)
         if matrix is None:
             matrix = build_workload(request.workload)
-            self._workloads[key] = matrix
+            self._workloads.put(key, matrix)
         return matrix
 
     def _estimate(self, matrix, fingerprint: str, config) -> dict:

@@ -10,8 +10,9 @@ round trip).
 
 Matrix resolution order, cheapest first:
 
-1. the worker-process cache (one entry per matrix fingerprint — a
-   worker that has served a tenant's structure before pays nothing);
+1. the worker-process cache (a :class:`MatrixLru` keyed by matrix
+   fingerprint — a worker that has served a tenant's structure
+   recently pays nothing);
 2. the spilled analysis bundle
    (:func:`~repro.exec_model.artefacts.load_artefacts` — the parent
    paid the structure analysis once, workers inherit the DAG/levels/
@@ -31,17 +32,59 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import threading
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ConfigurationError, WorkerCrashError
 
-__all__ = ["WorkerPool", "solve_job"]
+__all__ = ["MATRIX_CACHE_ENTRIES", "MatrixLru", "WorkerPool", "solve_job"]
 
-#: Worker-process matrix cache: fingerprint -> (matrix, source tag).
-#: Strong references on purpose — the artefact cache keys bundles by
-#: matrix object identity, so holding the object keeps the analysis.
-_WORKER_MATRICES: dict[str, object] = {}
+#: Matrices each serve cache keeps: the service's workload-spec cache
+#: and every worker's fingerprint cache.  An entry pins a matrix and
+#: its artefact bundle (about 1-1.5 MB at 4096 rows), so one-off
+#: structures must not accumulate; a small hot set stays resident.
+MATRIX_CACHE_ENTRIES = 4
+
+
+class MatrixLru:
+    """Thread-safe least-recently-used map of at most
+    :data:`MATRIX_CACHE_ENTRIES` matrices.
+
+    A hit refreshes the key; an insert past the bound evicts the least
+    recently used entry.  Strong references on purpose — the artefact
+    cache keys bundles by matrix object identity, so holding the object
+    keeps the analysis.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict[str, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: str):
+        """The cached matrix (refreshing its position), or ``None``."""
+        with self._lock:
+            matrix = self._entries.get(key)
+            if matrix is not None:
+                self._entries.move_to_end(key)
+            return matrix
+
+    def put(self, key: str, matrix) -> None:
+        """Insert or refresh ``key``; evict past the bound."""
+        with self._lock:
+            self._entries[key] = matrix
+            self._entries.move_to_end(key)
+            while len(self._entries) > MATRIX_CACHE_ENTRIES:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+#: Worker-process matrix cache: fingerprint -> matrix.
+_WORKER_MATRICES = MatrixLru()
 
 
 def _resolve_matrix(payload: dict):
@@ -67,7 +110,7 @@ def _resolve_matrix(payload: dict):
                 parameter="payload",
             )
     if fp:
-        _WORKER_MATRICES[fp] = lower
+        _WORKER_MATRICES.put(fp, lower)
     return lower
 
 

@@ -510,7 +510,7 @@ def execute_array(
     left_sum = [0.0] * n
 
     trace = Trace(enabled=trace_enabled)
-    emit = trace.emit if trace_enabled else None
+    emit = trace.append if trace_enabled else None
     c_dispatch = c_solve = c_release = c_fault = c_xb = c_xe = 0
     c_inject = c_retry = c_recov = c_lost = c_gfail = c_remap = 0
     c_stale = 0
@@ -564,10 +564,10 @@ def execute_array(
                                 fate, att, recovery
                             )
                             if emit is not None:
-                                emit(
-                                    now, TRACE_INJECT, gpu=dstg_l[e],
-                                    detail=(fate[0], e, att),
-                                )
+                                emit((
+                                    now, TRACE_INJECT, dstg_l[e],
+                                    (fate[0], e, att),
+                                ))
                             else:
                                 c_inject += 1
                             if verdict == ACT_DELAY:
@@ -589,10 +589,10 @@ def execute_array(
                                 e_attempt[e] = att + 1
                             elif verdict == ACT_STARVE:
                                 if emit is not None:
-                                    emit(
-                                        now, TRACE_MSG_LOST, gpu=dstg_l[e],
-                                        detail=(e, idx_l[e]),
-                                    )
+                                    emit((
+                                        now, TRACE_MSG_LOST, dstg_l[e],
+                                        (e, idx_l[e]),
+                                    ))
                                 else:
                                     c_lost += 1
                                 continue
@@ -602,10 +602,10 @@ def execute_array(
                                 )
                             else:  # ACT_RETRY
                                 if emit is not None:
-                                    emit(
-                                        now, TRACE_RETRY, gpu=srcg_l[e],
-                                        detail=(e, att, arg),
-                                    )
+                                    emit((
+                                        now, TRACE_RETRY, srcg_l[e],
+                                        (e, att, arg),
+                                    ))
                                 else:
                                     c_retry += 1
                                 e_attempt[e] = att + 1
@@ -628,8 +628,7 @@ def execute_array(
                         elif att:
                             if emit is not None:
                                 emit(
-                                    now, TRACE_RECOVERED, gpu=dstg_l[e],
-                                    detail=(e, att),
+                                    (now, TRACE_RECOVERED, dstg_l[e], (e, att))
                                 )
                             else:
                                 c_recov += 1
@@ -665,7 +664,7 @@ def execute_array(
                         g = fail_gpu[code - f8]
                         dead.add(g)
                         if emit is not None:
-                            emit(now, TRACE_GPU_FAIL, gpu=g, detail=g)
+                            emit((now, TRACE_GPU_FAIL, g, g))
                         else:
                             c_gfail += 1
                         victims = failure_victims(g_l, done_l, g, n)
@@ -703,10 +702,7 @@ def execute_array(
                                 g_l[i] = ng
                                 gpu_np[i] = ng
                                 if emit is not None:
-                                    emit(
-                                        now, TRACE_REMAP, gpu=ng,
-                                        detail=(i, g),
-                                    )
+                                    emit((now, TRACE_REMAP, ng, (i, g)))
                                 else:
                                     c_remap += 1
                                 t2 = now + relaunch
@@ -789,12 +785,10 @@ def execute_array(
                     e = c >> 2
                     if st == XFER_RETIRE:
                         if emit is not None:
-                            emit(
-                                now,
-                                TRACE_XFER_END,
-                                gpu=srcg_l[e],
-                                detail=(srcg_l[e], dstg_l[e], idx_l[e]),
-                            )
+                            emit((
+                                now, TRACE_XFER_END, srcg_l[e],
+                                (srcg_l[e], dstg_l[e], idx_l[e]),
+                            ))
                         else:
                             c_xe += 1
                         link = elink_l[e]
@@ -829,12 +823,10 @@ def execute_array(
                             r_peak[link] = u
                     # XFER_WIRE (granted inline above, or woken parked)
                     if emit is not None:
-                        emit(
-                            now,
-                            TRACE_XFER_BEGIN,
-                            gpu=srcg_l[e],
-                            detail=(srcg_l[e], dstg_l[e], idx_l[e]),
-                        )
+                        emit((
+                            now, TRACE_XFER_BEGIN, srcg_l[e],
+                            (srcg_l[e], dstg_l[e], idx_l[e]),
+                        ))
                     else:
                         c_xb += 1
                     wire = ewire_l[e]
@@ -844,10 +836,10 @@ def execute_array(
                         )
                         if wtag is not None:
                             if emit is not None:
-                                emit(
-                                    now, TRACE_INJECT, gpu=srcg_l[e],
-                                    detail=(wtag, e, e_attempt[e]),
-                                )
+                                emit((
+                                    now, TRACE_INJECT, srcg_l[e],
+                                    (wtag, e, e_attempt[e]),
+                                ))
                             else:
                                 c_inject += 1
                     t2 = now + wire
@@ -879,10 +871,10 @@ def execute_array(
                         # reference engine's post-wake re-read), so the
                         # recorded missing count is bit-identical.
                         if emit is not None:
-                            emit(
-                                now, TRACE_STALE_LAUNCH, gpu=g_l[i],
-                                detail=(i, remaining[i]),
-                            )
+                            emit((
+                                now, TRACE_STALE_LAUNCH, g_l[i],
+                                (i, remaining[i]),
+                            ))
                         else:
                             c_stale += 1
                     gather = gather_l[i]
@@ -928,7 +920,7 @@ def execute_array(
                     done_l[i] = True
                     g = g_l[i]
                     if emit is not None:
-                        emit(now, TRACE_SOLVE, gpu=g, detail=i)
+                        emit((now, TRACE_SOLVE, g, i))
                     else:
                         c_solve += 1
                     if watchdog is not None:
@@ -951,10 +943,7 @@ def execute_array(
                                 uc += cost
                                 if faulted:
                                     if emit is not None:
-                                        emit(
-                                            now, TRACE_FAULT,
-                                            gpu=g, detail=idx_l[e],
-                                        )
+                                        emit((now, TRACE_FAULT, g, idx_l[e]))
                                     else:
                                         c_fault += 1
                                 e_delay[e] = uc + notify_l[g][dg]
@@ -981,7 +970,7 @@ def execute_array(
                 if st == COMP_RELEASE:
                     g = g_l[i]
                     if emit is not None:
-                        emit(now, TRACE_RELEASE, gpu=g, detail=i)
+                        emit((now, TRACE_RELEASE, g, i))
                     else:
                         c_release += 1
                     q = r_q[g]
@@ -1007,7 +996,7 @@ def execute_array(
                     if u > r_peak[g]:
                         r_peak[g] = u
                 if emit is not None:
-                    emit(now, TRACE_DISPATCH, gpu=g, detail=i)
+                    emit((now, TRACE_DISPATCH, g, i))
                 else:
                     c_dispatch += 1
                 t2 = now + t_disp

@@ -276,6 +276,9 @@ def des_execute(
         dist.gpu_of,
     )
     trace = Trace(enabled=trace_enabled)
+    # One bound append for every record site; a disabled trace's append
+    # only counts the row's kind.
+    emit = trace.append
     slots = [
         Resource(f"gpu{g}.warps", capacity=gpu_spec.warp_slots)
         for g in range(n_gpus)
@@ -358,19 +361,22 @@ def des_execute(
         while True:
             if cross:
                 yield Acquire(link)
-                trace.emit(sim.now, TRACE_XFER_BEGIN, gpu=src_pe, detail=(src_pe, dst_pe, dst))
+                emit((
+                    sim.now, TRACE_XFER_BEGIN, src_pe,
+                    (src_pe, dst_pe, dst),
+                ))
                 wire = base_wire
                 if link_faulty:
                     wire, tag = injector.wire_time(
                         src_pe, dst_pe, sim.now, wire
                     )
                     if tag is not None:
-                        trace.emit(
-                            sim.now, TRACE_INJECT, gpu=src_pe,
-                            detail=(tag, e, attempt),
-                        )
+                        emit((
+                            sim.now, TRACE_INJECT, src_pe,
+                            (tag, e, attempt),
+                        ))
                 yield Timeout(wire)
-                trace.emit(sim.now, TRACE_XFER_END, gpu=src_pe, detail=(src_pe, dst_pe, dst))
+                emit((sim.now, TRACE_XFER_END, src_pe, (src_pe, dst_pe, dst)))
                 yield Release(link)
             yield Timeout(delay)
             fate = (
@@ -378,19 +384,14 @@ def des_execute(
             )
             verdict, arg = delivery_action(fate, attempt, recovery)
             while verdict == ACT_DELAY:
-                trace.emit(
-                    sim.now, TRACE_INJECT, gpu=dst_pe,
-                    detail=(FATE_DELAY, e, attempt),
-                )
+                emit((sim.now, TRACE_INJECT, dst_pe, (FATE_DELAY, e, attempt)))
                 attempt += 1
                 yield Timeout(arg)
                 fate = injector.delivery_fate(e, attempt)
                 verdict, arg = delivery_action(fate, attempt, recovery)
             if verdict == ACT_DELIVER:
                 break
-            trace.emit(
-                sim.now, TRACE_INJECT, gpu=dst_pe, detail=(fate[0], e, attempt)
-            )
+            emit((sim.now, TRACE_INJECT, dst_pe, (fate[0], e, attempt)))
             if verdict == ACT_CORRUPT:
                 # No checksum: the flipped value lands in left.sum.
                 contribution = flip_mantissa_bit(contribution, arg)
@@ -398,16 +399,16 @@ def des_execute(
                 attempt += 1
                 break
             if verdict == ACT_STARVE:
-                trace.emit(sim.now, TRACE_MSG_LOST, gpu=dst_pe, detail=(e, dst))
+                emit((sim.now, TRACE_MSG_LOST, dst_pe, (e, dst)))
                 return  # dependant starves; the deadlock detector reports it
             if verdict == ACT_EXHAUSTED:
                 raise exhausted_delivery(e, dst, attempt + 1)
             # ACT_RETRY: re-send after exponential backoff.
-            trace.emit(sim.now, TRACE_RETRY, gpu=src_pe, detail=(e, attempt, arg))
+            emit((sim.now, TRACE_RETRY, src_pe, (e, attempt, arg)))
             attempt += 1
             yield Timeout(arg)
         if delivery_faulty and attempt and not corrupted:
-            trace.emit(sim.now, TRACE_RECOVERED, gpu=dst_pe, detail=(e, attempt))
+            emit((sim.now, TRACE_RECOVERED, dst_pe, (e, attempt)))
         left_sum[dst] += contribution
         remaining[dst] -= 1
         # The wake threshold is 0 for synchronous designs and ``k``
@@ -429,7 +430,7 @@ def des_execute(
         yield Acquire(slots[g])
         if epoch is not None and epoch[i] != ep:
             return
-        trace.emit(sim.now, TRACE_DISPATCH, gpu=g, detail=i)
+        emit((sim.now, TRACE_DISPATCH, g, i))
         yield Timeout(gpu_spec.t_warp_dispatch)
         if epoch is not None and epoch[i] != ep:
             return
@@ -443,10 +444,7 @@ def des_execute(
             # wake) so same-timestamp deliveries that land before this
             # process resumes are counted — matching the array engine's
             # token semantics bit-for-bit.
-            trace.emit(
-                sim.now, TRACE_STALE_LAUNCH, gpu=g,
-                detail=(i, int(remaining[i])),
-            )
+            emit((sim.now, TRACE_STALE_LAUNCH, g, (i, int(remaining[i]))))
         # Gather phase (remote reads / final poll fault).
         gather = costs.gather if in_counts[i] else 0.0
         if hooks.page_table and um is not None and in_counts[i]:
@@ -467,7 +465,7 @@ def des_execute(
             return
         x[i] = (b[i] - left_sum[i]) / data[lo]
         done[i] = True
-        trace.emit(sim.now, TRACE_SOLVE, gpu=g, detail=i)
+        emit((sim.now, TRACE_SOLVE, g, i))
         if watchdog is not None:
             watchdog.progress(sim.now, i)
         # Update dependants.
@@ -480,7 +478,7 @@ def des_execute(
                 cost, faulted = um.access(phys[g], s_left, rid, sharers=n_gpus)
                 update_cost += cost
                 if faulted:
-                    trace.emit(sim.now, TRACE_FAULT, gpu=g, detail=rid)
+                    emit((sim.now, TRACE_FAULT, g, rid))
                 delay = costs.notify[g, dst_g]
             else:
                 update_cost += edge_update_inc(costs, g, dst_g)
@@ -490,7 +488,7 @@ def des_execute(
             )
         if update_cost > 0.0:
             yield Timeout(update_cost)
-        trace.emit(sim.now, TRACE_RELEASE, gpu=g, detail=i)
+        emit((sim.now, TRACE_RELEASE, g, i))
         yield Release(slots[g])
 
     def gpu_failure(g: int):
@@ -508,7 +506,7 @@ def des_execute(
         run ends in a loud DeadlockError.
         """
         dead.add(g)
-        trace.emit(sim.now, TRACE_GPU_FAIL, gpu=g, detail=g)
+        emit((sim.now, TRACE_GPU_FAIL, g, g))
         victims = failure_victims(gpu_of, done, g, n)
         for i in victims:
             epoch[i] += 1
@@ -525,7 +523,7 @@ def des_execute(
             )
             for i, new_g, relaunch in plan:
                 gpu_of[i] = new_g
-                trace.emit(sim.now, TRACE_REMAP, gpu=new_g, detail=(i, g))
+                emit((sim.now, TRACE_REMAP, new_g, (i, g)))
                 sim.spawn(component(i, epoch[i]), delay=relaunch)
 
     # Spawn in ascending index order at each task's launch time: FIFO slot
@@ -578,12 +576,12 @@ def _stale_validation_pass(
     t_validate, t_replays = stale_validation_times(
         total_time, len(replayed), t_kernel_launch
     )
-    trace.emit(
-        t_validate, TRACE_VALIDATE, gpu=0,
-        detail=(len(suspects), len(replayed)),
-    )
+    trace.append((
+        t_validate, TRACE_VALIDATE, 0,
+        (len(suspects), len(replayed)),
+    ))
     for k, i in enumerate(replayed):
-        trace.emit(float(t_replays[k]), TRACE_REPLAY, gpu=0, detail=i)
+        trace.append((float(t_replays[k]), TRACE_REPLAY, 0, i))
     if len(replayed):
         total_time = float(t_replays[-1])
     return x_fixed, total_time

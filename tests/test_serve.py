@@ -40,6 +40,7 @@ from repro.serve import (
     matrix_fingerprint,
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.serve.workers import MATRIX_CACHE_ENTRIES, MatrixLru
 from repro.workloads.generators import forest_lower
 
 WORKLOAD = {"generator": "forest", "n": 48, "seed": 3}
@@ -541,6 +542,98 @@ class TestSolveServiceEndToEnd:
         healthy, states = asyncio.run(run())
         assert healthy.status == "ok"
         assert sorted(states.values()) == ["closed", "open"]
+
+
+class TestMatrixCacheBound:
+    """Both serve matrix caches are LRUs of ``MATRIX_CACHE_ENTRIES``."""
+
+    def _stream(self, monkeypatch):
+        """A hot spec between one-off specs; returns answers and builds."""
+        from repro.serve import service as service_mod
+        from repro.serve import workers as workers_mod
+
+        monkeypatch.setattr(workers_mod, "_WORKER_MATRICES", MatrixLru())
+        builds: list[int] = []
+
+        def counting_build(spec):
+            builds.append(spec["seed"])
+            return build_workload(spec)
+
+        monkeypatch.setattr(service_mod, "build_workload", counting_build)
+        hot = dict(WORKLOAD, seed=3)
+        one_offs = [
+            dict(WORKLOAD, seed=100 + k)
+            for k in range(MATRIX_CACHE_ENTRIES + 3)
+        ]
+        sizes = []
+
+        async def run():
+            answers = []
+            async with SolveService() as svc:
+                for k, spec in enumerate([hot, *one_offs]):
+                    for s in ((spec, hot) if k else (spec,)):
+                        r = await svc.submit(
+                            SolveRequest(workload=s, rhs={"seed": k})
+                        )
+                        answers.append((r.x.tobytes(), r.residual, r.events))
+                        sizes.append(
+                            (len(svc._workloads),
+                             len(workers_mod._WORKER_MATRICES))
+                        )
+            return answers
+
+        return asyncio.run(run()), builds, sizes
+
+    def test_caches_stay_bounded_and_keep_the_hot_structure(
+        self, monkeypatch
+    ):
+        answers, builds, sizes = self._stream(monkeypatch)
+        assert max(max(s) for s in sizes) == MATRIX_CACHE_ENTRIES
+        assert builds.count(3) == 1  # the hot structure is never rebuilt
+        assert len(builds) == MATRIX_CACHE_ENTRIES + 4
+
+        from repro.serve import workers as workers_mod
+
+        monkeypatch.setattr(workers_mod, "MATRIX_CACHE_ENTRIES", 1 << 20)
+        uncapped, _, uncapped_sizes = self._stream(monkeypatch)
+        assert max(max(s) for s in uncapped_sizes) == MATRIX_CACHE_ENTRIES + 4
+        assert answers == uncapped
+
+    def test_lru_under_thread_contention(self):
+        # Inline workers share one cache across threads: under
+        # contention it never raises and never outgrows its bound.
+        import sys
+        import threading
+
+        lru = MatrixLru()
+        errors: list[BaseException] = []
+        peak = [0]
+
+        def hammer(tid: int) -> None:
+            try:
+                for k in range(2000):
+                    key = f"{(tid * 7 + k) % (3 * MATRIX_CACHE_ENTRIES)}"
+                    if lru.get(key) is None:
+                        lru.put(key, key)
+                    peak[0] = max(peak[0], len(lru))
+            except BaseException as err:  # noqa: BLE001 - reported below
+                errors.append(err)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(t,)) for t in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert peak[0] <= MATRIX_CACHE_ENTRIES
 
 
 class TestServiceEndpoint:
