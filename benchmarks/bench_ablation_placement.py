@@ -54,10 +54,10 @@ def run_ablation():
         rr = round_robin_distribution(n, 4, tasks_per_gpu=8)
         bl = block_placed_tasks(n, 4, tasks_per_gpu=8)
         t_rr = simulate_execution(
-            ctx.lower, rr, machine, Design.SHMEM_READONLY, dag=ctx.dag
+            ctx.lower, rr, machine, Design.SHMEM_READONLY
         ).total_time
         t_bl = simulate_execution(
-            ctx.lower, bl, machine, Design.SHMEM_READONLY, dag=ctx.dag
+            ctx.lower, bl, machine, Design.SHMEM_READONLY
         ).total_time
         rows.append([name, t_bl / t_rr])
     rows.append(["geomean", geomean(r[1] for r in rows)])

@@ -32,11 +32,11 @@ def run_study():
         slowdown = {}
         for label, sm in (("flat", False), ("sm", True)):
             t_um = simulate_execution(
-                ctx.lower, block, m_um, Design.UNIFIED, dag=ctx.dag,
+                ctx.lower, block, m_um, Design.UNIFIED,
                 sm_granularity=sm,
             ).total_time
             t_zero = simulate_execution(
-                ctx.lower, rr, m_sh, Design.SHMEM_READONLY, dag=ctx.dag,
+                ctx.lower, rr, m_sh, Design.SHMEM_READONLY,
                 sm_granularity=sm,
             ).total_time
             speedups[label] = t_um / t_zero

@@ -16,6 +16,7 @@ from conftest import once, publish
 
 from repro.bench.harness import context, run_cusparse, run_design
 from repro.bench.report import format_table
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
 from repro.solvers.blocked import BlockedSolver
@@ -36,13 +37,14 @@ def run_study():
         ctx = context(name)
         n = ctx.lower.shape[0]
         t_csrsv2 = run_cusparse(ctx).total_time
-        t_levelset = level_schedule_time(ctx.lower, ctx.levels, m1).total_time
+        t_levelset = level_schedule_time(
+            ctx.lower, get_artefacts(ctx.lower).levels, m1
+        ).total_time
         t_syncfree = simulate_execution(
             ctx.lower,
             block_distribution(n, 1),
             m1,
             Design.SHMEM_READONLY,
-            dag=ctx.dag,
         ).total_time
         t_thread = thread_level_schedule(ctx.lower, m1).total_time
         t_blocked = (

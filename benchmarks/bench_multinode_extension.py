@@ -38,7 +38,6 @@ def run_study():
             round_robin_distribution(n, 4, tasks_per_gpu=8),
             dgx2(4),
             Design.SHMEM_READONLY,
-            dag=ctx.dag,
         ).total_time
 
         machine = cluster(2, 2)  # 2 nodes x 2 GPUs = same 4 GPUs
@@ -47,14 +46,12 @@ def run_study():
             round_robin_distribution(n, 4, tasks_per_gpu=8),
             machine,
             Design.SHMEM_READONLY,
-            dag=ctx.dag,
         ).total_time
         hier = simulate_execution(
             ctx.lower,
             hierarchical_distribution(n, 2, 2, tasks_per_gpu=8, node_run=8),
             machine,
             Design.SHMEM_READONLY,
-            dag=ctx.dag,
         ).total_time
         rows.append(
             [name, single / flat, single / hier, flat / hier]

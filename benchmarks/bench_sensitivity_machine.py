@@ -26,15 +26,13 @@ MATRICES = ("powersim", "Wordnet3", "roadNet-CA")
 def speedup(machine_um, machine_sh, ctx):
     n = ctx.lower.shape[0]
     t_u = simulate_execution(
-        ctx.lower, block_distribution(n, 4), machine_um, Design.UNIFIED,
-        dag=ctx.dag,
+        ctx.lower, block_distribution(n, 4), machine_um, Design.UNIFIED
     ).total_time
     t_z = simulate_execution(
         ctx.lower,
         round_robin_distribution(n, 4, 8),
         machine_sh,
         Design.SHMEM_READONLY,
-        dag=ctx.dag,
     ).total_time
     return t_u / t_z
 

@@ -269,15 +269,13 @@ def measure_des_case(
     n = lower.shape[0]
     machine = dgx1(n_gpus)
     dist = block_distribution(n, n_gpus)
-    costs = art.comm_costs(machine, design)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
-    common = dict(dag=art.dag, costs=costs)
 
     def run(engine: str, trace: bool):
         return des_execute(
             lower, b, dist, machine, design,
-            engine=engine, trace_enabled=trace, **common,
+            engine=engine, trace_enabled=trace,
         )
 
     skip_reference = n >= SKIP_REFERENCE_N
@@ -383,14 +381,13 @@ def measure_scaleout_case(
     base_cfg = RunConfig.from_mapping(config)
     machine = base_cfg.resolve_machine()
     design = base_cfg.design
-    costs = art.comm_costs(machine, design)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
 
     def run(dist, engine: str, trace: bool):
         return des_execute(
             lower, b, dist, machine, design,
-            engine=engine, trace_enabled=trace, dag=art.dag, costs=costs,
+            engine=engine, trace_enabled=trace,
         )
 
     flat_map = {k: v for k, v in config.items() if k != "node_run"}

@@ -1,10 +1,11 @@
 """Shared benchmark harness: cached matrix contexts + scenario runners.
 
 Benches regenerate the paper's figures by sweeping (matrix, machine,
-design, distribution) combinations.  The expensive per-matrix artefacts —
-the dependency DAG and level sets — are computed once per matrix and
-cached in a :class:`MatrixContext`; the per-scenario cost is then a single
-fast-model pass.
+design, distribution) combinations.  A :class:`MatrixContext` memoises
+each suite matrix and its profile; the matrix's DAG, level sets and
+cost tables live in its artefact bundle
+(:func:`~repro.exec_model.artefacts.get_artefacts`), built once, so the
+per-scenario cost is a single fast-model pass.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.analysis.dag import DependencyDag, build_dag
-from repro.analysis.levels import LevelSets, compute_levels
 from repro.analysis.metrics import MatrixProfile, profile_matrix
-from repro.exec_model.costmodel import Design, build_comm_costs
+from repro.exec_model.artefacts import get_artefacts
+from repro.exec_model.costmodel import Design
 from repro.exec_model.timeline import ExecutionReport, simulate_execution
 from repro.machine.node import MachineConfig, dgx1, dgx2
 from repro.solvers.levelset import level_schedule_time
@@ -40,12 +40,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MatrixContext:
-    """Cached per-matrix artefacts shared across scenarios."""
+    """A suite matrix and its profile, shared across scenarios."""
 
     name: str
     lower: CscMatrix
-    dag: DependencyDag
-    levels: LevelSets
     profile: MatrixProfile
 
 
@@ -53,12 +51,8 @@ class MatrixContext:
 def context(name: str) -> MatrixContext:
     """Build (memoised) the context of a suite matrix."""
     lower = suite_mod.load(name)
-    dag = build_dag(lower)
-    levels = compute_levels(dag)
-    prof = profile_matrix(lower, name, levels)
-    return MatrixContext(
-        name=name, lower=lower, dag=dag, levels=levels, profile=prof
-    )
+    prof = profile_matrix(lower, name, get_artefacts(lower).levels)
+    return MatrixContext(name=name, lower=lower, profile=prof)
 
 
 def run_design(
@@ -72,7 +66,8 @@ def run_design(
 
     ``tasks_per_gpu=None`` selects block distribution (the baseline);
     an integer enables the round-robin task model.  ``cost_kwargs`` are
-    forwarded to :func:`~repro.exec_model.costmodel.build_comm_costs`
+    forwarded to the bundle's
+    :meth:`~repro.exec_model.artefacts.AnalysisArtefacts.comm_costs`
     (ablation knobs).
     """
     n = ctx.lower.shape[0]
@@ -80,10 +75,10 @@ def run_design(
         dist: Distribution = block_distribution(n, machine.n_gpus)
     else:
         dist = round_robin_distribution(n, machine.n_gpus, tasks_per_gpu)
-    costs = build_comm_costs(machine, Design(design), **cost_kwargs)
-    return simulate_execution(
-        ctx.lower, dist, machine, Design(design), dag=ctx.dag, costs=costs
+    costs = get_artefacts(ctx.lower).comm_costs(
+        machine, design, **cost_kwargs
     )
+    return simulate_execution(ctx.lower, dist, machine, design, costs=costs)
 
 
 def run_cusparse(
@@ -96,7 +91,7 @@ def run_cusparse(
         machine = dgx1(1)
     return level_schedule_time(
         ctx.lower,
-        ctx.levels,
+        get_artefacts(ctx.lower).levels,
         machine,
         analysis_factor=analysis_factor,
         design="cusparse_csrsv2",

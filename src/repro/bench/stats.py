@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
 from repro.exec_model.costmodel import Design
 from repro.exec_model.timeline import simulate_execution
 from repro.machine.node import MachineConfig, dgx1
@@ -96,16 +95,15 @@ def replicated_speedups(
     m_sh = dgx1(n_gpus)
     shmem, zero, gain = [], [], []
     for lower in replicate(name, n_replicas):
-        dag = build_dag(lower)
         n = lower.shape[0]
         block = block_distribution(n, n_gpus)
         rr = round_robin_distribution(n, n_gpus, tasks_per_gpu)
-        t_u = simulate_execution(lower, block, m_um, Design.UNIFIED, dag=dag).total_time
+        t_u = simulate_execution(lower, block, m_um, Design.UNIFIED).total_time
         t_s = simulate_execution(
-            lower, block, m_sh, Design.SHMEM_READONLY, dag=dag
+            lower, block, m_sh, Design.SHMEM_READONLY
         ).total_time
         t_z = simulate_execution(
-            lower, rr, m_sh, Design.SHMEM_READONLY, dag=dag
+            lower, rr, m_sh, Design.SHMEM_READONLY
         ).total_time
         shmem.append(t_u / t_s)
         zero.append(t_u / t_z)

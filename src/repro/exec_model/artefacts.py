@@ -3,10 +3,11 @@
 The paper's central workflow splits SpTRSV into an *analysis* phase paid
 once per matrix structure and a *solve* phase amortised across designs,
 machines, and right-hand sides (Algorithms 2/3's pre-pass; the same
-split as cuSPARSE's ``csrsv2_analysis``/``csrsv2_solve``).  The fast
-timing model, the DES tier, the plan API, and every figure bench used to
-re-derive those analysis products per call.  This module makes the split
-real for the simulators too:
+split as cuSPARSE's ``csrsv2_analysis``/``csrsv2_solve``).  This module
+is that split's single home: every layer outside :mod:`repro.analysis`
+(which defines the products) and :mod:`repro.verify` (whose oracles
+re-derive them on purpose) takes its DAG, level sets and default cost
+tables from here, never from ``build_dag``/``compute_levels`` directly.
 
 * :class:`AnalysisArtefacts` bundles everything derivable from one
   matrix structure — dependency DAG, level sets, dispatch fronts, edge
@@ -307,30 +308,21 @@ class AnalysisArtefacts:
 _CACHE: dict[int, tuple[weakref.ref, AnalysisArtefacts]] = {}
 
 
-def get_artefacts(
-    lower: CscMatrix, dag: DependencyDag | None = None
-) -> AnalysisArtefacts:
+def get_artefacts(lower: CscMatrix) -> AnalysisArtefacts:
     """Fetch (or build) the artefact bundle for one matrix.
 
     Bundles are keyed by matrix *object* and evicted automatically when
     the matrix is garbage collected, so repeated pricing of the same
-    matrix — a 4-design x 2-machine bench sweep, a plan serving many
+    matrix — a 4-design x 2-machine bench sweep, a session serving many
     solves, a DES cross-check — derives the structure exactly once.
-
-    If ``dag`` is supplied and an existing bundle was built from a
-    *different* DAG object, a transient (uncached) bundle wrapping the
-    supplied DAG is returned instead, so callers experimenting with
-    hand-modified DAGs never poison the shared cache.
     """
     key = id(lower)
     entry = _CACHE.get(key)
     if entry is not None and entry[0]() is lower:
         bundle = entry[1]
-        if dag is not None and dag is not bundle.dag:
-            return AnalysisArtefacts(lower, dag=dag)
         bundle.hits += 1
         return bundle
-    bundle = AnalysisArtefacts(lower, dag=dag)
+    bundle = AnalysisArtefacts(lower)
     _register(lower, bundle)
     return bundle
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.criticalpath import critical_path
-from repro.analysis.dag import DependencyDag, build_dag
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.timeline import ExecutionReport
 from repro.machine.node import MachineConfig
 from repro.sparse.csc import CscMatrix
@@ -73,7 +73,6 @@ def analyse_efficiency(
     lower: CscMatrix,
     machine: MachineConfig,
     report: ExecutionReport,
-    dag: DependencyDag | None = None,
 ) -> EfficiencyReport:
     """Score a simulated execution against its lower bounds.
 
@@ -81,8 +80,7 @@ def analyse_efficiency(
     timeline charges (``t_per_nnz * (col_nnz + in_degree)``), so the
     comparison isolates *scheduling and communication* losses.
     """
-    if dag is None:
-        dag = build_dag(lower)
+    dag = get_artefacts(lower).dag
     gpu = machine.gpu
     col_nnz = lower.col_nnz().astype(np.float64)
     in_deg = np.diff(dag.in_ptr).astype(np.float64)

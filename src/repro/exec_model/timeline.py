@@ -60,14 +60,9 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.analysis.dag import DependencyDag
 from repro.analysis.levels import DispatchFronts, LevelSets
 from repro.errors import ConfigurationError, SolverError
-from repro.exec_model.artefacts import (
-    AnalysisArtefacts,
-    PlacementArtefacts,
-    get_artefacts,
-)
+from repro.exec_model.artefacts import PlacementArtefacts, get_artefacts
 from repro.exec_model.costmodel import CommCosts, Design
 from repro.machine.gpu import BatchWarpPool
 from repro.machine.node import MachineConfig
@@ -78,13 +73,12 @@ from repro.tasks.schedule import Distribution
 __all__ = ["ExecutionReport", "simulate_execution", "analysis_phase_time"]
 
 #: ``scheduler="auto"`` uses the batched pass when the mean dispatch-front
-#: width reaches this value.  Against the list-based reference loop the
-#: measured crossover is ~15 (dag_profile systems with 6 nnz/row: at
-#: n = 20k the loop wins at width 10.5, 28 vs 44 ms, and ties at 15.6;
-#: at n = 50k it ties at 14.6 and loses at 41, 84 vs 43 ms).  Against
-#: the earlier numpy loop it was ~4, which is where 8 came from; above
-#: the crossover the batched pass wins roughly linearly with width.
-AUTO_WIDTH_THRESHOLD = 8.0
+#: width reaches this value, the measured crossover against the
+#: list-based reference loop (dag_profile systems with 6 nnz/row: at
+#: n = 20k the loop wins at width 10.5, 43-48 vs 47-72 ms, and ties at
+#: 15.6; at n = 50k it ties at 14.6 and loses at 41, 86-99 vs 43-63 ms).
+#: Above the crossover the batched pass wins roughly linearly with width.
+AUTO_WIDTH_THRESHOLD = 15.0
 
 
 @dataclass(frozen=True)
@@ -459,10 +453,7 @@ def simulate_execution(
     machine: MachineConfig,
     design: Design | str = Design.SHMEM_READONLY,
     *,
-    dag: DependencyDag | None = None,
-    levels: LevelSets | None = None,
     costs: CommCosts | None = None,
-    artefacts: AnalysisArtefacts | None = None,
     scheduler: str = "auto",
     sm_granularity: bool = False,
     schedule_out: dict | None = None,
@@ -479,15 +470,15 @@ def simulate_execution(
         Node configuration.
     design:
         Communication design to price.
-    dag, levels, costs:
-        Optional precomputed artefacts (benches reuse them across
-        scenarios); ``levels`` is only needed by the unified fault model
-        and computed on demand.
-    artefacts:
-        Optional :class:`~repro.exec_model.artefacts.AnalysisArtefacts`
-        bundle for ``lower``.  When omitted, the process-wide cache
-        (:func:`~repro.exec_model.artefacts.get_artefacts`) is consulted,
-        so repeated calls on the same matrix skip the structure analysis.
+    costs:
+        The design's communication cost table.  Defaults to the
+        bundle's ``comm_costs(machine, design)``; pass one only to price
+        a modified design (the ablation knobs of
+        :func:`~repro.exec_model.costmodel.build_comm_costs`) or a
+        modified machine.  The DAG, level sets, dispatch fronts and
+        placement always come from the matrix's artefact bundle
+        (:func:`~repro.exec_model.artefacts.get_artefacts`), so repeated
+        calls on the same matrix skip the structure analysis.
     scheduler:
         ``"batched"`` forces the front-batched vectorised pass,
         ``"reference"`` the original per-component loop, and ``"auto"``
@@ -531,10 +522,7 @@ def simulate_execution(
             value=scheduler,
             choices=("auto", "batched", "reference"),
         )
-    if artefacts is None:
-        artefacts = get_artefacts(lower, dag=dag)
-    elif dag is not None and dag is not artefacts.dag:
-        artefacts = AnalysisArtefacts(lower, dag=dag)
+    artefacts = get_artefacts(lower)
     dag = artefacts.dag
     if costs is None:
         costs = artefacts.comm_costs(machine, design)
@@ -562,10 +550,8 @@ def simulate_execution(
     fabric = 0.0
     serial_bound = 0.0
     if design is Design.UNIFIED and n_gpus > 1:
-        if levels is None:
-            levels = artefacts.levels
         fm = _unified_fault_model(
-            machine, levels, gpu_of, src, dst, src_g, remote_edge,
+            machine, artefacts.levels, gpu_of, src, dst, src_g, remote_edge,
             has_remote_pred,
         )
         um = machine.um

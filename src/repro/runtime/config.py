@@ -1,9 +1,9 @@
 """Declarative run configuration for the execution facade.
 
 A :class:`RunConfig` captures every knob of one SpTRSV execution
-pipeline — design, engine, fast-model scheduler, machine shape, task
-distribution, fault plan, recovery policy, watchdog, and trace sink —
-as one frozen, validated value.  It is the single argument of
+pipeline — design, engine, machine shape, task distribution, fault
+plan, recovery policy, watchdog, and trace sink — as one frozen,
+validated value.  It is the single argument of
 :class:`repro.runtime.session.SolverSession` and the JSON surface of the
 ``tools/sweep.py --config`` / ``tools/chaos.py --config`` CLIs
 (:meth:`RunConfig.from_mapping` / :meth:`RunConfig.from_json`).
@@ -27,13 +27,9 @@ from repro.tasks.schedule import VALID_DISTRIBUTIONS
 __all__ = [
     "RunConfig",
     "VALID_DISTRIBUTIONS",
-    "VALID_SCHEDULERS",
     "VALID_TOPOLOGIES",
     "load_run_config",
 ]
-
-#: Fast-model scheduling passes (see ``simulate_execution``).
-VALID_SCHEDULERS = ("auto", "batched", "reference")
 
 #: Machine families ``RunConfig(topology=...)`` can build without a live
 #: machine object: the two paper platforms plus the multi-node cluster
@@ -68,9 +64,6 @@ class RunConfig:
         ``shmem_readonly``).
     engine:
         DES engine: ``"auto"`` / ``"array"`` / ``"reference"``.
-    scheduler:
-        Fast-model scheduling pass: ``"auto"`` / ``"batched"`` /
-        ``"reference"``.
     machine:
         Explicit :class:`~repro.machine.node.MachineConfig`; ``None``
         builds the machine named by ``topology`` lazily (a
@@ -133,7 +126,6 @@ class RunConfig:
 
     design: Design | str = Design.SHMEM_READONLY
     engine: str = "auto"
-    scheduler: str = "auto"
     machine: object | None = None
     n_gpus: int = 4
     topology: str | None = None
@@ -156,7 +148,6 @@ class RunConfig:
             design = _DESIGN_ALIASES[design]
         object.__setattr__(self, "design", coerce_design(design))
         _choice("engine", self.engine, VALID_ENGINES)
-        _choice("scheduler", self.scheduler, VALID_SCHEDULERS)
         _choice("distribution", self.distribution, VALID_DISTRIBUTIONS)
         if self.n_gpus < 1:
             raise ConfigurationError(
@@ -452,7 +443,6 @@ class RunConfig:
         out: dict = {
             "design": self.design.value,
             "engine": self.engine,
-            "scheduler": self.scheduler,
             "n_gpus": self.effective_n_gpus,
             "distribution": self.distribution,
             "trace_enabled": self.trace_enabled,
@@ -529,7 +519,6 @@ class RunConfig:
         return {
             "design": self.design.value,
             "engine": self.engine,
-            "scheduler": self.scheduler,
             "machine": list(self.machine_shape()),
             "n_gpus": self.effective_n_gpus,
             "distribution": self.distribution,

@@ -22,7 +22,7 @@ makes this testable.
 
 :func:`resilient_run` is the DES-and-repair stage of that pipeline,
 written once: :meth:`SolverSession.solve` calls it with the session's
-cached analysis products, the chaos harness calls it with its own
+compiled array program, the chaos harness calls it with its own
 distributions, and :class:`~repro.solvers.des_solver.DesSolver` solves
 through a session — so the path production and the benchmark run is
 the path the conformance cases audit.
@@ -81,8 +81,6 @@ def resilient_run(
     engine: str = "auto",
     trace_enabled: bool = True,
     stale=None,
-    dag=None,
-    costs=None,
     program=None,
 ) -> SessionResult:
     """Run one faulted, recovered, residual-checked DES solve.
@@ -93,8 +91,8 @@ def resilient_run(
     residual check/repair.  ``recovery=None`` means the default
     :class:`~repro.resilience.recovery.RecoveryPolicy` when ``plan``
     injects faults, and no recovery (no residual check) otherwise; pass
-    a policy explicitly to certify a clean run.  ``dag`` / ``costs`` /
-    ``program`` forward cached analysis products to
+    a policy explicitly to certify a clean run.  ``program`` forwards a
+    compiled array program to
     :func:`~repro.solvers.des_solver.des_execute`.  Any failure surfaces
     as a typed :class:`~repro.errors.ReproError` subclass — this
     function either returns a verified solution or raises; it never
@@ -118,8 +116,6 @@ def resilient_run(
         dist,
         machine,
         design,
-        dag=dag,
-        costs=costs,
         trace_enabled=trace_enabled,
         engine=engine,
         injector=injector,
@@ -170,7 +166,6 @@ class SolverSession:
         self._matrix = None
         self._artefacts = None
         self._dist = None
-        self._costs = None
         self._program = None
 
     @property
@@ -180,13 +175,13 @@ class SolverSession:
         return self._machine
 
     def _bind(self, lower):
-        """Pin the matrix's artefact bundle + distribution + cost tables.
+        """Pin the matrix's artefact bundle and build its distribution.
 
         The bundle comes from the shared weakly-keyed cache
         (:func:`~repro.exec_model.artefacts.get_artefacts`); the session's
-        strong reference keeps it alive across repeated solves, and the
-        per-design comm-cost sub-cache keyed inside the bundle does the
-        rest.
+        strong reference keeps it alive across repeated solves, so every
+        stage's own bundle lookup hits, and the per-design comm-cost
+        sub-cache keyed inside the bundle does the rest.
         """
         if lower is not self._matrix:
             from repro.exec_model.artefacts import get_artefacts
@@ -197,11 +192,7 @@ class SolverSession:
             self._dist = self.config.build_distribution(
                 lower.shape[0], machine.n_gpus, lower=lower
             )
-            self._costs = self._artefacts.comm_costs(
-                machine, self.config.design
-            )
             self._program = None
-        return self._artefacts
 
     def _array_program(self, lower):
         """The bound matrix's array-engine program, compiled on first use;
@@ -215,12 +206,7 @@ class SolverSession:
             from repro.solvers.des_array import compile_program
 
             self._program = compile_program(
-                lower,
-                self._dist,
-                self.machine,
-                self.config.design,
-                self._artefacts.dag,
-                self._costs,
+                lower, self._dist, self.machine, self.config.design
             )
         return self._program
 
@@ -228,15 +214,13 @@ class SolverSession:
         """Event-granular playout only (no faults, no repair, no report)."""
         from repro.solvers.des_solver import des_execute
 
-        art = self._bind(lower)
+        self._bind(lower)
         return des_execute(
             lower,
             b,
             self._dist,
             self.machine,
             self.config.design,
-            dag=art.dag,
-            costs=self._costs,
             trace_enabled=self.config.trace_enabled,
             engine=self.config.engine,
             stale=self.config.build_stale_policy(),
@@ -247,15 +231,9 @@ class SolverSession:
         """Fast-model pricing only: the analytic ExecutionReport."""
         from repro.exec_model.timeline import simulate_execution
 
-        art = self._bind(lower)
+        self._bind(lower)
         return simulate_execution(
-            lower,
-            self._dist,
-            self.machine,
-            self.config.design,
-            artefacts=art,
-            costs=self._costs,
-            scheduler=self.config.scheduler,
+            lower, self._dist, self.machine, self.config.design
         )
 
     def solve(self, lower, b, *, with_report: bool = True) -> SessionResult:
@@ -264,13 +242,12 @@ class SolverSession:
         Plays the system out at event granularity with the configured
         fault plan / recovery policy / watchdog, residual-checks (and
         selectively repairs) the solution per the policy — all through
-        :func:`resilient_run`, fed the session's cached DAG, cost tables
-        and array program — and, when ``with_report``, re-prices the
-        execution through the fast model for a comparable
-        :class:`ExecutionReport`.
+        :func:`resilient_run`, fed the session's compiled array program —
+        and, when ``with_report``, re-prices the execution through the
+        fast model for a comparable :class:`ExecutionReport`.
         """
         cfg = self.config
-        art = self._bind(lower)
+        self._bind(lower)
         res = resilient_run(
             lower,
             b,
@@ -283,8 +260,6 @@ class SolverSession:
             engine=cfg.engine,
             trace_enabled=cfg.trace_enabled,
             stale=cfg.build_stale_policy(),
-            dag=art.dag,
-            costs=self._costs,
             program=self._array_program(lower),
         )
         if not with_report:

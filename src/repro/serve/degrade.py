@@ -100,8 +100,9 @@ class DegradationLadder:
     def derive_config(
         self, config: RunConfig, mode: DegradeMode
     ) -> RunConfig:
-        """The rung's executable config (``estimate`` needs no surgery —
-        the worker prices instead of solving)."""
+        """The rung's executable config (``estimate`` needs no surgery:
+        the service answers it from the admission estimate and never
+        dispatches it to a worker)."""
         mode = DegradeMode(mode)
         if mode is DegradeMode.STALE:
             return replace(

@@ -69,11 +69,22 @@ from repro.serve.request import (
 )
 from repro.serve.workers import MatrixLru, WorkerPool
 
-__all__ = ["SolveService", "ServiceStats", "LoopWatchdog"]
+__all__ = [
+    "ESTIMATE_CACHE_ENTRIES",
+    "LoopWatchdog",
+    "ServiceStats",
+    "SolveService",
+]
 
 #: Failure kinds that count against a key's circuit breaker: the solve
 #: is structurally broken, not transiently unlucky.
 STRUCTURAL_ERRORS = (RecoveryExhaustedError, DeadlockError)
+
+#: Fast-model estimates the service keeps, keyed by (matrix, config)
+#: fingerprint.  Far above a hot tenant set; one-off keys (ladder
+#: requests carry a per-request plan seed) age out, and a miss only
+#: re-prices.
+ESTIMATE_CACHE_ENTRIES = 128
 
 
 class LoopWatchdog:
@@ -275,7 +286,7 @@ class SolveService:
         # bundle, and one-off specs do not pin theirs forever), and
         # (fingerprint, config fingerprint) -> fast-model estimate.
         self._workloads = MatrixLru()
-        self._estimates: dict[tuple, dict] = {}
+        self._estimates = MatrixLru(ESTIMATE_CACHE_ENTRIES)
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -353,7 +364,7 @@ class SolveService:
                 "solve_time": float(report.solve_time),
                 "total_time": float(report.total_time),
             }
-            self._estimates[key] = est
+            self._estimates.put(key, est)
         return est
 
     def _estimate_result(

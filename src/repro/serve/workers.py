@@ -49,20 +49,21 @@ MATRIX_CACHE_ENTRIES = 4
 
 
 class MatrixLru:
-    """Thread-safe least-recently-used map of at most
-    :data:`MATRIX_CACHE_ENTRIES` matrices.
+    """Thread-safe least-recently-used map of at most ``capacity``
+    entries (default: :data:`MATRIX_CACHE_ENTRIES` matrices).
 
     A hit refreshes the key; an insert past the bound evicts the least
     recently used entry.  Strong references on purpose — the artefact
     cache keys bundles by matrix object identity, so holding the object
-    keeps the analysis.
+    keeps the analysis.  Values must not be ``None`` (``get``'s miss).
     """
 
-    def __init__(self):
-        self._entries: OrderedDict[str, object] = OrderedDict()
+    def __init__(self, capacity: int | None = None):
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
+        self._capacity = capacity
 
-    def get(self, key: str):
+    def get(self, key):
         """The cached matrix (refreshing its position), or ``None``."""
         with self._lock:
             matrix = self._entries.get(key)
@@ -70,12 +71,13 @@ class MatrixLru:
                 self._entries.move_to_end(key)
             return matrix
 
-    def put(self, key: str, matrix) -> None:
+    def put(self, key, matrix) -> None:
         """Insert or refresh ``key``; evict past the bound."""
+        capacity = self._capacity or MATRIX_CACHE_ENTRIES
         with self._lock:
             self._entries[key] = matrix
             self._entries.move_to_end(key)
-            while len(self._entries) > MATRIX_CACHE_ENTRIES:
+            while len(self._entries) > capacity:
                 self._entries.popitem(last=False)
 
     def __len__(self) -> int:
@@ -136,19 +138,6 @@ def solve_job(payload: dict) -> dict:
     n = lower.shape[0]
     config = payload["config"]
     session = SolverSession(config)
-    if payload["mode"] == "estimate":
-        report = session.simulate(lower)
-        return {
-            "estimate": {
-                "design": report.design,
-                "n_gpus": int(report.n_gpus),
-                "analysis_time": float(report.analysis_time),
-                "solve_time": float(report.solve_time),
-                "total_time": float(report.total_time),
-            },
-            "events": 0,
-            "total_time": float(report.total_time),
-        }
     rhs = payload["rhs"]
     if "values" in rhs:
         b = np.asarray(rhs["values"], dtype=np.float64)

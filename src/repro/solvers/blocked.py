@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
-from repro.analysis.levels import compute_levels
 from repro.errors import SolverError
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.timeline import ExecutionReport
 from repro.machine.node import MachineConfig, dgx1
 from repro.solvers.base import SolveResult, TriangularSolver, validate_system
@@ -236,7 +235,7 @@ class BlockedSolver(TriangularSolver):
         widths = np.diff(bp)
         # Block-level dependency levels: a block's level is the max level
         # of its columns.
-        levels = compute_levels(lower)
+        levels = get_artefacts(lower).levels
         block_level = np.array(
             [
                 int(levels.level_of[bp[k] : bp[k + 1]].max())

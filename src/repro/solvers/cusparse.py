@@ -15,7 +15,7 @@ serial reference like every other solver.
 
 from __future__ import annotations
 
-from repro.analysis.levels import compute_levels
+from repro.exec_model.artefacts import get_artefacts
 from repro.machine.node import MachineConfig, dgx1
 from repro.solvers.base import SolveResult, TriangularSolver, validate_system
 from repro.solvers.levelset import level_schedule_time, levelset_forward
@@ -52,7 +52,7 @@ class CusparseCsrsv2Solver(TriangularSolver):
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
-        levels = compute_levels(lower)
+        levels = get_artefacts(lower).levels
         x = levelset_forward(lower, b, levels)
         report = level_schedule_time(
             lower,

@@ -76,7 +76,6 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.analysis.dag import DependencyDag
 from repro.engine.protocol import (
     ACT_CORRUPT,
     ACT_DELAY,
@@ -127,6 +126,7 @@ from repro.engine.protocol import (
 from repro.engine.resources import ResourceBank
 from repro.engine.trace import Trace
 from repro.errors import DeadlockError, SimulationError, SolverError
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import CommCosts, Design
 from repro.machine.node import MachineConfig
 from repro.machine.unified import UnifiedMemory
@@ -234,10 +234,11 @@ def compile_program(
     dist: Distribution,
     machine: MachineConfig,
     design: Design | str,
-    dag: DependencyDag,
-    costs: CommCosts,
 ) -> ArrayProgram:
     """Compile one system's solve-invariant tables for the array engine.
+
+    The DAG and the design's cost table come from the matrix's artefact
+    bundle (:func:`~repro.exec_model.artefacts.get_artefacts`).
 
     Raises the same typed errors as :func:`~repro.solvers.des_solver.des_execute`
     for a system no engine can play out (unreachable rank pair, wrong
@@ -250,6 +251,9 @@ def compile_program(
     n = lower.shape[0]
     if dist.n != n:
         raise SolverError("distribution does not match the matrix")
+    art = get_artefacts(lower)
+    dag = art.dag
+    costs = art.comm_costs(machine, design)
     n_gpus = machine.n_gpus
     gpu_spec = machine.gpu
     unified = design_hooks(design).page_table

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.dag import DependencyDag
 from repro.engine.des import Simulator
 from repro.engine.events import Acquire, Release, Signal, Timeout, Wait
 from repro.engine.protocol import (
@@ -78,7 +77,7 @@ from repro.engine.resources import Resource
 from repro.engine.trace import Trace
 from repro.errors import ConfigurationError, FaultInjectionError, SolverError
 from repro.exec_model.artefacts import get_artefacts
-from repro.exec_model.costmodel import CommCosts, Design
+from repro.exec_model.costmodel import Design
 from repro.machine.node import MachineConfig, dgx1
 from repro.machine.unified import UnifiedMemory
 from repro.resilience.faults import flip_mantissa_bit
@@ -135,8 +134,6 @@ def des_execute(
     machine: MachineConfig,
     design: Design | str = Design.SHMEM_READONLY,
     *,
-    dag: DependencyDag | None = None,
-    costs: CommCosts | None = None,
     trace_enabled: bool = True,
     engine: str = "auto",
     injector=None,
@@ -207,11 +204,9 @@ def des_execute(
                     f"gpu_fail targets rank {g_fail}, but the machine has "
                     f"{machine.n_gpus} GPUs"
                 )
-    art = get_artefacts(lower, dag=dag)
-    if dag is None:
-        dag = art.dag
-    if costs is None:
-        costs = art.comm_costs(machine, design)
+    art = get_artefacts(lower)
+    dag = art.dag
+    costs = art.comm_costs(machine, design)
     resolved = resolve_engine(engine, n)
 
     def _finish(x, total_time, trace, page_faults, events) -> DesExecution:
@@ -239,7 +234,7 @@ def des_execute(
         from repro.solvers.des_array import compile_program, execute_array
 
         if program is None:
-            program = compile_program(lower, dist, machine, design, dag, costs)
+            program = compile_program(lower, dist, machine, design)
         elif not program.compiled_for(lower, dist, machine, design):
             raise SolverError(
                 "array program was compiled for a different system"

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.levels import LevelSets, compute_levels
+from repro.analysis.levels import LevelSets
 from repro.errors import SingularMatrixError
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.timeline import ExecutionReport
 from repro.machine.node import MachineConfig, dgx1
 from repro.sparse.csc import CscMatrix
@@ -30,7 +31,7 @@ def levelset_forward(
     """Solve ``Lx = b`` level by level (vectorised within each level)."""
     n = lower.shape[0]
     if levels is None:
-        levels = compute_levels(lower)
+        levels = get_artefacts(lower).levels
     x = np.zeros(n)
     left_sum = np.zeros(n)
     indptr, indices, data = lower.indptr, lower.indices, lower.data
@@ -136,7 +137,7 @@ class LevelSetSolver(TriangularSolver):
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
-        levels = compute_levels(lower)
+        levels = get_artefacts(lower).levels
         x = levelset_forward(lower, b, levels)
         report = level_schedule_time(lower, levels, self.machine)
         return SolveResult(x=x, report=report, solver=self.name)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.analysis.levels import compute_levels
 from repro.errors import SolverError
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design, build_comm_costs
 from repro.exec_model.timeline import ExecutionReport, simulate_execution
 from repro.machine.node import MachineConfig, dgx1
@@ -41,7 +41,7 @@ def float32_forward(lower: CscMatrix, b: np.ndarray) -> np.ndarray:
     Returns a float64 array holding the float32-accurate solution (the
     rounding error is the point — refinement removes it).
     """
-    levels = compute_levels(lower)
+    levels = get_artefacts(lower).levels
     n = lower.shape[0]
     indptr = lower.indptr
     indices = lower.indices
@@ -146,6 +146,8 @@ class MixedPrecisionSolver(TriangularSolver):
         dist = round_robin_distribution(
             lower.shape[0], m32.n_gpus, self.tasks_per_gpu
         )
+        # A one-off machine: price it directly, outside the bundle's
+        # machine-keyed cost sub-cache.
         costs = build_comm_costs(m32, Design.SHMEM_READONLY)
         one = simulate_execution(
             lower, dist, m32, Design.SHMEM_READONLY, costs=costs

@@ -20,9 +20,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
-from repro.analysis.levels import compute_levels
 from repro.errors import ShapeError
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design, build_comm_costs
 from repro.exec_model.timeline import ExecutionReport, simulate_execution
 from repro.machine.node import MachineConfig, dgx1
@@ -41,7 +40,7 @@ def multi_rhs_forward(lower: CscMatrix, b_block: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"B must have shape ({n}, k), got {b_block.shape}"
         )
-    levels = compute_levels(lower)
+    levels = get_artefacts(lower).levels
     indptr, indices, data = lower.indptr, lower.indices, lower.data
     diag_ptr = indptr[:-1]
     diag = data[diag_ptr]
@@ -104,10 +103,11 @@ def solve_multi_rhs(
     # Scale the arithmetic term: a k-wide solve touches k values per nnz.
     scaled = machine.with_gpu(t_per_nnz=machine.gpu.t_per_nnz * k)
     dist = round_robin_distribution(lower.shape[0], machine.n_gpus, tasks_per_gpu)
-    dag = build_dag(lower)
+    # A one-off machine: build its table directly rather than caching it
+    # in the bundle's machine-keyed sub-cache.
     costs = build_comm_costs(scaled, Design(design))
     report = simulate_execution(
-        lower, dist, scaled, Design(design), dag=dag, costs=costs
+        lower, dist, scaled, Design(design), costs=costs
     )
     # left_sum traffic widens by k (8 bytes -> 8k per remote contribution).
     report = replace(report, fabric_bytes=report.fabric_bytes * (1 + k) / 2)

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.levels import LevelSets, compute_levels
+from repro.analysis.levels import LevelSets
 from repro.errors import SolverError
+from repro.exec_model.artefacts import get_artefacts
 from repro.machine.node import MachineConfig
 from repro.machine.shmem import SymmetricHeap
 from repro.machine.unified import UnifiedMemory
@@ -104,7 +105,7 @@ def emulate_unified_solve(
     n = lower.shape[0]
     n_gpus = machine.n_gpus
     if levels is None:
-        levels = compute_levels(lower)
+        levels = get_artefacts(lower).levels
     um = UnifiedMemory(machine.um, machine.topology)
     s_left = um.malloc_managed("s.left_sum", n)
     s_indeg = um.malloc_managed("s.in_degree", n, dtype=np.int64)
@@ -182,7 +183,7 @@ def emulate_shmem_solve(
     n = lower.shape[0]
     n_pes = machine.n_gpus
     if levels is None:
-        levels = compute_levels(lower)
+        levels = get_artefacts(lower).levels
     heap = SymmetricHeap(
         n_pes=n_pes,
         topology=machine.topology,

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
-from repro.analysis.levels import compute_levels
-from repro.exec_model.costmodel import Design, build_comm_costs
+from repro.exec_model.artefacts import get_artefacts
+from repro.exec_model.costmodel import Design
 from repro.exec_model.timeline import simulate_execution
 from repro.machine.node import MachineConfig, dgx1
 from repro.solvers.base import SolveResult, TriangularSolver, validate_system
@@ -66,29 +65,28 @@ class ShmemSolver(TriangularSolver):
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
         dist = self.distribution(lower.shape[0])
-        dag = build_dag(lower)
-        levels = compute_levels(dag)
+        art = get_artefacts(lower)
         if self.emulate:
             x, _heap = emulate_shmem_solve(
                 lower,
                 b,
                 dist,
                 self.machine,
-                levels,
+                art.levels,
                 use_shortcircuit=self.shortcircuit,
             )
         else:
             from repro.solvers.levelset import levelset_forward
 
-            x = levelset_forward(lower, b, levels)
-        costs = build_comm_costs(
+            x = levelset_forward(lower, b, art.levels)
+        costs = art.comm_costs(
             self.machine,
             self.design,
             warp_reduce=self.warp_reduce,
             shortcircuit=self.shortcircuit,
         )
         report = simulate_execution(
-            lower, dist, self.machine, self.design, dag=dag, costs=costs
+            lower, dist, self.machine, self.design, costs=costs
         )
         return SolveResult(x=x, report=report, solver=self.name)
 
@@ -109,8 +107,7 @@ class NaiveShmemSolver(ShmemSolver):
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
         dist = self.distribution(lower.shape[0])
-        dag = build_dag(lower)
-        levels = compute_levels(dag)
+        levels = get_artefacts(lower).levels
         if self.emulate:
             x, _heap = emulate_shmem_solve(
                 lower, b, dist, self.machine, levels, use_shortcircuit=False
@@ -119,7 +116,5 @@ class NaiveShmemSolver(ShmemSolver):
             from repro.solvers.levelset import levelset_forward
 
             x = levelset_forward(lower, b, levels)
-        report = simulate_execution(
-            lower, dist, self.machine, self.design, dag=dag
-        )
+        report = simulate_execution(lower, dist, self.machine, self.design)
         return SolveResult(x=x, report=report, solver=self.name)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
-from repro.analysis.levels import compute_levels
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
 from repro.exec_model.timeline import simulate_execution
 from repro.machine.node import MachineConfig, dgx1
@@ -45,13 +44,12 @@ class SyncFreeSolver(TriangularSolver):
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
-        dag = build_dag(lower)
-        levels = compute_levels(dag)
+        levels = get_artefacts(lower).levels
         # Numerics: the sync-free update order is a topological order;
         # the level sweep computes the identical fixed point.
         x = levelset_forward(lower, b, levels)
         dist = block_distribution(lower.shape[0], 1)
         report = simulate_execution(
-            lower, dist, self.machine, Design.SHMEM_READONLY, dag=dag
+            lower, dist, self.machine, Design.SHMEM_READONLY
         )
         return SolveResult(x=x, report=report, solver=self.name)

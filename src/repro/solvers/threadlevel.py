@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
-from repro.analysis.levels import compute_levels
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.timeline import ExecutionReport
 from repro.machine.gpu import WarpScheduler
 from repro.machine.node import MachineConfig, dgx1
@@ -63,7 +62,7 @@ def thread_level_schedule(
     fundamental cost on dependency-heavy inputs.
     """
     gpu = machine.gpu
-    dag = build_dag(lower)
+    dag = get_artefacts(lower).dag
     n = dag.n
     col_nnz = lower.col_nnz().astype(np.float64)
     in_counts = np.diff(dag.in_ptr).astype(np.float64)
@@ -138,6 +137,6 @@ class ThreadLevelSolver(TriangularSolver):
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
-        x = levelset_forward(lower, b, compute_levels(lower))
+        x = levelset_forward(lower, b)
         report = thread_level_schedule(lower, self.machine)
         return SolveResult(x=x, report=report, solver=self.name)

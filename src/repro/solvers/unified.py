@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
-from repro.analysis.levels import compute_levels
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
 from repro.exec_model.timeline import simulate_execution
 from repro.machine.node import MachineConfig, dgx1
@@ -80,8 +79,7 @@ class UnifiedMemorySolver(TriangularSolver):
         b = validate_system(lower, b)
         n = lower.shape[0]
         dist = self.distribution(n)
-        dag = build_dag(lower)
-        levels = compute_levels(dag)
+        levels = get_artefacts(lower).levels
         if self.emulate:
             x, um = emulate_unified_solve(lower, b, dist, self.machine, levels)
             exact_faults = float(um.fault_count)
@@ -92,9 +90,7 @@ class UnifiedMemorySolver(TriangularSolver):
             x = levelset_forward(lower, b, levels)
             exact_faults = None
             migrated = None
-        report = simulate_execution(
-            lower, dist, self.machine, Design.UNIFIED, dag=dag
-        )
+        report = simulate_execution(lower, dist, self.machine, Design.UNIFIED)
         if exact_faults is not None:
             # Keep the model's (poll-inclusive) fault estimate but never
             # report fewer faults than the emulation actually generated.

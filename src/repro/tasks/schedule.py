@@ -44,7 +44,6 @@ __all__ = [
     "costaware_distribution",
     "build_distribution",
     "remap_failed_components",
-    "redistribute_after_failure",
 ]
 
 #: Distribution names :func:`build_distribution` (and therefore
@@ -211,8 +210,6 @@ def costaware_distribution(
     machine,
     design=None,
     tasks_per_gpu: int | None = None,
-    dag=None,
-    costs=None,
 ) -> Distribution:
     """Cost-aware placement: estimated task cost balanced over GPUs.
 
@@ -246,8 +243,6 @@ def costaware_distribution(
         Defaults to 1: cost-balanced boundaries already encode the
         imbalance, so extra pool granularity only adds per-task
         kernel-launch overhead.
-    dag, costs:
-        Optional pre-built artefacts (skip the bundle lookups).
     """
     from repro.engine.protocol import gather_cost_table, solve_cost_table
     from repro.exec_model.artefacts import get_artefacts
@@ -261,11 +256,9 @@ def costaware_distribution(
         raise TaskModelError(f"tasks_per_gpu must be >= 1, got {tasks_per_gpu}")
     if design is None:
         design = Design.SHMEM_READONLY
-    art = get_artefacts(lower, dag=dag)
-    if dag is None:
-        dag = art.dag
-    if costs is None:
-        costs = art.comm_costs(machine, design)
+    art = get_artefacts(lower)
+    dag = art.dag
+    costs = art.comm_costs(machine, design)
 
     n = lower.shape[0]
     n_tasks = min(tasks_per_gpu * n_gpus, max(n, 1))
@@ -454,33 +447,3 @@ def remap_failed_components(
     for k in range(len(components)):
         targets[k] = order[k % len(order)]
     return targets
-
-
-def redistribute_after_failure(dist: Distribution, failed: int) -> Distribution:
-    """Rebuild a :class:`Distribution` with one GPU's tasks remapped.
-
-    The planning-level counterpart of :func:`remap_failed_components`:
-    the failed rank's whole tasks are dealt over the survivors in
-    ascending-load order, producing a valid placement on the *same*
-    ``n_gpus``-rank machine with rank ``failed`` left empty (callers
-    that shrink the machine can relabel ranks themselves).
-    """
-    if not 0 <= failed < dist.n_gpus:
-        raise TaskModelError(
-            f"failed rank {failed} out of range (n_gpus={dist.n_gpus})"
-        )
-    if dist.n_gpus < 2:
-        raise TaskModelError("cannot redistribute: no surviving GPU")
-    task_gpu = dist.task_gpu.copy()
-    sizes = dist.partition.sizes()
-    load = np.zeros(dist.n_gpus, dtype=np.int64)
-    for t in range(dist.n_tasks):
-        if task_gpu[t] != failed:
-            load[task_gpu[t]] += sizes[t]
-    survivors = [g for g in range(dist.n_gpus) if g != failed]
-    for t in range(dist.n_tasks):
-        if task_gpu[t] == failed:
-            g = min(survivors, key=lambda s: (load[s], s))
-            task_gpu[t] = g
-            load[g] += sizes[t]
-    return _build(dist.n, dist.n_gpus, dist.partition, task_gpu)

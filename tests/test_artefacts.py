@@ -4,9 +4,8 @@ import gc
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
 from repro.exec_model import Design, simulate_execution
-from repro.exec_model.artefacts import AnalysisArtefacts, get_artefacts
+from repro.exec_model.artefacts import get_artefacts
 from repro.machine.node import dgx1, dgx2
 from repro.runtime.session import SolverSession
 from repro.solvers.des_solver import DesSolver
@@ -72,17 +71,6 @@ def test_bundle_evicted_with_matrix():
     assert key not in mod._CACHE
 
 
-def test_foreign_dag_gets_transient_bundle():
-    low = random_lower(120, 3.0, seed=4)
-    art = get_artefacts(low)
-    other_dag = build_dag(low)  # same structure, different object
-    transient = get_artefacts(low, dag=other_dag)
-    assert transient is not art
-    assert transient.dag is other_dag
-    # The shared bundle is untouched.
-    assert get_artefacts(low) is art
-
-
 def test_session_and_des_share_bundle():
     low = dag_profile_matrix(200, 10, 2.5, "uniform", 0.5, 0.3, 0.2, seed=5)
     art = get_artefacts(low)
@@ -98,17 +86,6 @@ def test_session_and_des_share_bundle():
     np.testing.assert_allclose(res.x, 1.0)
     # Neither the session nor the DES front end re-derived the DAG.
     assert art.build_counts["dag"] == 1
-
-
-def test_manual_bundle_passthrough():
-    low = random_lower(150, 3.0, seed=6)
-    art = AnalysisArtefacts(low)
-    dist = block_distribution(150, 2)
-    machine = dgx1(n_gpus=2)
-    rep = simulate_execution(low, dist, machine, artefacts=art)
-    ref = simulate_execution(low, dist, machine)
-    assert rep.solve_time == ref.solve_time
-    np.testing.assert_array_equal(rep.gpu_finish, ref.gpu_finish)
 
 
 # ---------------------------------------------------------------------------

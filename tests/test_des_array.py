@@ -156,17 +156,21 @@ class TestFailureModes:
                 bad, np.ones(2), dist, dgx1(1), engine="array"
             )
 
-    def test_unsatisfiable_dependency_deadlocks(self):
+    def test_unsatisfiable_dependency_deadlocks(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.exec_model.artefacts import get_artefacts
+
         _, gen = GENERATORS[0]
         lower = gen(6)
-        dag = build_dag(lower)
-        dag.in_degree[lower.shape[0] - 1] += 1  # phantom predecessor
+        art = get_artefacts(lower)
+        in_degree = art.dag.in_degree.copy()
+        in_degree[-1] += 1  # phantom predecessor
+        monkeypatch.setattr(art, "dag", replace(art.dag, in_degree=in_degree))
         dist = block_distribution(lower.shape[0], 2)
         b = np.ones(lower.shape[0])
         with pytest.raises(SimulationError, match="deadlock"):
-            des_execute(
-                lower, b, dist, dgx1(2), dag=dag, engine="array"
-            )
+            des_execute(lower, b, dist, dgx1(2), engine="array")
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +366,6 @@ class TestFaultedErrorParity:
 # ---------------------------------------------------------------------------
 
 import repro.solvers.des_array as des_array_mod  # noqa: E402
-from repro.exec_model.artefacts import get_artefacts  # noqa: E402
 from repro.runtime import SolverSession  # noqa: E402
 from repro.solvers.des_array import compile_program  # noqa: E402
 
@@ -443,11 +446,7 @@ class TestCompiledProgramReuse:
         lower, other = gen(3), gen(4)
         machine = dgx1(2)
         dist = block_distribution(lower.shape[0], 2)
-        costs = get_artefacts(lower).comm_costs(machine, Design.SHMEM_READONLY)
-        program = compile_program(
-            lower, dist, machine, Design.SHMEM_READONLY,
-            build_dag(lower), costs,
-        )
+        program = compile_program(lower, dist, machine, Design.SHMEM_READONLY)
         with pytest.raises(SolverError, match="different system"):
             des_execute(
                 other, np.ones(other.shape[0]),
@@ -465,11 +464,7 @@ class TestCompiledProgramReuse:
     def test_remap_leaves_the_program_intact(self, gname, gen, design):
         """A fail-stop remap drains on copies: the next solve is clean."""
         lower, b, dist, machine, _, T = _remap_fixture(gen, design)
-        art = get_artefacts(lower)
-        program = compile_program(
-            lower, dist, machine, design, art.dag,
-            art.comm_costs(machine, design),
-        )
+        program = compile_program(lower, dist, machine, design)
         plan = FaultPlan.single(FaultKind.GPU_FAIL, gpu=2, t_start=0.3 * T)
 
         def run(engine, faulted, program=None):

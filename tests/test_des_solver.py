@@ -183,32 +183,28 @@ class TestLinkContention:
 
 
 class TestFailureInjection:
-    def test_lost_notification_detected_as_deadlock(self, small_lower):
+    def test_lost_notification_detected_as_deadlock(
+        self, small_lower, monkeypatch
+    ):
         """If a producer's update never arrives, the waiting component can
         never wake: the DES core must report a deadlock rather than hang
         or return wrong numerics."""
-        import repro.solvers.des_solver as mod
+        from dataclasses import replace
+
         from repro.errors import SimulationError, SolverError
+        from repro.exec_model.artefacts import get_artefacts
 
         b, _ = random_rhs_for_solution(small_lower, seed=41)
         dist = block_distribution(small_lower.shape[0], 4)
 
-        original = mod.des_execute
-
-        # Monkeypatch one notification away by wrapping the DAG's edge
-        # count: easiest reliable injection is an in-degree one too high.
-        from repro.analysis.dag import build_dag
-
-        dag = build_dag(small_lower)
-        corrupted = type(dag)(
-            n=dag.n,
-            out_ptr=dag.out_ptr,
-            out_idx=dag.out_idx,
-            in_ptr=dag.in_ptr,
-            in_idx=dag.in_idx,
-            in_degree=dag.in_degree + np.eye(1, dag.n, k=dag.n - 1, dtype=np.int64)[0],
-        )
+        # Lose one notification: the easiest reliable injection is an
+        # in-degree one too high in the DAG the matrix's bundle serves.
+        art = get_artefacts(small_lower)
+        dag = art.dag
+        in_degree = dag.in_degree.copy()
+        in_degree[-1] += 1
+        monkeypatch.setattr(art, "dag", replace(dag, in_degree=in_degree))
         with pytest.raises((SimulationError, SolverError)):
-            original(
-                small_lower, b, dist, dgx1(4), dag=corrupted
+            des_execute(
+                small_lower, b, dist, dgx1(4), engine="reference"
             )

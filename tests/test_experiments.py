@@ -21,6 +21,7 @@ from repro.bench.experiments import (
 )
 from repro.bench.harness import context, geomean, run_cusparse, run_design
 from repro.bench.report import format_series_table, format_table, format_table1
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
 
@@ -34,7 +35,8 @@ class TestHarness:
     def test_context_contents(self):
         ctx = context("powersim")
         assert ctx.lower.shape[0] == 15_838
-        assert ctx.levels.n_levels == ctx.profile.n_levels == 24
+        levels = get_artefacts(ctx.lower).levels
+        assert levels.n_levels == ctx.profile.n_levels == 24
 
     def test_geomean(self):
         assert geomean([1.0, 4.0]) == pytest.approx(2.0)

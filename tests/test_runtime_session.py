@@ -162,7 +162,7 @@ def test_zerocopy_alias_maps_to_readonly_design():
     [
         ({"engine": "simd"}, "valid choices"),
         ({"design": "warp"}, "valid choices"),
-        ({"scheduler": "greedy"}, "valid choices"),
+        ({"topology": "torus"}, "valid choices"),
         ({"distribution": "striped"}, "valid choices"),
         ({"n_gpus": 0}, "n_gpus"),
         ({"tasks_per_gpu": 0}, "tasks_per_gpu"),
@@ -225,6 +225,8 @@ def test_removed_vector_engine_lists_remaining_choices(surface, system):
         ({"plan": {"specs": [{"kind": "meteor"}]}}, "unknown fault kind"),
         ({"watchdog": {"deadline": 2.0}}, "unknown watchdog key"),
         ({"epoch_lookahead": 1.0}, "unknown RunConfig key"),
+        # The fast model always picks its own pass now.
+        ({"scheduler": "auto"}, "unknown RunConfig key"),
     ],
 )
 def test_from_mapping_rejects_unknown_keys(mapping, needle):

@@ -635,6 +635,33 @@ class TestMatrixCacheBound:
         assert errors == []
         assert peak[0] <= MATRIX_CACHE_ENTRIES
 
+    def test_estimate_cache_is_a_bounded_lru(self, monkeypatch):
+        # One-off (matrix, config) keys, like ladder requests with their
+        # per-request plan seeds, age out; a hot key is priced once.
+        from repro.serve.service import ESTIMATE_CACHE_ENTRIES
+
+        priced: list[str] = []
+        simulate = SolverSession.simulate
+
+        def counting_simulate(session, lower):
+            priced.append(session.config.fingerprint())
+            return simulate(session, lower)
+
+        monkeypatch.setattr(SolverSession, "simulate", counting_simulate)
+        lower = forest_lower(48, seed=3)
+        fp = matrix_fingerprint(lower)
+        hot = RunConfig()
+        svc = SolveService()
+        first = svc._estimate(lower, fp, hot)
+        for k in range(200):
+            svc._estimate(lower, fp, deadlock_config(plan=FaultPlan.single(
+                FaultKind.MSG_DROP, seed=1000 + k, rate=1.0
+            )))
+            assert svc._estimate(lower, fp, hot) == first
+        assert len(svc._estimates) == ESTIMATE_CACHE_ENTRIES
+        assert priced.count(hot.fingerprint()) == 1
+        assert len(priced) == 201
+
 
 class TestServiceEndpoint:
     def test_tcp_round_trip_and_typed_wire_errors(self):

@@ -24,7 +24,6 @@ import pytest
 
 import repro.resilience.recovery as recovery_mod
 from repro.engine.protocol import coerce_design, resolve_stale_policy
-from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.timeline import simulate_execution
 from repro.machine.multinode import cluster
 from repro.machine.node import dgx1
@@ -53,8 +52,6 @@ def _standalone_des_solve(
 ):
     """The pre-session ``DesSolver.solve`` body (test-only oracle)."""
     design = coerce_design(design)
-    art = get_artefacts(lower)
-    costs = art.comm_costs(machine, design)
     dist = build_distribution(
         distribution,
         lower.shape[0],
@@ -71,14 +68,10 @@ def _standalone_des_solve(
         dist,
         machine,
         design,
-        dag=art.dag,
-        costs=costs,
         engine=engine,
         stale=resolve_stale_policy(design, stale),
     )
-    report = simulate_execution(
-        lower, dist, machine, design, artefacts=art, costs=costs
-    )
+    report = simulate_execution(lower, dist, machine, design)
     return ex.x, report
 
 

@@ -76,24 +76,21 @@ def profile_run(
     lower = dag_profile_matrix(**knobs)
     n = lower.shape[0]
     engine = resolve_engine(engine, n)
-    art = get_artefacts(lower)
+    get_artefacts(lower)  # the structure analysis, outside every timed phase
     machine = cfg.resolve_machine()
     dist = cfg.build_distribution(n, machine.n_gpus, lower=lower)
-    costs = art.comm_costs(machine, cfg.design)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
 
     def compile_():
         if engine != "array":
             return None
-        return compile_program(
-            lower, dist, machine, cfg.design, art.dag, costs
-        )
+        return compile_program(lower, dist, machine, cfg.design)
 
     def drain(program):
         return des_execute(
             lower, b, dist, machine, cfg.design,
-            dag=art.dag, costs=costs, engine=engine,
+            engine=engine,
             trace_enabled=trace, stale=cfg.build_stale_policy(),
             program=program,
         )
