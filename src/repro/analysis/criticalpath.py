@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.dag import DependencyDag, build_dag
-from repro.analysis.levels import compute_levels
+from repro.analysis.levels import LevelSets, compute_levels
 from repro.sparse.csc import CscMatrix
 
 __all__ = ["CriticalPath", "critical_path"]
@@ -55,6 +55,7 @@ class CriticalPath:
 def critical_path(
     lower: CscMatrix | DependencyDag,
     cost: np.ndarray | None = None,
+    levels: LevelSets | None = None,
 ) -> CriticalPath:
     """Compute earliest finish times and one critical path.
 
@@ -66,6 +67,9 @@ def critical_path(
         Per-component solve cost.  Defaults to ``1 + in_degree[i]``, a
         proxy for the work of accumulating ``in_degree`` products plus one
         division (the paper's solve-update phase).
+    levels:
+        The level sets of the same DAG, when the caller already holds
+        them (computed here otherwise).
     """
     dag = lower if isinstance(lower, DependencyDag) else build_dag(lower)
     n = dag.n
@@ -76,7 +80,8 @@ def critical_path(
         if cost.shape != (n,):
             raise ValueError(f"cost must have shape ({n},), got {cost.shape}")
 
-    levels = compute_levels(dag)
+    if levels is None:
+        levels = compute_levels(dag)
     finish = np.zeros(n)
     crit_pred = np.full(n, -1, dtype=np.int64)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.dag import build_dag
+from repro.analysis.dag import DependencyDag, build_dag
 from repro.analysis.levels import LevelSets, compute_levels
 from repro.sparse.csc import CscMatrix
 
@@ -61,13 +61,16 @@ def profile_matrix(
     lower: CscMatrix,
     name: str = "",
     levels: LevelSets | None = None,
+    dag: DependencyDag | None = None,
 ) -> MatrixProfile:
     """Compute the :class:`MatrixProfile` of a lower-triangular matrix.
 
-    Pass a precomputed ``levels`` to avoid re-running the level analysis
+    Pass the precomputed ``dag`` and ``levels`` of ``lower`` (for
+    instance its artefact bundle's) to avoid re-running the analysis
     when the caller already has it.
     """
-    dag = build_dag(lower)
+    if dag is None:
+        dag = build_dag(lower)
     if levels is None:
         levels = compute_levels(dag)
     n = lower.shape[0]

@@ -12,13 +12,24 @@ pays each case's structure analysis once and ships it to the worker via
 :func:`~repro.exec_model.artefacts.spill_artefacts`, so no worker ever
 re-derives a DAG (``analysis_shared`` in the payload asserts this).
 
+The array engine is timed the way a warm session uses it: each case
+compiles its :class:`~repro.solvers.des_array.ArrayProgram` once
+(``compile_first_s``, with the resident-set growth it costs as
+``program_rss_mb``), then times warm recompiles (``compile_s``) and
+drains of that one program (``drain_s``, ``drain_events_per_sec``)
+separately.  ``t_array`` is their sum, the combined compile+drain
+figure the speedup and ``events_per_sec_array`` are computed from.
+
 Noise handling follows :mod:`repro.bench.fastmodel`: every engine's
 timing takes one untimed warmup iteration and then the best of
 ``repeats`` timed runs, and a case whose reference timings still show a
 high coefficient of variation reports its numbers but is exempt from
 the speedup floors — bit-identity, which is deterministic, is always
 enforced.  The ``scale-50k`` case additionally records the PR
-acceptance measurement (>= 5x on the n=50k level-major workload).
+acceptance measurement (>= 5x on the n=50k level-major workload), and
+when both ``scale-50k`` and ``scale-1M`` run, the ``scaling_flatness``
+gate holds the 1M drain rate to at least :data:`FLATNESS_FLOOR` of the
+50k one.
 
 Large cases (``n >= SKIP_REFERENCE_N``) skip the reference engine
 entirely: replaying tens of millions of events through generators (and
@@ -46,6 +57,7 @@ import numpy as np
 from repro.exec_model.artefacts import load_artefacts, spill_artefacts
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
+from repro.solvers.des_array import compile_program
 from repro.solvers.des_solver import des_execute
 from repro.tasks.schedule import block_distribution
 from repro.workloads.generators import dag_profile_matrix
@@ -63,6 +75,7 @@ __all__ = [
     "ACCEPTANCE_FLOOR",
     "ACCEPTANCE_CASE",
     "SKIP_REFERENCE_N",
+    "FLATNESS_FLOOR",
     "COUNTER_KINDS",
     "measure_des_case",
     "measure_scaleout_case",
@@ -98,11 +111,13 @@ DES_CASES: dict[str, dict[str, Any]] = {
     ),
 }
 
-#: Cases at or above this size are timed with a single repeat (plus the
-#: untimed warmup/verification run): one scale-1M playout is tens of
-#: seconds, and the counter verification — not timer variance — is what
-#: the row exists for.
+#: Cases at or above this size are timed with at most
+#: :data:`LARGE_CASE_REPEATS` repeats: one scale-1M playout is tens of
+#: seconds.  Their untimed verification run already drains the program
+#: trace-off, so it doubles as the drain warmup, and the drain still
+#: takes the best of two runs for the ``scaling_flatness`` gate.
 LARGE_CASE_N = 500_000
+LARGE_CASE_REPEATS = 2
 
 #: Subset run by ``tools/sweep.py --quick`` (the CI perf-smoke job):
 #: everything but the expensive acceptance/scale cases.
@@ -131,6 +146,13 @@ ACCEPTANCE_CASE = "scale-50k"
 #: playout and record-level tracing are impractical) and the array
 #: engine's counters are checked run against run instead.
 SKIP_REFERENCE_N = 100_000
+
+#: The ``scaling_flatness`` gate: the large case's drain rate must be
+#: at least this share of the small case's.  The drain's per-event work
+#: does not depend on the system size, so a steeper fall is a
+#: regression in the drain itself.
+FLATNESS_FLOOR = 0.8
+FLATNESS_CASES = ("scale-50k", "scale-1M")
 
 #: Trace kinds compared when record streams are unavailable.
 COUNTER_KINDS = ("dispatch", "solve", "release", "xfer_begin", "xfer_end")
@@ -242,6 +264,16 @@ def _counters_identical(ea, eb) -> bool:
     )
 
 
+def _rss_mb() -> float | None:
+    """Resident set size of this process in MiB (``None`` off Linux)."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as f:
+            pages = int(f.read().split()[1])
+    except (OSError, IndexError, ValueError):
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
 def measure_des_case(
     name: str,
     spill_path: str,
@@ -258,12 +290,15 @@ def measure_des_case(
     parent's spill, never rebuilt — ``analysis_shared`` reports whether
     that held (the loaded bundle's DAG build count must stay 0).
 
-    The bit-equality check runs once with traces enabled (record
-    streams); the timed runs take one untimed warmup and then
-    ``repeats`` trace-disabled repeats, keeping the best.  Cases at or
-    above :data:`SKIP_REFERENCE_N` skip the reference engine and check
-    the array engine's verification run against its last timed run at
-    the counter level instead.
+    The array engine compiles its program once (timed as
+    ``compile_first_s``) and every array run drains that program.  The
+    bit-equality check runs once with traces enabled (record streams);
+    the timed runs take one untimed warmup and then ``repeats``
+    trace-disabled repeats, keeping the best: reference solves, warm
+    recompiles and drains are each timed on their own.  Cases at or
+    above :data:`SKIP_REFERENCE_N` skip the reference engine, use their
+    trace-disabled verification drain as the drain warmup, and check
+    that run against the last timed run at the counter level instead.
     """
     lower, art = load_artefacts(spill_path)
     n = lower.shape[0]
@@ -272,28 +307,40 @@ def measure_des_case(
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
 
-    def run(engine: str, trace: bool):
+    def run(engine: str, trace: bool, program=None):
         return des_execute(
             lower, b, dist, machine, design,
-            engine=engine, trace_enabled=trace,
+            engine=engine, trace_enabled=trace, program=program,
         )
+
+    def compile_():
+        return compile_program(lower, dist, machine, design)
+
+    rss0 = _rss_mb()
+    t0 = time.perf_counter()
+    program = compile_()
+    compile_first = time.perf_counter() - t0
+    rss1 = _rss_mb()
 
     skip_reference = n >= SKIP_REFERENCE_N
     if skip_reference:
-        base = run("array", False)
+        base = run("array", False, program)
         verified = "repeat"
     else:
         base = run("reference", True)
-        identical = _executions_identical(base, run("array", True))
+        identical = _executions_identical(
+            base, run("array", True, program)
+        )
         verified = "trace"
     events = int(base.events)
 
-    def timed(engine: str) -> tuple[list[float], Any]:
-        run(engine, False)  # warmup: first call pays allocator/cache setup
+    def timed(step, warmup: bool = True) -> tuple[list[float], Any]:
+        if warmup:
+            step()  # first call pays allocator/cache setup
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            last = run(engine, False)
+            last = step()
             times.append(time.perf_counter() - t0)
         return times, last
 
@@ -302,14 +349,27 @@ def measure_des_case(
             return 0.0
         return statistics.stdev(times) / statistics.mean(times)
 
-    ref_times = None if skip_reference else timed("reference")[0]
-    arr_times, last = timed("array")
+    ref_times = (
+        None if skip_reference else timed(lambda: run("reference", False))[0]
+    )
+    compile_times = []
+    for _ in range(repeats):
+        program = None  # one program alive at a time
+        t0 = time.perf_counter()
+        program = compile_()
+        compile_times.append(time.perf_counter() - t0)
+    # Without a reference run the verification drain was the warmup.
+    drain_times, last = timed(
+        lambda: run("array", False, program), warmup=not skip_reference
+    )
     if skip_reference:
         identical = _counters_identical(base, last)
     t_ref = min(ref_times) if ref_times else None
-    t_arr = min(arr_times)
+    compile_s = min(compile_times)
+    drain_s = min(drain_times)
+    t_arr = compile_s + drain_s
     cv_ref = cv(ref_times) if ref_times else 0.0
-    cv_arr = cv(arr_times)
+    cv_arr = cv(drain_times)
     noisy = max(cv_ref, cv_arr) > NOISE_CV
     return {
         "name": name,
@@ -318,10 +378,17 @@ def measure_des_case(
         "events": events,
         "t_reference": t_ref,
         "t_array": t_arr,
+        "compile_first_s": compile_first,
+        "compile_s": compile_s,
+        "drain_s": drain_s,
+        "program_rss_mb": (
+            rss1 - rss0 if rss0 is not None and rss1 is not None else None
+        ),
         "speedup": (
             t_ref / t_arr if t_ref is not None and t_arr > 0 else None
         ),
         "events_per_sec_array": events / t_arr if t_arr > 0 else 0.0,
+        "drain_events_per_sec": events / drain_s if drain_s > 0 else 0.0,
         "identical": identical,
         "verified": verified,
         "cv_reference": cv_ref,
@@ -443,6 +510,26 @@ def measure_scaleout_case(
     }
 
 
+def _scaling_flatness(results: list[dict[str, Any]]) -> dict | None:
+    """The ``scaling_flatness`` gate over measured case rows: the large
+    case's drain rate as a share of the small case's, or ``None`` when
+    either of :data:`FLATNESS_CASES` did not run."""
+    by_name = {c["name"]: c for c in results}
+    small, large = FLATNESS_CASES
+    if small not in by_name or large not in by_name:
+        return None
+    small_rate = by_name[small]["drain_events_per_sec"]
+    large_rate = by_name[large]["drain_events_per_sec"]
+    ratio = large_rate / small_rate if small_rate > 0 else 0.0
+    return {
+        "small": small,
+        "large": large,
+        "floor": FLATNESS_FLOOR,
+        "ratio": ratio,
+        "met": ratio >= FLATNESS_FLOOR,
+    }
+
+
 def run_des_sweep(
     *,
     quick: bool = False,
@@ -455,10 +542,13 @@ def run_des_sweep(
 ) -> dict[str, Any]:
     """Run the engine sweep; returns the ``BENCH_des.json`` payload.
 
-    ``pass`` is False only when a deterministic property fails: an
-    engine mismatch anywhere, a worker that re-derived its analysis, or
-    a *clean* (non-noisy) case below its floor — ``SPEEDUP_FLOOR`` for
-    medium-and-up cases, ``ACCEPTANCE_FLOOR`` for the acceptance case.
+    ``pass`` is False when an engine mismatches anywhere, a worker
+    re-derived its analysis, a *clean* (non-noisy) case falls below its
+    floor — ``SPEEDUP_FLOOR`` for medium-and-up cases,
+    ``ACCEPTANCE_FLOOR`` for the acceptance case — or, when both of
+    :data:`FLATNESS_CASES` ran, the large case's drain rate falls below
+    :data:`FLATNESS_FLOOR` of the small one's (``scaling_flatness``;
+    ``None`` when either row is absent, as in ``--quick``).
     ``cases`` overrides the case table (tests use tiny workloads);
     ``n_gpus`` / ``design`` select the simulated node shape and communication design
     every case is measured on (the ``tools/sweep.py --config``
@@ -523,7 +613,7 @@ def run_des_sweep(
                     repeats=(
                         repeats
                         if table[cname].get("n", 0) < LARGE_CASE_N
-                        else 1
+                        else min(repeats, LARGE_CASE_REPEATS)
                     ),
                 )
                 for cname in names
@@ -574,6 +664,7 @@ def run_des_sweep(
                 and c["speedup"] >= ACCEPTANCE_FLOOR
             ),
         }
+    scaling_flatness = _scaling_flatness(results)
     throughput_target = None
     tt = [c for c in results if c["name"] == THROUGHPUT_TARGET_CASE]
     if tt and tt[0]["events_per_sec_array"]:
@@ -605,10 +696,12 @@ def run_des_sweep(
         "floor_misses": floor_misses,
         "acceptance": acceptance,
         "throughput_target": throughput_target,
+        "scaling_flatness": scaling_flatness,
         "pass": (
             all_identical
             and scaleout_identical
             and analysis_shared
             and not floor_misses
+            and (scaling_flatness is None or scaling_flatness["met"])
         ),
     }

@@ -37,6 +37,8 @@ __all__ = [
     "NOISE_CV",
     "SPEEDUP_FLOOR",
     "FLOOR_N",
+    "BATCHED_100K_S",
+    "BATCHED_100K_SLACK",
     "measure_case",
     "run_sweep",
 ]
@@ -66,6 +68,17 @@ NOISE_CV = 0.2
 #: scaling cases of at least :data:`FLOOR_N` components.
 SPEEDUP_FLOOR = 3.0
 FLOOR_N = 50_000
+
+#: Committed per-call time of the batched pass on ``scale-100k``, in
+#: seconds: the slower of the two sweeps recorded in EXPERIMENTS.md
+#: ("Fast model on lists"; 41.0 and 51.7 ms, shared 2-core x86 host).
+BATCHED_100K_S = 0.0517
+#: The scale-100k gate holds the batched pass to this multiple of its
+#: committed time.  It replaces a batched-over-reference ratio that
+#: fell whenever the reference loop got faster; 2x keeps the headroom
+#: the ratio gate left against the old loop (565.5 ms / 5 = 113 ms,
+#: 2.2x the committed time).
+BATCHED_100K_SLACK = 2.0
 
 
 def _reports_identical(a, b) -> bool:

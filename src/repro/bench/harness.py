@@ -51,7 +51,8 @@ class MatrixContext:
 def context(name: str) -> MatrixContext:
     """Build (memoised) the context of a suite matrix."""
     lower = suite_mod.load(name)
-    prof = profile_matrix(lower, name, get_artefacts(lower).levels)
+    art = get_artefacts(lower)
+    prof = profile_matrix(lower, name, art.levels, dag=art.dag)
     return MatrixContext(name=name, lower=lower, profile=prof)
 
 

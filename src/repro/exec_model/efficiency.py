@@ -80,12 +80,13 @@ def analyse_efficiency(
     timeline charges (``t_per_nnz * (col_nnz + in_degree)``), so the
     comparison isolates *scheduling and communication* losses.
     """
-    dag = get_artefacts(lower).dag
+    art = get_artefacts(lower)
+    dag = art.dag
     gpu = machine.gpu
     col_nnz = lower.col_nnz().astype(np.float64)
     in_deg = np.diff(dag.in_ptr).astype(np.float64)
     cost = gpu.t_per_nnz * (np.maximum(col_nnz, 1.0) + in_deg)
-    cp = critical_path(dag, cost=cost)
+    cp = critical_path(dag, cost=cost, levels=art.levels)
     total_slots = machine.n_gpus * gpu.warp_slots
     return EfficiencyReport(
         chain_bound=cp.length,

@@ -17,6 +17,8 @@ backward solve are exactly as faithful as forward ones.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.errors import NotTriangularError
@@ -58,13 +60,28 @@ class BackwardSolver(TriangularSolver):
     def __init__(self, forward: TriangularSolver):
         self.forward = forward
         self.name = f"backward<{forward.name}>"
+        self._mirror: tuple[weakref.ref, CscMatrix] | None = None
+
+    def _lower_of(self, upper: CscMatrix) -> CscMatrix:
+        """The anti-transpose of ``upper``, kept for the last matrix solved.
+
+        Keyed weakly by identity, like the artefact cache: a repeated
+        solve of the same ``upper`` hands the forward solver the same
+        lower matrix, so its analysis and compiled program stay cache
+        hits instead of being re-derived from a fresh copy.
+        """
+        if self._mirror is not None and self._mirror[0]() is upper:
+            return self._mirror[1]
+        lower = anti_transpose(upper)
+        self._mirror = (weakref.ref(upper), lower)
+        return lower
 
     def solve(self, upper: CscMatrix, b: np.ndarray) -> SolveResult:
         if not is_upper_triangular(upper):
             raise NotTriangularError(
                 "BackwardSolver expects an upper-triangular matrix"
             )
-        lower = anti_transpose(upper)
+        lower = self._lower_of(upper)
         b = np.asarray(b, dtype=np.float64)
         res = self.forward.solve(lower, b[::-1].copy())
         return SolveResult(

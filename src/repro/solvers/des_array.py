@@ -61,7 +61,10 @@ counts.  Two invariants carry the proof:
    binary64 semantics), so times collide exactly where the reference
    ties and differ exactly where it doesn't.  Compiling a fan-out's
    delays ahead of the solve keeps the chain: the same sequential
-   ``uc += inc; delay = uc + notify`` adds, only run earlier.
+   ``uc += inc; delay = uc + notify`` adds per column, only run
+   earlier (and for many columns at once).  Sharing one boxed object
+   between equal table entries changes no value: entries share an
+   object only when their float64 bit patterns are equal.
 
 ``tests/test_des_array.py`` enforces the contract over every workload
 generator; the causality checker replays the traces against machine
@@ -161,6 +164,12 @@ class ArrayProgram:
     slots carry unused values.  ``e_delay``/``rel`` (each edge's
     fan-out delay, each component's release offset) are ``None`` under
     a page-table design, whose update costs depend on the run.
+
+    Entries of equal value share one boxed Python object: the float
+    tables hold one object per distinct value, and ``idx_l``/``col_l``
+    hold the int objects of one ``range(n)`` pool.  The per-edge update
+    increments and notify delays the fan-out is built from are not
+    kept; a remap derives them for the edges it rewrites.
     """
 
     lower: CscMatrix
@@ -183,13 +192,10 @@ class ArrayProgram:
     col_l: list
     srcg_l: list
     dstg_l: list
-    inc_l: list | None
-    dl_l: list | None
     e_delay: list | None
     spawn_code_l: list
     elink_l: list
     ewire_l: list
-    col_of: np.ndarray
     notify_l: list
     # Pooled resources: warp-slot rows first (rid == PE rank), then one
     # link row per directed PE pair that carries at least one edge.
@@ -211,22 +217,98 @@ class ArrayProgram:
         )
 
 
-def _fanout_delays(cols, indptr_l, inc_l, dl_l, e_delay, rel) -> None:
+#: Once fewer columns than this are still long enough, the fan-out pass
+#: finishes them one edge at a time: a numpy step per position would
+#: cost more than the scalar chain it advances.
+_FANOUT_SCALAR_TAIL = 32
+
+
+def _fanout_delays(
+    indptr: np.ndarray, cols: np.ndarray, inc: np.ndarray, dl: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate the update fan-out of each column in ``cols``.
 
     A producer pays its dependants' update costs one after another, so
-    edge ``e`` is delivered ``uc + notify`` after the solve, where ``uc``
-    sums the increments up to and including ``e`` (in edge order), and
-    the component releases its warp slot once the whole chain is paid.
-    Writes ``e_delay`` per edge and ``rel`` per column with the exact
-    binary64 chain the reference engine's producer runs at solve time.
+    edge ``e`` is delivered ``uc + dl[e]`` after the solve, where ``uc``
+    sums ``inc`` up to and including ``e`` (in edge order), and the
+    component releases its warp slot once the whole chain is paid.
+    Returns ``(delay, rel)``: each edge's delay (an ``nnz`` array, zero
+    outside ``cols``' off-diagonal edges) and each listed column's
+    release offset, aligned with ``cols``.
+
+    The pass runs by position within a column.  With the columns sorted
+    longest first, the columns still long enough at position ``p`` are
+    a prefix, and one numpy add advances all their chains.  Each column
+    keeps its own sequential binary64 chain ``uc += inc; delay = uc +
+    dl``, the one the reference engine's producer runs at solve time,
+    so the result is bit-identical to a scalar loop by construction.
     """
-    for i in cols:
-        uc = 0.0
-        for e in range(indptr_l[i] + 1, indptr_l[i + 1]):
-            uc += inc_l[e]
-            e_delay[e] = uc + dl_l[e]
-        rel[i] = uc
+    first = indptr[cols] + 1
+    lens = indptr[cols + 1] - first
+    order = np.argsort(-lens, kind="stable")
+    first = first[order]
+    lens = lens[order]
+    uc = np.zeros(len(cols))
+    delay = np.zeros(len(inc))
+    # Columns still long enough at each position: a prefix of ``order``.
+    max_len = int(lens[0]) if len(lens) else 0
+    active = np.searchsorted(-lens, -np.arange(max_len), side="left")
+    p = m = 0
+    for p, m in enumerate(active.tolist()):
+        if m < _FANOUT_SCALAR_TAIL:
+            break
+        e = first[:m] + p
+        chain = uc[:m]
+        chain += inc[e]
+        delay[e] = chain + dl[e]
+    else:
+        m = 0
+    # The few longest columns finish their chains one edge at a time.
+    for j in range(m):
+        lo, hi = int(first[j]) + p, int(first[j] + lens[j])
+        u = float(uc[j])
+        tail = []
+        for a, d in zip(inc[lo:hi].tolist(), dl[lo:hi].tolist()):
+            u += a
+            tail.append(u + d)
+        delay[lo:hi] = tail
+        uc[j] = u
+    rel = np.empty(len(cols))
+    rel[order] = uc
+    return delay, rel
+
+
+#: Multiplier of the Fibonacci hash that groups float64 bit patterns.
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _interned(values: np.ndarray) -> list:
+    """``values.tolist()`` with one boxed float per distinct value.
+
+    Program tables hold few distinct floats over many entries (a fan-out
+    delay repeats across most edges), and ``tolist()`` boxes every entry
+    afresh.  Entries are grouped by a hash of their float64 bit pattern
+    and each group shares the object of one of its entries; an entry
+    whose bits differ from that entry's (a hash collision) keeps its
+    own.  The
+    list is therefore bit-identical to ``values.tolist()``, ``-0.0`` and
+    ``0.0`` included, without a sort.
+    """
+    if not len(values):
+        return []
+    bits = values.view(np.uint64)
+    k = min(max(len(values).bit_length(), 4), 16)
+    slot = ((bits * _HASH_MUL) >> np.uint64(64 - k)).astype(np.intp)
+    owner = np.full(1 << k, -1, dtype=np.intp)
+    owner[slot] = np.arange(len(values))
+    used = np.flatnonzero(owner >= 0)
+    pool = np.empty(1 << k, dtype=object)
+    pool[used] = values[owner[used]].astype(object)
+    out = pool[slot]
+    miss = np.flatnonzero(bits[owner[slot]] != bits)
+    if len(miss):
+        out[miss] = values[miss].astype(object)
+    return out.tolist()
 
 
 def compile_program(
@@ -280,13 +362,11 @@ def compile_program(
     local_e = src_g_e == dst_g_e
     if not unified:
         inc_e, dl_e = edge_cost_tables(costs, src_g_e, dst_g_e, local_e)
-        inc_l = inc_e.tolist()
-        dl_l = dl_e.tolist()
-        e_delay = [0.0] * nnz
-        rel = [0.0] * n
-        _fanout_delays(range(n), indptr_l, inc_l, dl_l, e_delay, rel)
+        delay_e, rel_c = _fanout_delays(indptr, np.arange(n), inc_e, dl_e)
+        e_delay = _interned(delay_e)
+        rel = _interned(rel_c)
     else:
-        inc_l = dl_l = e_delay = rel = None
+        e_delay = rel = None
 
     # One notifier per matrix entry.  Its spawn token encodes the edge's
     # class — local hop or cross-GPU transfer — so a component's whole
@@ -304,7 +384,17 @@ def compile_program(
         pair_rid[p] = len(bank_rows)
         bank_rows.append((f"link{src_pe}->{dst_pe}", capacity))
         pair_wire[p] = wire_time(topo, ga, gb)
-    pair_e = src_g_e * n_gpus + dst_g_e
+    # Equal values share one boxed object: the link and wire lists index
+    # pools keyed by PE pair (a last slot for local edges: no link, no
+    # wire), the gather list a pool keyed by in-count, and both index
+    # lists one ``range(n)`` int pool.
+    pair_key = np.where(
+        local_e, n_gpus * n_gpus, src_g_e * n_gpus + dst_g_e
+    )
+    gather_pool = gather_cost_table(
+        costs.gather, np.arange(int(in_counts.max(initial=0)) + 1)
+    ).astype(object)
+    ints = np.arange(n).astype(object)
 
     # The initial dispatch front, bucketed by launch time.
     launch = launch_times(dist.n_tasks, gpu_spec.t_kernel_launch)
@@ -328,22 +418,19 @@ def compile_program(
         g_l=gpu_of.tolist(),
         in_degree_l=dag.in_degree.tolist(),
         in_counts_l=in_counts.tolist(),
-        gather_l=gather_cost_table(costs.gather, in_counts).tolist(),
-        solve_l=solve_cost_table(
-            gpu_spec.t_per_nnz, col_nnz, in_counts
-        ).tolist(),
+        gather_l=gather_pool[in_counts].tolist(),
+        solve_l=_interned(
+            solve_cost_table(gpu_spec.t_per_nnz, col_nnz, in_counts)
+        ),
         rel=rel,
-        idx_l=lower.indices.tolist(),
-        col_l=col_of.tolist(),
+        idx_l=ints[lower.indices].tolist(),
+        col_l=ints[col_of].tolist(),
         srcg_l=src_g_e.tolist(),
         dstg_l=dst_g_e.tolist(),
-        inc_l=inc_l,
-        dl_l=dl_l,
         e_delay=e_delay,
         spawn_code_l=layout.spawn_codes(local_e).tolist(),
-        elink_l=np.where(local_e, -1, pair_rid[pair_e]).tolist(),
-        ewire_l=np.where(local_e, 0.0, pair_wire[pair_e]).tolist(),
-        col_of=col_of,
+        elink_l=np.append(pair_rid, -1).astype(object)[pair_key].tolist(),
+        ewire_l=np.append(pair_wire, 0.0).astype(object)[pair_key].tolist(),
         notify_l=costs.notify.tolist(),
         bank_rows=tuple(bank_rows),
         pair_rid=pair_rid,
@@ -413,15 +500,12 @@ def execute_array(
     rel = program.rel
     srcg_l = program.srcg_l
     dstg_l = program.dstg_l
-    inc_l = program.inc_l
-    dl_l = program.dl_l
     spawn_code_l = program.spawn_code_l
     elink_l = program.elink_l
     ewire_l = program.ewire_l
     notify_l = program.notify_l
     pair_rid = program.pair_rid
     pair_wire = program.pair_wire
-    col_of = program.col_of
     update_local = costs.update_local
     # The protocol's TokenLayout fixes the token ranges; its bases are
     # hoisted into locals for the hot loop (the literal shift/mask
@@ -467,8 +551,6 @@ def execute_array(
             pair_rid = pair_rid.copy()
             pair_wire = pair_wire.copy()
             if not unified:
-                inc_l = inc_l.copy()
-                dl_l = dl_l.copy()
                 e_delay = e_delay.copy()
                 rel = rel.copy()
 
@@ -730,6 +812,9 @@ def execute_array(
                             done_np = np.fromiter(
                                 done_l, dtype=bool, count=n
                             )
+                            col_of = np.repeat(
+                                np.arange(n), np.diff(lower.indptr)
+                            )
                             upd = np.nonzero(~done_np[col_of])[0]
                             if len(upd):
                                 se = gpu_np[col_of[upd]]
@@ -764,24 +849,31 @@ def execute_array(
                                         elink_l[ee] = -1
                                         ewire_l[ee] = 0.0
                                         spawn_code_l[ee] = n8 + ee
-                                        if inc_l is not None:
-                                            inc_l[ee] = update_local
-                                            dl_l[ee] = 0.0
                                     else:
                                         pp = sg * n_gpus + dg
                                         elink_l[ee] = int(pair_rid[pp])
                                         ewire_l[ee] = float(pair_wire[pp])
                                         spawn_code_l[ee] = m8 + (ee << 2)
-                                        if inc_l is not None:
-                                            inc_l[ee] = float(
-                                                costs.update_remote[sg, dg]
-                                            )
-                                            dl_l[ee] = notify_l[sg][dg]
                                 if not unified:
-                                    _fanout_delays(
-                                        np.nonzero(~done_np)[0].tolist(),
-                                        indptr_l, inc_l, dl_l, e_delay, rel,
+                                    # ``upd`` is every edge of every
+                                    # unsolved column, so the fan-out of
+                                    # those columns is re-derived whole
+                                    # from the remapped endpoints.
+                                    inc = np.zeros(nnz)
+                                    dl = np.zeros(nnz)
+                                    inc[upd], dl[upd] = edge_cost_tables(
+                                        costs, se, de, loc
                                     )
+                                    cols = np.nonzero(~done_np)[0]
+                                    delay, rel_c = _fanout_delays(
+                                        lower.indptr, cols, inc, dl
+                                    )
+                                    for ee, v in zip(eu, delay[upd].tolist()):
+                                        e_delay[ee] = v
+                                    for c, v in zip(
+                                        cols.tolist(), rel_c.tolist()
+                                    ):
+                                        rel[c] = v
                         continue
                     # -------------------- cross-GPU transfer steps
                     c = code - m8

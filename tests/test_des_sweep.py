@@ -87,6 +87,11 @@ class TestMeasureCase:
         assert res["t_reference"] > 0 and res["t_array"] > 0
         assert res["events_per_sec_array"] > 0
         assert res["enforce_floor"] is False  # tiny: below MEDIUM_N
+        # Compile and drain are timed apart; t_array is their sum.
+        assert res["compile_first_s"] > 0 and res["compile_s"] > 0
+        assert res["drain_s"] > 0
+        assert res["t_array"] == res["compile_s"] + res["drain_s"]
+        assert res["drain_events_per_sec"] == res["events"] / res["drain_s"]
 
     def test_large_case_skips_reference_and_checks_repeat(
         self, tmp_path, monkeypatch
@@ -99,6 +104,30 @@ class TestMeasureCase:
         assert res["t_array"] > 0
         assert res["identical"] is True
         assert res["verified"] == "repeat"
+
+
+class TestScalingFlatness:
+    @staticmethod
+    def _row(name, rate):
+        return {"name": name, "drain_events_per_sec": rate}
+
+    def test_absent_without_both_rows(self):
+        small, large = dessweep.FLATNESS_CASES
+        assert dessweep._scaling_flatness([]) is None
+        assert dessweep._scaling_flatness([self._row(small, 1e6)]) is None
+        assert dessweep._scaling_flatness([self._row(large, 1e6)]) is None
+
+    @pytest.mark.parametrize(
+        "large_rate, met", [(0.8e6, True), (1.2e6, True), (0.79e6, False)]
+    )
+    def test_large_drain_rate_against_the_floor(self, large_rate, met):
+        small, large = dessweep.FLATNESS_CASES
+        gate = dessweep._scaling_flatness(
+            [self._row(small, 1e6), self._row(large, large_rate)]
+        )
+        assert gate["floor"] == dessweep.FLATNESS_FLOOR == 0.8
+        assert gate["ratio"] == pytest.approx(large_rate / 1e6)
+        assert gate["met"] is met
 
 
 class TestScaleOutCase:
@@ -131,6 +160,7 @@ class TestSweep:
         assert payload["analysis_shared"] is True
         assert payload["floor_misses"] == []
         assert payload["acceptance"] is None  # no scale-50k in this table
+        assert payload["scaling_flatness"] is None  # nor scale-1M
         assert payload["pass"] is True
         for c in payload["cases"]:
             assert c["t_array"] > 0
@@ -139,6 +169,8 @@ class TestSweep:
     def test_quick_selection_excludes_acceptance_case(self):
         quick = set(dessweep.QUICK_CASES)
         assert dessweep.ACCEPTANCE_CASE not in quick
+        # --quick never runs the flatness pair, so the gate stays off.
+        assert not set(dessweep.FLATNESS_CASES) & quick
         assert quick <= set(dessweep.DES_CASES)
 
     def test_acceptance_case_matches_fastmodel_config(self):

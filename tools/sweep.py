@@ -17,9 +17,13 @@ writes ``BENCH_des.json``.
 ``@path/to/file.json``); its ``design`` and ``n_gpus`` knobs select the
 simulated node every case is measured on.
 
+Each row times the array engine's compile and drain separately
+(``compile``/``drain`` columns; ``arr-s`` is their sum).
+
 Exit status: 0 when every comparison is bit-identical, no worker
-re-derived its analysis, and every clean (non-noisy) case meets its
-speedup floors; 1 otherwise.  Noisy timings (cv above the threshold)
+re-derived its analysis, every clean (non-noisy) case meets its
+speedup floors and, in a full sweep, the scale-1M drain rate is at
+least 0.8x the scale-50k one (``scaling_flatness``); 1 otherwise.  Noisy timings (cv above the threshold)
 downgrade the floor check to a warning — identity is always enforced.
 """
 
@@ -99,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
 
     hdr = (
         f"{'case':>15} {'n':>8} {'events':>9} {'ref-s':>8} {'arr-s':>8} "
-        f"{'speedup':>8}  ok"
+        f"{'compile':>8} {'drain':>8} {'drain-ev/s':>11} {'speedup':>8}  ok"
     )
     print(hdr)
     print("-" * len(hdr))
@@ -107,6 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{c['name']:>15} {c['n']:>8} {c['events']:>9} "
             f"{_fmt(c['t_reference'], 8)} {_fmt(c['t_array'], 8)} "
+            f"{_fmt(c['compile_s'], 8)} {_fmt(c['drain_s'], 8)} "
+            f"{c['drain_events_per_sec']:>11.0f} "
             f"{_fmt(c['speedup'], 7, 2)}x  "
             f"{'yes' if c['identical'] else 'MISMATCH'} ({c['verified']})"
         )
@@ -145,6 +151,16 @@ def main(argv: list[str] | None = None) -> int:
             + ", ".join(payload["floor_misses"])
         )
         return 1
+    flat = payload["scaling_flatness"]
+    if flat is not None:
+        print(
+            f"scaling flatness {flat['large']}/{flat['small']} drain rate: "
+            f"{flat['ratio']:.2f} (floor {flat['floor']}) -> "
+            f"{'met' if flat['met'] else 'missed'}"
+        )
+        if not flat["met"]:
+            print("FAIL: the drain rate falls with system size")
+            return 1
     acc = payload["acceptance"]
     if acc is not None:
         sp = acc["speedup"]
