@@ -29,7 +29,10 @@ enforced.  The ``scale-50k`` case additionally records the PR
 acceptance measurement (>= 5x on the n=50k level-major workload), and
 when both ``scale-50k`` and ``scale-1M`` run, the ``scaling_flatness``
 gate holds the 1M drain rate to at least :data:`FLATNESS_FLOOR` of the
-50k one.
+50k one.  The gate does not read the two case rows, which are timed
+minutes apart: after them one more worker drains both programs
+alternately (:func:`measure_flatness_pair`), and the gate compares
+those paired drains.
 
 Large cases (``n >= SKIP_REFERENCE_N``) skip the reference engine
 entirely: replaying tens of millions of events through generators (and
@@ -44,6 +47,8 @@ under ``throughput_target``.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 import statistics
 import tempfile
@@ -78,6 +83,7 @@ __all__ = [
     "FLATNESS_FLOOR",
     "COUNTER_KINDS",
     "measure_des_case",
+    "measure_flatness_pair",
     "measure_scaleout_case",
     "run_des_sweep",
 ]
@@ -115,7 +121,7 @@ DES_CASES: dict[str, dict[str, Any]] = {
 #: :data:`LARGE_CASE_REPEATS` repeats: one scale-1M playout is tens of
 #: seconds.  Their untimed verification run already drains the program
 #: trace-off, so it doubles as the drain warmup, and the drain still
-#: takes the best of two runs for the ``scaling_flatness`` gate.
+#: takes the best of two runs.
 LARGE_CASE_N = 500_000
 LARGE_CASE_REPEATS = 2
 
@@ -229,6 +235,14 @@ SCALE_OUT_CASES: dict[str, dict[str, Any]] = {
 #: rows (counter-verified in quick mode; the full sweep upgrades the
 #: read-only row to record-level verification).
 QUICK_SCALE_OUT = ("cluster-8x8", "cluster-8x8-naive")
+
+
+def _case_repeats(spec: dict[str, Any], repeats: int) -> int:
+    """Timed repeats for one case: at most :data:`LARGE_CASE_REPEATS`
+    at and above :data:`LARGE_CASE_N`."""
+    if spec.get("n", 0) < LARGE_CASE_N:
+        return repeats
+    return min(repeats, LARGE_CASE_REPEATS)
 
 
 def _executions_identical(ref, arr) -> bool:
@@ -510,11 +524,66 @@ def measure_scaleout_case(
     }
 
 
-def _scaling_flatness(results: list[dict[str, Any]]) -> dict | None:
-    """The ``scaling_flatness`` gate over measured case rows: the large
-    case's drain rate as a share of the small case's, or ``None`` when
-    either of :data:`FLATNESS_CASES` did not run."""
-    by_name = {c["name"]: c for c in results}
+def measure_flatness_pair(
+    spills: dict[str, str],
+    *,
+    n_gpus: int = 4,
+    design: Design = Design.SHMEM_READONLY,
+    repeats: int = 2,
+) -> list[dict[str, Any]]:
+    """Drain two cases' programs back to back in one process,
+    alternating them over ``repeats`` rounds.
+
+    ``spills`` maps each case name (in the sweep, the
+    :data:`FLATNESS_CASES`, small first) to its spilled analysis.  Both
+    programs are compiled first and drained once untimed; then each
+    round drains every program in turn, so the rates of a round see the
+    same host load.  Returns one row per case with
+    ``drain_events_per_sec`` from its best drain (the input of
+    :func:`_scaling_flatness`), every drain time, and whether every
+    drain of a program gave the same counters.
+    """
+    state = {}
+    for name, path in spills.items():
+        lower, _art = load_artefacts(path)
+        n = lower.shape[0]
+        dist = block_distribution(n, n_gpus)
+        machine = dgx1(n_gpus)
+        program = compile_program(lower, dist, machine, design)
+        b = np.random.default_rng(0).standard_normal(n)
+        drain = functools.partial(
+            des_execute, lower, b, dist, machine, design,
+            engine="array", trace_enabled=False, program=program,
+        )
+        state[name] = (drain, drain())
+    times: dict[str, list[float]] = {name: [] for name in state}
+    identical = True
+    for _ in range(repeats):
+        for name, (drain, first) in state.items():
+            t0 = time.perf_counter()
+            last = drain()
+            times[name].append(time.perf_counter() - t0)
+            identical = identical and _counters_identical(first, last)
+    rows = []
+    for name, (_drain, first) in state.items():
+        events = int(first.events)
+        best = min(times[name])
+        rows.append({
+            "name": name,
+            "events": events,
+            "drain_times": times[name],
+            "drain_events_per_sec": events / best if best > 0 else 0.0,
+            "identical": identical,
+        })
+    return rows
+
+
+def _scaling_flatness(rows: list[dict[str, Any]]) -> dict | None:
+    """The ``scaling_flatness`` gate over drain rows (in the sweep, the
+    paired drains of :func:`measure_flatness_pair`): the large case's
+    drain rate as a share of the small case's, or ``None`` when either
+    of :data:`FLATNESS_CASES` is absent."""
+    by_name = {c["name"]: c for c in rows}
     small, large = FLATNESS_CASES
     if small not in by_name or large not in by_name:
         return None
@@ -527,6 +596,9 @@ def _scaling_flatness(results: list[dict[str, Any]]) -> dict | None:
         "floor": FLATNESS_FLOOR,
         "ratio": ratio,
         "met": ratio >= FLATNESS_FLOOR,
+        "drain_times": {
+            name: by_name[name].get("drain_times") for name in FLATNESS_CASES
+        },
     }
 
 
@@ -547,8 +619,10 @@ def run_des_sweep(
     floor — ``SPEEDUP_FLOOR`` for medium-and-up cases,
     ``ACCEPTANCE_FLOOR`` for the acceptance case — or, when both of
     :data:`FLATNESS_CASES` ran, the large case's drain rate falls below
-    :data:`FLATNESS_FLOOR` of the small one's (``scaling_flatness``;
-    ``None`` when either row is absent, as in ``--quick``).
+    :data:`FLATNESS_FLOOR` of the small one's, measured by
+    :func:`measure_flatness_pair` in its own worker after the case rows
+    (``scaling_flatness``; ``None`` when either case is absent, as in
+    ``--quick``).
     ``cases`` overrides the case table (tests use tiny workloads);
     ``n_gpus`` / ``design`` select the simulated node shape and communication design
     every case is measured on (the ``tools/sweep.py --config``
@@ -610,11 +684,7 @@ def run_des_sweep(
                     acceptance=cname == ACCEPTANCE_CASE,
                     n_gpus=n_gpus,
                     design=design,
-                    repeats=(
-                        repeats
-                        if table[cname].get("n", 0) < LARGE_CASE_N
-                        else min(repeats, LARGE_CASE_REPEATS)
-                    ),
+                    repeats=_case_repeats(table[cname], repeats),
                 )
                 for cname in names
             }
@@ -635,8 +705,24 @@ def run_des_sweep(
             }
             results = [futures[cname].result() for cname in names]
             so_results = [so_futures[cname].result() for cname in so_names]
+        pair_rows: list[dict[str, Any]] = []
+        if set(FLATNESS_CASES) <= set(names):
+            # A fresh process after the case rows: the pair's two drains
+            # share the host with nothing else the sweep runs.
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+                pair_rows = pool.submit(
+                    measure_flatness_pair,
+                    {c: spills[c] for c in FLATNESS_CASES},
+                    n_gpus=n_gpus,
+                    design=design,
+                    repeats=min(
+                        _case_repeats(table[c], repeats)
+                        for c in FLATNESS_CASES
+                    ),
+                ).result()
 
-    all_identical = all(c["identical"] for c in results)
+    all_identical = all(c["identical"] for c in results + pair_rows)
     scaleout_identical = all(c["identical"] for c in so_results)
     analysis_shared = all(c["analysis_shared"] for c in results) and all(
         c["analysis_shared"] for c in so_results
@@ -664,7 +750,7 @@ def run_des_sweep(
                 and c["speedup"] >= ACCEPTANCE_FLOOR
             ),
         }
-    scaling_flatness = _scaling_flatness(results)
+    scaling_flatness = _scaling_flatness(pair_rows)
     throughput_target = None
     tt = [c for c in results if c["name"] == THROUGHPUT_TARGET_CASE]
     if tt and tt[0]["events_per_sec_array"]:

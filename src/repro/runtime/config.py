@@ -122,6 +122,10 @@ class RunConfig:
         not the instance).
     trace_enabled:
         Record the full DES trace stream (disable for throughput runs).
+        No solve observable depends on it.  The solve service drops
+        it: :meth:`~repro.serve.service.SolveService.submit` sets it to
+        ``False`` at intake, so served requests run untraced and two
+        requests differing only here share one cache and breaker key.
     """
 
     design: Design | str = Design.SHMEM_READONLY

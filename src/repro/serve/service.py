@@ -384,15 +384,24 @@ class SolveService:
         )
 
     async def submit(self, request: SolveRequest) -> ServiceResult:
-        """Serve one request through the full robustness envelope.
+        """Serve one request, untraced, through the full robustness envelope.
 
         Returns a :class:`ServiceResult` or raises a typed
         :class:`~repro.errors.ReproError` — never hangs past the
         request's deadline, never buffers unboundedly.
+
+        The service returns solutions, not traces: intake replaces the
+        request's config with ``trace_enabled=False`` before anything is
+        keyed on it, so the estimate cache, the breaker, every ladder
+        rung and the worker all see the untraced config, and two
+        requests differing only in ``trace_enabled`` are one key.  No
+        response observable depends on the trace; a caller who wants
+        one runs :class:`~repro.runtime.session.SolverSession` directly.
         """
         if not self._running:
             raise ServiceShutdownError("service is not running")
         self.stats.submitted += 1
+        request = request.with_config(trace_enabled=False)
         loop = asyncio.get_running_loop()
         deadline = request.deadline or self.default_deadline
 

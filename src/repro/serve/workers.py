@@ -122,13 +122,19 @@ def _worker_pid() -> int:
 
 
 def solve_job(payload: dict) -> dict:
-    """Run one job at its assigned degradation rung; return observables.
+    """Run one job at its assigned degradation rung; return observables,
+    never a trace.
 
     ``payload`` keys: ``mode`` (a :class:`~repro.serve.degrade.DegradeMode`
     value), ``config`` (the rung's derived
     :class:`~repro.runtime.config.RunConfig`), ``rhs`` mapping,
     ``fingerprint``, and one operand source (``matrix`` / ``spill_path``
     / ``workload``).
+
+    The job solves the config it is given.  Configs from
+    :meth:`~repro.serve.service.SolveService.submit` arrive with
+    ``trace_enabled=False`` (the service returns no trace), and the
+    returned observables do not depend on the trace either way.
     """
     import numpy as np
 

@@ -130,6 +130,35 @@ class TestScalingFlatness:
         assert gate["met"] is met
 
 
+class TestFlatnessPair:
+    def test_pair_drains_alternate_in_one_process(self, tmp_path):
+        spills = {
+            name: str(spill_artefacts(_tiny_matrix(k), tmp_path / f"{k}.pkl"))
+            for k, name in enumerate(("tiny-small", "tiny-large"))
+        }
+        rows = dessweep.measure_flatness_pair(spills, n_gpus=2, repeats=3)
+        assert [r["name"] for r in rows] == ["tiny-small", "tiny-large"]
+        for r in rows:
+            assert len(r["drain_times"]) == 3
+            assert r["events"] > 0 and r["identical"] is True
+            assert r["drain_events_per_sec"] == pytest.approx(
+                r["events"] / min(r["drain_times"])
+            )
+
+    def test_sweep_gate_reads_the_paired_drains(self, monkeypatch):
+        cases = {"tiny-a": TINY, "tiny-b": {**TINY, "n": 300, "seed": 1}}
+        monkeypatch.setattr(dessweep, "FLATNESS_CASES", tuple(cases))
+        payload = run_des_sweep(cases=cases, repeats=2, jobs=1)
+        gate = payload["scaling_flatness"]
+        assert (gate["small"], gate["large"]) == tuple(cases)
+        times = gate["drain_times"]
+        assert [len(times[c]) for c in cases] == [2, 2]
+        rows = {c["name"]: c for c in payload["cases"]}
+        rates = [rows[c]["events"] / min(times[c]) for c in cases]
+        assert gate["ratio"] == pytest.approx(rates[1] / rates[0])
+        assert payload["all_identical"] is True
+
+
 class TestScaleOutCase:
     @pytest.mark.parametrize("record_level", [False, True])
     def test_row_checks_reference_against_array(self, tmp_path, record_level):

@@ -544,6 +544,155 @@ class TestSolveServiceEndToEnd:
         assert sorted(states.values()) == ["closed", "open"]
 
 
+#: One config per serve-mix tenant kind (``perfbench`` serve-mix):
+#: each served response must equal a traced session solve of it.
+SERVE_MIX_CONFIGS = {
+    "shmem_readonly": RunConfig(design="shmem_readonly"),
+    "unified": RunConfig(design="unified"),
+    "stale_sync": RunConfig(design="stale_sync"),
+    "cluster_hierarchical": RunConfig(
+        topology="cluster", n_nodes=2, gpus_per_node=2,
+        distribution="hierarchical",
+    ),
+    "msg_drop": RunConfig(
+        plan=FaultPlan.single(FaultKind.MSG_DROP, seed=3, rate=0.02),
+        recovery=RecoveryPolicy(),
+    ),
+}
+GRID = {"generator": "grid", "rows": 16, "cols": 16, "seed": 2}
+
+
+def _served_jobs(configs: dict, *, workers: int = 0, fault_plan=None):
+    """Submit one GRID request per config; returns each response with
+    the payloads and raw worker results of its jobs."""
+
+    async def run():
+        out = {}
+        async with SolveService(workers=workers, fault_plan=fault_plan) as svc:
+            real_run = svc.pool.run
+            jobs: list[tuple[dict, dict]] = []
+
+            async def spy(payload, timeout=None):
+                raw = await real_run(payload, timeout=timeout)
+                jobs.append((payload, raw))
+                return raw
+
+            svc.pool.run = spy
+            for name, config in configs.items():
+                jobs.clear()
+                result = await svc.submit(
+                    SolveRequest(config=config, workload=GRID, rhs={"seed": 5})
+                )
+                out[name] = (result, list(jobs), svc.stats.retries)
+        return out
+
+    return asyncio.run(run())
+
+
+def _assert_equals_traced_session(config, result, raw):
+    lower = build_workload(GRID)
+    b = np.random.default_rng(5).uniform(-1.0, 1.0, size=lower.shape[0])
+    assert config.trace_enabled
+    base = SolverSession(config).solve(lower, b, with_report=False)
+    assert base.execution.trace.rows  # the baseline really traced
+    assert result.status == "ok"
+    assert result.x.tobytes() == base.x.tobytes()
+    assert raw["x_bytes"] == base.x.tobytes()
+    assert result.events == raw["events"] == base.execution.events
+    assert (
+        result.total_time == raw["total_time"] == base.execution.total_time
+    )
+    assert result.residual == raw["residual"] == base.residual
+    assert raw["repaired"] == len(base.repaired)
+
+
+class TestUntracedService:
+    """The service returns solutions, not traces: workers solve
+    untraced, and every response equals a traced session solve."""
+
+    @pytest.fixture
+    def des_calls(self, monkeypatch):
+        """Every inline ``des_execute`` call's ``trace_enabled`` and
+        recorded row count."""
+        from repro.solvers import des_solver
+
+        calls: list[tuple[bool, int]] = []
+        real = des_solver.des_execute
+
+        def spy(*args, **kwargs):
+            ex = real(*args, **kwargs)
+            calls.append((kwargs["trace_enabled"], len(ex.trace.rows)))
+            return ex
+
+        monkeypatch.setattr(des_solver, "des_execute", spy)
+        return calls
+
+    def test_serve_mix_tenants_equal_traced_session(self, des_calls):
+        served = _served_jobs(SERVE_MIX_CONFIGS)
+        # Read before the baselines below add their own traced calls.
+        assert des_calls == [(False, 0)] * len(SERVE_MIX_CONFIGS)
+        for name, config in SERVE_MIX_CONFIGS.items():
+            result, jobs, _ = served[name]
+            assert len(jobs) == 1, name
+            payload, raw = jobs[0]
+            assert payload["config"].trace_enabled is False
+            _assert_equals_traced_session(config, result, raw)
+
+    def test_worker_kill_retry_equals_traced_session(self, des_calls):
+        from repro.resilience.service_faults import (
+            ServiceFaultKind,
+            ServiceFaultPlan,
+        )
+
+        plan = ServiceFaultPlan.single(ServiceFaultKind.WORKER_KILL, count=1)
+        config = RunConfig()
+        result, jobs, retries = _served_jobs(
+            {"default": config}, fault_plan=plan
+        )["default"]
+        assert retries == 1 and result.attempts == 2
+        assert des_calls == [(False, 0)]
+        _assert_equals_traced_session(config, result, jobs[-1][1])
+
+    @pytest.mark.serve
+    def test_process_pool_equals_traced_session_and_survives_kill(self):
+        from repro.resilience.service_faults import (
+            ServiceFaultKind,
+            ServiceFaultPlan,
+        )
+
+        plan = ServiceFaultPlan.single(ServiceFaultKind.WORKER_KILL, count=1)
+        served = _served_jobs(SERVE_MIX_CONFIGS, workers=1, fault_plan=plan)
+        for name, config in SERVE_MIX_CONFIGS.items():
+            result, jobs, _ = served[name]
+            assert all(not p["config"].trace_enabled for p, _ in jobs)
+            _assert_equals_traced_session(config, result, jobs[-1][1])
+        # The first request met the kill, retried, and still matched.
+        first = served[next(iter(SERVE_MIX_CONFIGS))]
+        assert first[0].attempts == 2 and first[2] == 1
+
+    def test_trace_flag_is_not_part_of_the_key(self):
+        traced, untraced = RunConfig(), RunConfig(trace_enabled=False)
+        assert traced.fingerprint() != untraced.fingerprint()
+
+        async def run():
+            async with SolveService() as svc:
+                results = [
+                    await svc.submit(
+                        SolveRequest(config=c, workload=GRID, rhs={"seed": 5})
+                    )
+                    for c in (traced, untraced)
+                ]
+                return results, len(svc._estimates), svc.breakers.states()
+
+        (r_traced, r_untraced), n_estimates, breakers = asyncio.run(run())
+        assert n_estimates == 1
+        assert len(breakers) == 1
+        assert r_traced.x.tobytes() == r_untraced.x.tobytes()
+        assert (r_traced.events, r_traced.total_time, r_traced.residual) == (
+            r_untraced.events, r_untraced.total_time, r_untraced.residual
+        )
+
+
 class TestMatrixCacheBound:
     """Both serve matrix caches are LRUs of ``MATRIX_CACHE_ENTRIES``."""
 

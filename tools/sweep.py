@@ -23,8 +23,10 @@ Each row times the array engine's compile and drain separately
 Exit status: 0 when every comparison is bit-identical, no worker
 re-derived its analysis, every clean (non-noisy) case meets its
 speedup floors and, in a full sweep, the scale-1M drain rate is at
-least 0.8x the scale-50k one (``scaling_flatness``); 1 otherwise.  Noisy timings (cv above the threshold)
-downgrade the floor check to a warning — identity is always enforced.
+least 0.8x the scale-50k one (``scaling_flatness``, from drains of the
+two programs alternated in one worker after the case rows); 1
+otherwise.  Noisy timings (cv above the threshold) downgrade the floor
+check to a warning — identity is always enforced.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     flat = payload["scaling_flatness"]
     if flat is not None:
         print(
-            f"scaling flatness {flat['large']}/{flat['small']} drain rate: "
+            f"scaling flatness {flat['large']}/{flat['small']} paired "
+            f"drain rate: "
             f"{flat['ratio']:.2f} (floor {flat['floor']}) -> "
             f"{'met' if flat['met'] else 'missed'}"
         )
