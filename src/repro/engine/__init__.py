@@ -5,7 +5,6 @@ SpTRSV execution protocol (lifecycle tables, token layout, timing rules,
 delivery/fail-stop decision trees) that both DES engines interpret.
 """
 
-from repro.engine.calendar import CalendarQueue
 from repro.engine.chrometrace import trace_to_chrome, write_chrome_trace
 from repro.engine.des import Process, Simulator
 from repro.engine.events import (
@@ -41,7 +40,6 @@ __all__ = [
     "ScheduledEvent",
     "Resource",
     "ResourceBank",
-    "CalendarQueue",
     "MonotonicSequence",
     "Trace",
     "TraceRecord",

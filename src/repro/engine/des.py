@@ -76,12 +76,11 @@ class Simulator:
         self._events_processed: int = 0
         self._max_events = max_events
         self.watchdog = watchdog
-        #: Optional callable mapping the blocked-channel dict to extra
-        #: deadlock diagnostics (the DES solver installs one that
-        #: resolves ``("ready", i)`` channels to the per-GPU
-        #: pending-dependency frontier, so service logs can say *which*
-        #: components on *which* ranks were starved).
-        self.frontier_resolver = None
+        #: Optional callable mapping the blocked-channel dict to the
+        #: :class:`DeadlockError` to raise when the heap drains with
+        #: waiters (the DES solver installs the protocol's shared
+        #: builder, so both engines report a starved run identically).
+        self.deadlock_error = None
 
     # ------------------------------------------------------------------
     def spawn(self, process: Process, delay: float = 0.0) -> Process:
@@ -145,6 +144,8 @@ class Simulator:
             # Quiescent with waiters: no future run() call can ever wake
             # these processes (the heap is empty), so returning silently
             # would hide a deadlock — regardless of the ``until`` bound.
+            if self.deadlock_error is not None:
+                raise self.deadlock_error(self._waiting)
             blocked = {
                 repr(ch): len(ps) for ch, ps in self._waiting.items() if ps
             }
@@ -161,8 +162,6 @@ class Simulator:
                 "blocked_process_kinds": names,
                 "events_processed": self._events_processed,
             }
-            if self.frontier_resolver is not None:
-                diagnostics.update(self.frontier_resolver(self._waiting))
             raise DeadlockError(
                 f"deadlock: {self._alive} processes alive with empty event "
                 f"heap; waiters per channel: {blocked}",

@@ -67,7 +67,8 @@ class ScheduledEvent:
 
     Ordering is ``(time, seq)`` — ``process`` never participates in
     comparisons.  The array engine does not allocate these; it keeps
-    flat calendar rows instead (see :mod:`repro.engine.calendar`).
+    integer tokens in exact-time FIFO buckets instead (see
+    :mod:`repro.solvers.des_array`).
     """
 
     time: float

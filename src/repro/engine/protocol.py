@@ -27,8 +27,9 @@ This module is now the *only* home of that protocol.  It provides:
   failure-relaunch delay (:func:`relaunch_delay`).  The timestamp
   tie-break itself — FIFO within an exact time, i.e. ``(time, seq)``
   order with a schedule-time monotone sequence — lives in
-  :class:`repro.engine.sequence.MonotonicSequence` and the calendar's
-  push-order-monotonicity invariant; this module documents it and the
+  :class:`repro.engine.sequence.MonotonicSequence` and the array
+  calendar's push-order-monotonicity invariant
+  (:mod:`repro.solvers.des_array`); this module documents it and the
   engines implement it;
 * **the delivery protocol** — :func:`delivery_action` maps an
   injector-reported fate and the recovery policy to one of the
@@ -61,7 +62,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, RecoveryExhaustedError, SolverError
+from repro.errors import (
+    ConfigurationError,
+    DeadlockError,
+    RecoveryExhaustedError,
+    SolverError,
+)
 from repro.exec_model.costmodel import CommCosts, Design
 
 __all__ = [
@@ -143,8 +149,6 @@ __all__ = [
     "LINK_TIER_DIRECT",
     "LINK_TIER_FALLBACK",
     "rank_tier_matrix",
-    "edge_tier_table",
-    "tiered_edge_cost_tables",
     "fallback_legal",
     "validate_fabric_reach",
     # validation
@@ -153,6 +157,7 @@ __all__ = [
     "missing_diagonal",
     "validate_diagonals",
     "frontier_diagnostics",
+    "deadlock_error",
     # parity-check manifest
     "PROTOCOL_CONSTANTS",
 ]
@@ -752,29 +757,6 @@ def rank_tier_matrix(machine) -> np.ndarray:
     return machine.topology.tier_matrix()[np.ix_(phys, phys)]
 
 
-def edge_tier_table(machine, src_g_e: np.ndarray, dst_g_e: np.ndarray) -> np.ndarray:
-    """Vectorised per-edge link tier (ranks in, tiers out)."""
-    return rank_tier_matrix(machine)[src_g_e, dst_g_e]
-
-
-def tiered_edge_cost_tables(
-    costs: CommCosts,
-    machine,
-    src_g_e: np.ndarray,
-    dst_g_e: np.ndarray,
-    local_e: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`edge_cost_tables` plus the per-edge link tier.
-
-    The ``(inc, delay)`` arrays are exactly the classic tables (same
-    binary64 values, same lookups); ``tier`` classifies each edge as
-    local / direct / fallback so schedulers and reports can attribute
-    cost to the fabric level that carries it.
-    """
-    inc, delay = edge_cost_tables(costs, src_g_e, dst_g_e, local_e)
-    return inc, delay, edge_tier_table(machine, src_g_e, dst_g_e)
-
-
 def fallback_legal(design: Design | str, topology) -> bool:
     """Whether ``design`` may carry traffic over the fallback tier.
 
@@ -825,8 +807,9 @@ def validate_fabric_reach(machine, design: Design | str) -> None:
 # ---------------------------------------------------------------------------
 # Validation: identical typed errors from both engines.
 # ---------------------------------------------------------------------------
-#: Engine names accepted by ``des_execute(engine=...)``.
-VALID_ENGINES = ("auto", "array", "reference")
+#: Engine names accepted by ``des_execute(engine=...)``: the array
+#: engine every production path runs, and the reference oracle.
+VALID_ENGINES = ("array", "reference")
 
 
 def coerce_design(design: Design | str) -> Design:
@@ -871,6 +854,33 @@ def frontier_diagnostics(components, gpu_of) -> dict:
         ],
         "frontier_by_gpu": by_gpu,
     }
+
+
+def deadlock_error(
+    now: float, events: int, parked, queued: dict, gpu_of
+) -> DeadlockError:
+    """The shared quiescent-with-waiters error (identical, both engines).
+
+    Raised when the calendar drains with work still blocked.
+    ``parked`` are the components still parked on their readiness
+    channel and ``queued`` maps each resource (warp-slot pool or link
+    channel) with a non-empty wait queue to its queue length.  The
+    ``blocked`` mapping lists the readiness channels in ascending
+    component order, then the resources in name order, so the message,
+    ``blocked`` and the :func:`frontier_diagnostics` payload do not
+    depend on the engine's bookkeeping order.
+    """
+    comps = sorted(int(i) for i in parked)
+    blocked = {repr(("ready", i)): 1 for i in comps}
+    blocked.update(sorted(queued.items()))
+    diagnostics = {"now": now, "events_processed": events}
+    diagnostics.update(frontier_diagnostics(comps, gpu_of))
+    return DeadlockError(
+        f"deadlock: {sum(blocked.values())} waiters with empty event "
+        f"calendar; waiters per channel: {blocked}",
+        blocked=blocked,
+        diagnostics=diagnostics,
+    )
 
 
 def validate_diagonals(indptr: np.ndarray, indices: np.ndarray, n: int) -> None:

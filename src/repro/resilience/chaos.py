@@ -315,8 +315,7 @@ def axes_from_config(config) -> dict:
 
     The config's single-valued knobs pin the matching axis to a
     one-element tuple: ``design`` → ``designs``, ``distribution`` →
-    ``dists``, ``engine`` → ``engines`` (``"auto"`` keeps the default
-    per-mode engine axis).  Designs the matrix has no vocabulary for
+    ``dists``.  Designs the matrix has no vocabulary for
     (``shmem_naive``) raise :class:`~repro.errors.ConfigurationError`.
     """
     from repro.errors import ConfigurationError
@@ -335,13 +334,10 @@ def axes_from_config(config) -> dict:
             value=config.design.value,
             choices=tuple(d.value for d in design_names),
         )
-    axes: dict = {
+    return {
         "designs": (design_names[config.design],),
         "dists": (config.distribution,),
     }
-    if config.engine != "auto":
-        axes["engines"] = (config.engine,)
-    return axes
 
 
 def _run_one(lower, b, dist, machine, design, scenario, T, engine, wall_limit):
@@ -426,12 +422,11 @@ def run_chaos_matrix(
     """Run the chaos matrix and return the per-cell report.
 
     ``quick`` shrinks both axes for CI: the :data:`QUICK_SCENARIOS`
-    subset, a smaller system, and the ``auto`` engine per cell.  A full
-    run executes every cell on *both* engines and requires them to agree
-    bitwise (or on the same typed error), folding the engine-parity
-    contract into the chaos sweep itself.  ``engines`` overrides the
-    per-cell engine axis (``tools/chaos.py --config`` pins one engine
-    through it).
+    subset, a smaller system, and the array engine (the production
+    engine) per cell.  A full run executes every cell on *both* engines
+    and requires them to agree bitwise (or on the same typed error),
+    folding the engine-parity contract into the chaos sweep itself.
+    ``engines`` overrides the per-cell engine axis.
 
     Never hangs: every run carries a fresh :class:`Watchdog` with a
     simulated-time stall horizon and a ``wall_limit`` real-seconds guard.
@@ -450,7 +445,7 @@ def run_chaos_matrix(
     if scenarios is None:
         scenarios = default_scenarios(quick=quick)
     if engines is None:
-        engines = ("auto",) if quick else ("reference", "array")
+        engines = ("array",) if quick else ("reference", "array")
     else:
         engines = tuple(engines)
 

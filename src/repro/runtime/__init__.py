@@ -1,9 +1,9 @@
 """Unified execution facade: one configured pipeline per session.
 
-:class:`RunConfig` captures every execution knob (design, engine,
-machine, distribution, fault plan, recovery policy, watchdog, trace
-sink) as a frozen validated value; :class:`SolverSession` runs the
-configured pipeline — event-granular playout, recovery, residual
+:class:`RunConfig` captures every execution knob (design, machine,
+distribution, fault plan, recovery policy, watchdog, trace sink) as a
+frozen validated value; :class:`SolverSession` runs the configured
+pipeline — event-granular playout, recovery, residual
 certification, fast-model report — with analysis-artefact reuse across
 repeated solves.  :func:`resilient_run` is its DES-and-repair stage,
 written once: the session calls it with its compiled array program and

@@ -1,8 +1,8 @@
 """Declarative run configuration for the execution facade.
 
 A :class:`RunConfig` captures every knob of one SpTRSV execution
-pipeline — design, engine, machine shape, task distribution, fault
-plan, recovery policy, watchdog, and trace sink — as one frozen,
+pipeline — design, machine shape, task distribution, fault plan,
+recovery policy, watchdog, and trace sink — as one frozen,
 validated value.  It is the single argument of
 :class:`repro.runtime.session.SolverSession` and the JSON surface of the
 ``tools/sweep.py --config`` / ``tools/chaos.py --config`` CLIs
@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 
-from repro.engine.protocol import StalePolicy, VALID_ENGINES, coerce_design
+from repro.engine.protocol import StalePolicy, coerce_design
 from repro.errors import ConfigurationError
 from repro.exec_model.costmodel import Design
 from repro.tasks.schedule import VALID_DISTRIBUTIONS
@@ -62,8 +62,6 @@ class RunConfig:
         Communication design (:class:`~repro.exec_model.costmodel.Design`
         or its string value; the alias ``"zerocopy"`` maps to
         ``shmem_readonly``).
-    engine:
-        DES engine: ``"auto"`` / ``"array"`` / ``"reference"``.
     machine:
         Explicit :class:`~repro.machine.node.MachineConfig`; ``None``
         builds the machine named by ``topology`` lazily (a
@@ -129,7 +127,6 @@ class RunConfig:
     """
 
     design: Design | str = Design.SHMEM_READONLY
-    engine: str = "auto"
     machine: object | None = None
     n_gpus: int = 4
     topology: str | None = None
@@ -151,7 +148,6 @@ class RunConfig:
         if isinstance(design, str) and design in _DESIGN_ALIASES:
             design = _DESIGN_ALIASES[design]
         object.__setattr__(self, "design", coerce_design(design))
-        _choice("engine", self.engine, VALID_ENGINES)
         _choice("distribution", self.distribution, VALID_DISTRIBUTIONS)
         if self.n_gpus < 1:
             raise ConfigurationError(
@@ -446,7 +442,6 @@ class RunConfig:
         """
         out: dict = {
             "design": self.design.value,
-            "engine": self.engine,
             "n_gpus": self.effective_n_gpus,
             "distribution": self.distribution,
             "trace_enabled": self.trace_enabled,
@@ -522,7 +517,6 @@ class RunConfig:
             }
         return {
             "design": self.design.value,
-            "engine": self.engine,
             "machine": list(self.machine_shape()),
             "n_gpus": self.effective_n_gpus,
             "distribution": self.distribution,

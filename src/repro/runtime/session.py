@@ -78,7 +78,7 @@ def resilient_run(
     plan=None,
     recovery=None,
     watchdog=None,
-    engine: str = "auto",
+    engine: str = "array",
     trace_enabled: bool = True,
     stale=None,
     program=None,
@@ -86,15 +86,16 @@ def resilient_run(
     """Run one faulted, recovered, residual-checked DES solve.
 
     Builds the :class:`~repro.resilience.faults.FaultInjector` from
-    ``plan``, plays the system out on the selected engine with the
-    recovery policy and watchdog wired in, then applies the post-solve
-    residual check/repair.  ``recovery=None`` means the default
+    ``plan``, plays the system out with the recovery policy and watchdog
+    wired in, then applies the post-solve residual check/repair.
+    ``recovery=None`` means the default
     :class:`~repro.resilience.recovery.RecoveryPolicy` when ``plan``
     injects faults, and no recovery (no residual check) otherwise; pass
     a policy explicitly to certify a clean run.  ``program`` forwards a
-    compiled array program to
-    :func:`~repro.solvers.des_solver.des_execute`.  Any failure surfaces
-    as a typed :class:`~repro.errors.ReproError` subclass — this
+    compiled array program and ``engine`` the engine name to
+    :func:`~repro.solvers.des_solver.des_execute` (``"reference"`` asks
+    for the oracle).  Any failure surfaces as a typed
+    :class:`~repro.errors.ReproError` subclass — this
     function either returns a verified solution or raises; it never
     hangs (watchdog) and never returns silently corrupted data (residual
     check).
@@ -149,9 +150,8 @@ class SolverSession:
     :meth:`simulate` any number of times.  The analysis-artefact bundle
     of the most recent matrix is held with a strong reference, so
     repeated calls on the same matrix reuse the DAG, level sets,
-    placement, and comm-cost tables instead of rebuilding them.  When
-    the configured engine resolves to the array engine, the first
-    :meth:`solve` / :meth:`execute` also compiles its
+    placement, and comm-cost tables instead of rebuilding them.  The
+    first :meth:`solve` / :meth:`execute` also compiles the matrix's
     :class:`~repro.solvers.des_array.ArrayProgram`, and later solves of
     the same matrix only drain it.
     """
@@ -195,13 +195,7 @@ class SolverSession:
             self._program = None
 
     def _array_program(self, lower):
-        """The bound matrix's array-engine program, compiled on first use;
-        ``None`` when the configured engine resolves to the reference
-        engine."""
-        from repro.solvers.des_solver import resolve_engine
-
-        if resolve_engine(self.config.engine, lower.shape[0]) != "array":
-            return None
+        """The bound matrix's array-engine program, compiled on first use."""
         if self._program is None:
             from repro.solvers.des_array import compile_program
 
@@ -222,7 +216,6 @@ class SolverSession:
             self.machine,
             self.config.design,
             trace_enabled=self.config.trace_enabled,
-            engine=self.config.engine,
             stale=self.config.build_stale_policy(),
             program=self._array_program(lower),
         )
@@ -257,7 +250,6 @@ class SolverSession:
             plan=cfg.plan,
             recovery=cfg.recovery,
             watchdog=cfg.build_watchdog(),
-            engine=cfg.engine,
             trace_enabled=cfg.trace_enabled,
             stale=cfg.build_stale_policy(),
             program=self._array_program(lower),

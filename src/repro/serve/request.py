@@ -210,7 +210,9 @@ class ServiceResult:
     ``status`` is ``"ok"`` (exact solve, bitwise-reproducible) or
     ``"degraded"`` (the ladder shed precision: ``mode`` names the rung,
     ``certified`` reports whether the result carries a residual
-    certificate below ``ceiling``).  Errors are never encoded here —
+    certificate below ``ceiling``).  ``repaired`` counts the components
+    the residual check replayed (0 for a clean solve and for an
+    ESTIMATE answer).  Errors are never encoded here —
     they surface as typed :class:`~repro.errors.ServiceError` /
     :class:`~repro.errors.ReproError` raises (or their wire mapping in
     the TCP front-end).
@@ -225,6 +227,7 @@ class ServiceResult:
     ceiling: float = 0.0
     events: int = 0
     total_time: float = 0.0
+    repaired: int = 0
     estimate: dict | None = None
     attempts: int = 1
     latency: float = 0.0
@@ -241,6 +244,7 @@ class ServiceResult:
             "ceiling": self.ceiling,
             "events": self.events,
             "total_time": self.total_time,
+            "repaired": self.repaired,
             "attempts": self.attempts,
             "latency": self.latency,
         }

@@ -515,6 +515,7 @@ class SolveService:
             ceiling=ceiling,
             events=raw["events"],
             total_time=raw["total_time"],
+            repaired=raw["repaired"],
             attempts=ticket.attempts,
             latency=time.monotonic() - ticket.submitted_at,
             degraded_from=degraded_from,

@@ -19,14 +19,15 @@ Python generator per process:
   on the run itself.  A :class:`~repro.runtime.session.SolverSession`
   keeps one program across its solves;
 * **exact-time event calendar** — pending events live in FIFO buckets
-  keyed by timestamp (the inline form of
-  :class:`repro.engine.calendar.CalendarQueue`'s ``"fifo"`` mode): a
-  dict maps each distinct time to a list of integer tokens and a small
-  heap orders the distinct times.  The initial dispatch front (one
-  spawn per component, launch times known upfront) is bucketed with one
-  vectorised stable argsort at compile time, and every zero-delay event
-  — waiter hand-overs, readiness wakes, notifier spawns — is a plain
-  ``list.append`` into the bucket being drained;
+  keyed by timestamp, inlined into the hot loop's locals: a dict maps
+  each distinct time to a list of integer tokens and a small heap
+  orders the distinct times; a drain pops the earliest bucket
+  front-to-back, then advances to the next time.  A bucket needs no
+  intra-bucket ordering (invariant 1 below).  The initial dispatch
+  front (one spawn per component, launch times known upfront) is
+  bucketed with one vectorised stable argsort at compile time, and
+  every zero-delay event — waiter hand-overs, readiness wakes, notifier
+  spawns — is a plain ``list.append`` into the bucket being drained;
 * **warp-batch state machines** — events are integer tokens, classed by
   range so the hottest kinds decode cheapest: ``-1 - e`` is edge ``e``'s
   *update* delivery, ``(i << 3) | state`` a component step,
@@ -50,11 +51,13 @@ counts.  Two invariants carry the proof:
 
 1. *FIFO-bucket order is ``(time, seq)`` order.*  The reference engine
    breaks timestamp ties with a monotone sequence number assigned at
-   schedule time, and every schedule lands at ``time >= now``.  A token
+   schedule (push) time
+   (:class:`~repro.engine.sequence.MonotonicSequence`), and every
+   push lands at ``time >= now`` — delays are non-negative.  A token
    appended to a bucket therefore always carries a larger sequence
-   number than every token already in it — insertion order within an
-   exact timestamp reproduces the reference heap's pop order without
-   materialising sequence numbers.
+   number than every token already in it: insertion order within an
+   exact timestamp *is* the reference heap's pop order, so the calendar
+   never materialises a sequence number or an entry tuple.
 2. *Identical IEEE-754 operation chains.*  Every event time and value
    is produced by the same sequence of binary64 operations the
    reference generators execute (NumPy float64 and Python floats share
@@ -110,12 +113,12 @@ from repro.engine.protocol import (
     XFER_SHIFT,
     TokenLayout,
     coerce_design,
+    deadlock_error,
     delivery_action,
     design_hooks,
     edge_cost_tables,
     exhausted_delivery,
     failure_victims,
-    frontier_diagnostics,
     gather_cost_table,
     launch_times,
     link_capacity,
@@ -128,7 +131,7 @@ from repro.engine.protocol import (
 )
 from repro.engine.resources import ResourceBank
 from repro.engine.trace import Trace
-from repro.errors import DeadlockError, SimulationError, SolverError
+from repro.errors import SimulationError, SolverError
 from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import CommCosts, Design
 from repro.machine.node import MachineConfig
@@ -141,13 +144,7 @@ __all__ = [
     "ArrayProgram",
     "compile_program",
     "execute_array",
-    "ARRAY_MIN_COMPONENTS",
 ]
-
-#: Below this size ``engine="auto"`` keeps the reference engine: the
-#: vectorised precompute passes cost more than the generator overhead
-#: they remove.
-ARRAY_MIN_COMPONENTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -1112,29 +1109,12 @@ def execute_array(
             gc.enable()
 
     if any(remaining):
-        stuck: dict = {
-            repr(("ready", i)): 1 for i in range(n) if parked_ready[i]
+        parked = [i for i in range(n) if parked_ready[i]]
+        queued = {
+            bank.names[rid]: len(q) for rid, q in enumerate(r_q) if q
         }
-        for rid, q in enumerate(r_q):
-            if q:
-                stuck[bank.names[rid]] = len(q)
-        if stuck:
-            diagnostics = {
-                "now": now,
-                "events_processed": nevents,
-                "unsatisfied": sum(1 for r in remaining if r),
-            }
-            diagnostics.update(
-                frontier_diagnostics(
-                    [i for i in range(n) if parked_ready[i]], gpu_np
-                )
-            )
-            raise DeadlockError(
-                f"deadlock: {sum(stuck.values())} waiters with empty "
-                f"event calendar; waiters per channel: {stuck}",
-                blocked=stuck,
-                diagnostics=diagnostics,
-            )
+        if parked or queued:
+            raise deadlock_error(now, nevents, parked, queued, gpu_np)
         raise SolverError("DES run finished with unsatisfied dependencies")
     if emit is None:
         trace.bulk_count(TRACE_DISPATCH, c_dispatch)

@@ -8,17 +8,17 @@ design routing every shared-array touch through the exact
 :class:`~repro.machine.unified.UnifiedMemory` page table (exact fault
 counts, exact ownership churn).
 
-This module is the *literal interpreter* of the shared execution
-protocol in :mod:`repro.engine.protocol`: it walks the lifecycle tables
-with generator objects, while :mod:`repro.solvers.des_array` compiles
-the same tables to integer tokens.  Every state constant, timing rule,
-delivery verdict, and remap decision comes from the protocol core —
-neither engine declares protocol logic of its own.
-
-It is O(events) in Python and therefore meant for small systems: tests
-use it to validate the fast model's orderings, and the Fig. 3 bench can
-cross-check its analytic fault estimates against DES-exact counts on
-down-scaled inputs.
+:func:`des_execute` is the one entry point.  By default it drains the
+array engine (:mod:`repro.solvers.des_array`), which compiles the
+shared execution protocol of :mod:`repro.engine.protocol` to integer
+tokens; every production path runs that engine.  Its generator body,
+run with ``engine="reference"``, is the *literal interpreter* of the
+same protocol: it walks the lifecycle tables with generator objects on
+the :class:`~repro.engine.des.Simulator`, one process per component,
+and stays only as the bit-identity oracle the array engine is checked
+against.  Every state constant, timing rule, delivery verdict, and
+remap decision comes from the protocol core — neither engine declares
+protocol logic of its own.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ from repro.engine.protocol import (
     VALID_ENGINES,
     StalePolicy,
     coerce_design,
+    deadlock_error,
     delivery_action,
     design_hooks,
     edge_notify_delay,
     edge_update_inc,
     exhausted_delivery,
-    frontier_diagnostics,
     failure_victims,
     launch_times,
     link_capacity,
@@ -85,32 +85,7 @@ from repro.solvers.base import SolveResult, TriangularSolver, validate_system
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import Distribution
 
-__all__ = ["DesExecution", "des_execute", "resolve_engine", "DesSolver"]
-
-
-def resolve_engine(engine: str, n: int) -> str:
-    """Resolve an ``engine=`` argument to a concrete engine name.
-
-    ``"auto"`` picks the array engine once the system is large enough
-    (``n >= ARRAY_MIN_COMPONENTS``) for its vectorised precompute to pay
-    for itself; tiny systems stay on the reference engine, whose
-    per-event overhead is negligible at that scale.  Both engines
-    produce bit-identical traces and results, so the choice is purely a
-    throughput decision.
-    """
-    if engine == "auto":
-        from repro.solvers.des_array import ARRAY_MIN_COMPONENTS
-
-        return "array" if n >= ARRAY_MIN_COMPONENTS else "reference"
-    if engine in ("array", "reference"):
-        return engine
-    raise ConfigurationError(
-        f"unknown DES engine {engine!r}; valid choices: "
-        + ", ".join(VALID_ENGINES),
-        parameter="engine",
-        value=engine,
-        choices=VALID_ENGINES,
-    )
+__all__ = ["DesExecution", "des_execute", "DesSolver"]
 
 
 @dataclass(frozen=True)
@@ -135,7 +110,7 @@ def des_execute(
     design: Design | str = Design.SHMEM_READONLY,
     *,
     trace_enabled: bool = True,
-    engine: str = "auto",
+    engine: str = "array",
     injector=None,
     recovery=None,
     watchdog=None,
@@ -153,12 +128,14 @@ def des_execute(
     exact :class:`UnifiedMemory` page table, so ``page_faults`` counts
     real simulated ownership changes rather than a model estimate.
 
-    ``engine`` selects the playout implementation: ``"reference"`` (one
-    generator per process), ``"array"`` (the flat state machine in
-    :mod:`repro.solvers.des_array`), or ``"auto"`` (array from
-    ``ARRAY_MIN_COMPONENTS`` components up — see
-    :func:`resolve_engine`).  Both engines are bit-identical in every
-    observable (trace, solution, times, fault/event counts).
+    ``engine`` selects the playout implementation: ``"array"`` (the
+    default, and the only one production code runs: the flat state
+    machine in :mod:`repro.solvers.des_array`) or ``"reference"`` (one
+    generator per process, kept as the bit-identity oracle for tests,
+    the chaos matrix's full mode, the DES sweep and
+    ``tools/profile_des.py``).  Both engines are bit-identical in every
+    observable (trace, solution, times, fault/event counts); any other
+    name raises :class:`~repro.errors.ConfigurationError`.
 
     ``program`` is a :class:`~repro.solvers.des_array.ArrayProgram`
     compiled for exactly this ``(lower, dist, machine, design)``: the
@@ -189,6 +166,14 @@ def des_execute(
     function of the finished run, so every engine extends the trace and
     wall clock bit-identically.
     """
+    if engine not in VALID_ENGINES:
+        raise ConfigurationError(
+            f"unknown DES engine {engine!r}; valid choices: "
+            + ", ".join(VALID_ENGINES),
+            parameter="engine",
+            value=engine,
+            choices=VALID_ENGINES,
+        )
     design = coerce_design(design)
     hooks = design_hooks(design)
     stale = resolve_stale_policy(design, stale)
@@ -207,7 +192,6 @@ def des_execute(
     art = get_artefacts(lower)
     dag = art.dag
     costs = art.comm_costs(machine, design)
-    resolved = resolve_engine(engine, n)
 
     def _finish(x, total_time, trace, page_faults, events) -> DesExecution:
         """Shared finishing step: the stale-sync validation/replay pass.
@@ -230,7 +214,7 @@ def des_execute(
             events=events,
         )
 
-    if resolved == "array":
+    if engine == "array":
         from repro.solvers.des_array import compile_program, execute_array
 
         if program is None:
@@ -262,13 +246,16 @@ def des_execute(
     # Deadlock reports name the starved components and their owning
     # ranks: the readiness channels still holding waiters when the
     # calendar drains are exactly the pending-dependency frontier.
-    sim.frontier_resolver = lambda waiting: frontier_diagnostics(
-        [
-            ch[1]
-            for ch, ps in waiting.items()
-            if ps and isinstance(ch, tuple) and ch[0] == "ready"
-        ],
-        dist.gpu_of,
+    sim.deadlock_error = lambda waiting: deadlock_error(
+        sim.now,
+        sim.events_processed,
+        [ch[1] for ch, ps in waiting.items() if ps and ch[0] == "ready"],
+        {
+            r.name: r.queue_length
+            for r in (*slots, *links.values())
+            if r.queue_length
+        },
+        gpu_of,
     )
     trace = Trace(enabled=trace_enabled)
     # One bound append for every record site; a disabled trace's append
@@ -583,7 +570,7 @@ def _stale_validation_pass(
 
 
 class DesSolver(TriangularSolver):
-    """Solver front-end for the event-granular tier (small systems).
+    """Solver front-end for the event-granular tier.
 
     A thin adapter over :class:`~repro.runtime.session.SolverSession`:
     the arguments map onto a :class:`~repro.runtime.config.RunConfig`
@@ -599,8 +586,6 @@ class DesSolver(TriangularSolver):
         self,
         machine: MachineConfig | None = None,
         design: Design | str = Design.SHMEM_READONLY,
-        max_components: int = 20_000,
-        engine: str = "auto",
         distribution: str = "block",
         tasks_per_gpu: int | None = None,
         stale: StalePolicy | None = None,
@@ -612,7 +597,6 @@ class DesSolver(TriangularSolver):
         config = RunConfig(
             machine=machine if machine is not None else dgx1(4),
             design=design,
-            engine=engine,
             distribution=distribution,
             tasks_per_gpu=tasks_per_gpu,
             node_run=node_run,
@@ -621,15 +605,9 @@ class DesSolver(TriangularSolver):
         )
         self.machine = config.machine
         self.design = config.design
-        self.max_components = max_components
         self.session = SolverSession(config)
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
-        if lower.shape[0] > self.max_components:
-            raise SolverError(
-                f"DES tier is for small systems (n <= {self.max_components}); "
-                "use the fast-model solvers for large inputs"
-            )
         res = self.session.solve(lower, b)
         return SolveResult(x=res.x, report=res.report, solver=self.name)

@@ -220,7 +220,6 @@ def _cluster_des():
 
     return DesSolver(
         machine=cluster(2, 2),
-        engine="reference",
         distribution="hierarchical",
         node_run=2,
     )
@@ -302,27 +301,14 @@ def default_registry() -> ConformanceRegistry:
     )
     add(
         ConformanceCase(
-            "des-2gpu",
-            # Pin the literal generator engine: this case is the oracle
-            # the array engine is measured against, so it must never
-            # silently switch implementation under the auto threshold.
-            lambda: DesSolver(machine=dgx1(2), engine="reference"),
+            "des-2gpu-array",
+            # The production DES path.  The reference engine faces the
+            # same workloads in tests/test_des_array.py's cross-engine
+            # identity test rather than as a case of its own.
+            lambda: DesSolver(machine=dgx1(2)),
             DesSolver,
             # The DES tier replays every event in Python; cap workload
             # size and skip the solve-heavy multi-RHS relation.
-            max_n=300,
-            relations=("differential", "permutation", "row_scaling"),
-            design="shmem_readonly",
-            distribution="block",
-        )
-    )
-    add(
-        ConformanceCase(
-            "des-2gpu-array",
-            # Force the array engine even below its auto threshold so
-            # the flat state machines face the same oracle battery.
-            lambda: DesSolver(machine=dgx1(2), engine="array"),
-            DesSolver,
             max_n=300,
             relations=("differential", "permutation", "row_scaling"),
             design="shmem_readonly",

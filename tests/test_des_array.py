@@ -1,4 +1,4 @@
-"""Array DES engine: golden bit-equality, causality replay, selection.
+"""Array DES engine: golden bit-equality, causality replay, production path.
 
 The array engine's contract is *bit*-equality with the reference
 engine, not tolerance-equality: every trace record (kind, time, gpu,
@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 
 from repro.analysis.dag import build_dag
-from repro.errors import SimulationError, SolverError
+from repro.errors import ConfigurationError, SimulationError, SolverError
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
-from repro.solvers.des_array import ARRAY_MIN_COMPONENTS
-from repro.solvers.des_solver import DesSolver, des_execute, resolve_engine
+from repro.runtime import SolverSession
+from repro.solvers.des_solver import des_execute
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import block_distribution
 from repro.verify.causality import check_des_trace
-from repro.verify.oracles import default_generators
+from repro.verify.oracles import default_generators, run_conformance
 from repro.verify.registry import default_registry
+from repro.workloads.generators import random_lower
 
 GENERATORS = default_generators()
 
@@ -111,34 +112,75 @@ class TestCausalityReplay:
 
 
 class TestEngineSelection:
-    def test_resolve_engine_auto_threshold(self):
-        assert resolve_engine("auto", ARRAY_MIN_COMPONENTS - 1) == "reference"
-        assert resolve_engine("auto", ARRAY_MIN_COMPONENTS) == "array"
-        assert resolve_engine("reference", 10**6) == "reference"
-        assert resolve_engine("array", 1) == "array"
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SolverError, match="unknown DES engine"):
-            resolve_engine("vectorised", 100)
+        lower = random_lower(8, seed=1)
+        dist = block_distribution(8, 2)
+        for engine in ("vectorised", "auto"):
+            with pytest.raises(
+                ConfigurationError, match="unknown DES engine"
+            ) as ei:
+                des_execute(lower, np.ones(8), dist, dgx1(2), engine=engine)
+            assert ei.value.choices == ("array", "reference")
 
-    def test_array_forced_below_threshold_still_identical(self):
-        _, gen = GENERATORS[0]
-        lower = gen(9)
-        assert lower.shape[0] >= ARRAY_MIN_COMPONENTS  # sanity on suite size
-        ref, arr, _, _ = _run_both(lower, Design.SHMEM_NAIVE)
-        _assert_bit_identical(ref, arr)
 
-    def test_solver_front_end_plumbs_engine(self):
-        _, gen = GENERATORS[1]
-        lower = gen(4)
-        b = np.random.default_rng(2).standard_normal(lower.shape[0])
-        x_ref = DesSolver(machine=dgx1(2), engine="reference").solve(lower, b).x
-        x_arr = DesSolver(machine=dgx1(2), engine="array").solve(lower, b).x
-        assert x_ref.tobytes() == x_arr.tobytes()
+# ---------------------------------------------------------------------------
+# One production engine: every session solve drains the array engine, down
+# to one-row systems, and stays bit-identical to the reference oracle.
+# ---------------------------------------------------------------------------
+SMALL_NS = (1, 2, 3, 5, 8, 40)
 
-    def test_both_engines_registered_for_conformance(self):
-        names = {case.name for case in default_registry()}
-        assert {"des-2gpu", "des-2gpu-array"} <= names
+
+class TestProductionEngine:
+    @pytest.mark.parametrize("distribution", ["block", "taskpool"])
+    @pytest.mark.parametrize("n_gpus", [1, 2, 4])
+    @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+    @pytest.mark.parametrize("n", SMALL_NS)
+    def test_small_session_solve_matches_reference(
+        self, n, design, n_gpus, distribution
+    ):
+        lower = random_lower(n, 2.5, seed=n)
+        b = np.random.default_rng(n).standard_normal(n)
+        session = SolverSession(
+            machine=dgx1(n_gpus, require_p2p=design is not Design.UNIFIED),
+            design=design,
+            distribution=distribution,
+        )
+        res = session.solve(lower, b, with_report=False)
+        assert session._program is not None  # drained the array engine
+        _assert_bit_identical(
+            _fresh_reference(session, lower, b), res.execution
+        )
+
+    def test_conformance_inputs_match_reference(self, monkeypatch):
+        """Every drain the production DES conformance case makes over the
+        conformance workloads (<= 300 rows, ``shmem_readonly``, block
+        placement) equals the reference engine's run of the same input:
+        the oracle faces the case's inputs without a case of its own."""
+        import repro.solvers.des_solver as des_solver_mod
+
+        real = des_solver_mod.des_execute
+        sizes = []
+
+        def checked(lower, b, dist, machine, design, **kwargs):
+            arr = real(lower, b, dist, machine, design, **kwargs)
+            assert kwargs.pop("engine") == "array"
+            kwargs.pop("program")
+            ref = real(
+                lower, b, dist, machine, design, engine="reference", **kwargs
+            )
+            _assert_bit_identical(ref, arr)
+            sizes.append(lower.shape[0])
+            return arr
+
+        monkeypatch.setattr(des_solver_mod, "des_execute", checked)
+        case = default_registry().get("des-2gpu-array")
+        assert (case.design, case.distribution) == ("shmem_readonly", "block")
+        rep = run_conformance(
+            default_registry(), GENERATORS, seed=0, cases=[case.name]
+        )
+        assert rep.ok, rep.summary()
+        assert len({f.generator for f in rep.findings}) == len(GENERATORS)
+        assert sizes and max(sizes) <= case.max_n
 
 
 class TestFailureModes:
@@ -334,6 +376,17 @@ class TestFaultedErrorParity:
             fixture,
         )
         assert type(ref_err) is type(arr_err) is DeadlockError
+        # One message, one blocked map, one diagnostics payload: the
+        # protocol core builds the error for both engines.
+        assert str(ref_err) == str(arr_err)
+        assert str(arr_err).startswith("deadlock: ")
+        assert "waiters with empty event calendar" in str(arr_err)
+        assert ref_err.blocked == arr_err.blocked
+        assert ref_err.blocked and all(
+            k.startswith("('ready', ") for k in arr_err.blocked
+        )
+        assert ref_err.diagnostics == arr_err.diagnostics
+        assert arr_err.diagnostics["pending_frontier"]
 
     def test_retry_exhaustion_identical_message(self, fixture):
         ref_err, arr_err = self._raise_both(
@@ -366,7 +419,6 @@ class TestFaultedErrorParity:
 # ---------------------------------------------------------------------------
 
 import repro.solvers.des_array as des_array_mod  # noqa: E402
-from repro.runtime import SolverSession  # noqa: E402
 from repro.solvers.des_array import compile_program  # noqa: E402
 
 REUSE_DESIGNS = (
@@ -412,7 +464,7 @@ class TestCompiledProgramReuse:
         self, gname, gen, design, compiles
     ):
         lower = gen(3)
-        session = SolverSession(n_gpus=2, design=design, engine="array")
+        session = SolverSession(n_gpus=2, design=design)
         rng = np.random.default_rng(5)
         for _ in range(3):
             b = rng.standard_normal(lower.shape[0])
@@ -425,7 +477,7 @@ class TestCompiledProgramReuse:
     def test_binding_a_new_matrix_recompiles(self, compiles):
         _, gen = REUSE_GENERATORS[0]
         first, second = gen(3), gen(4)
-        session = SolverSession(n_gpus=2, engine="array")
+        session = SolverSession(n_gpus=2)
         for lower in (first, second, second):
             b = np.ones(lower.shape[0])
             ex = session.execute(lower, b)
@@ -433,13 +485,16 @@ class TestCompiledProgramReuse:
         assert compiles == [first, second]
 
     def test_only_array_drains_compile(self, compiles):
+        """Fast-model pricing and reference-oracle runs compile nothing;
+        only a drain does."""
         _, gen = REUSE_GENERATORS[0]
         lower = gen(3)
-        SolverSession(n_gpus=2, engine="array").simulate(lower)
-        SolverSession(n_gpus=2, engine="reference").solve(
-            lower, np.ones(lower.shape[0])
-        )
+        session = SolverSession(n_gpus=2)
+        session.simulate(lower)
+        _fresh_reference(session, lower, np.ones(lower.shape[0]))
         assert compiles == []
+        session.execute(lower, np.ones(lower.shape[0]))
+        assert compiles == [lower]
 
     def test_program_for_another_system_rejected(self):
         _, gen = REUSE_GENERATORS[0]
@@ -491,7 +546,7 @@ class TestCompiledProgramReuse:
         )
         plan = FaultPlan.single(FaultKind.GPU_FAIL, gpu=2, t_start=0.3 * T)
         session = SolverSession(
-            machine=machine, design=design, engine="array", plan=plan
+            machine=machine, design=design, plan=plan
         )
         ref = _fresh_reference(
             session, lower, b,

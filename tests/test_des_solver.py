@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.dag import build_dag
-from repro.errors import SolverError
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
 from repro.solvers.des_solver import DesSolver, des_execute
@@ -145,14 +144,6 @@ class TestFrontEnd:
         result = DesSolver(machine=dgx1(4)).solve(lower, b)
         assert_solutions_close(result.x, x_true)
         assert result.report is not None
-
-    def test_size_guard(self):
-        from repro.workloads.generators import tridiagonal_lower
-
-        big = tridiagonal_lower(50)
-        solver = DesSolver(machine=dgx1(2), max_components=10)
-        with pytest.raises(SolverError, match="small systems"):
-            solver.solve(big, np.ones(50))
 
 
 class TestLinkContention:

@@ -1,9 +1,7 @@
 """Discrete-event simulation core tests."""
 
-import numpy as np
 import pytest
 
-from repro.engine.calendar import CalendarQueue
 from repro.engine.des import Simulator
 from repro.engine.events import Acquire, Release, Signal, Timeout, Wait
 from repro.engine.resources import Resource, ResourceBank
@@ -304,85 +302,6 @@ class TestMonotonicSequence:
     def test_advance_rejects_negative(self):
         with pytest.raises(ValueError):
             MonotonicSequence().advance(-1)
-
-
-class TestCalendarQueue:
-    def test_fifo_tie_order(self):
-        q = CalendarQueue()
-        for payload in ("a", "b", "c"):
-            q.push(1.0, payload)
-        q.push(0.5, "early")
-        assert [q.pop() for _ in range(4)] == [
-            (0.5, "early"), (1.0, "a"), (1.0, "b"), (1.0, "c"),
-        ]
-
-    def test_push_while_draining_same_time(self):
-        q = CalendarQueue()
-        q.push(1.0, "a")
-        assert q.pop() == (1.0, "a")
-        q.push(1.0, "b")  # appended to the bucket being drained
-        q.push(2.0, "later")
-        assert q.pop() == (1.0, "b")
-        assert q.pop() == (2.0, "later")
-
-    def test_pop_empty_raises(self):
-        q = CalendarQueue()
-        with pytest.raises(IndexError):
-            q.pop()
-        q.push(1.0, "x")
-        q.pop()
-        with pytest.raises(IndexError):
-            q.pop()
-
-    def test_bulk_push_matches_sequential(self):
-        times = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
-        payloads = np.arange(5)
-        bulk = CalendarQueue()
-        bulk.bulk_push(times, payloads)
-        seq = CalendarQueue()
-        order = np.argsort(times, kind="stable")
-        for t, p in zip(times[order], payloads[order]):
-            seq.push(float(t), int(p))
-        drained = [bulk.pop() for _ in range(5)]
-        assert drained == [seq.pop() for _ in range(5)]
-        assert drained == [(1.0, 1), (1.0, 4), (2.0, 3), (3.0, 0), (3.0, 2)]
-
-    def test_pop_bucket_transfers_ownership(self):
-        q = CalendarQueue()
-        q.bulk_push(np.array([1.0, 1.0, 2.0]), np.array([10, 11, 20]))
-        t, bucket = q.pop_bucket()
-        assert (t, bucket) == (1.0, [10, 11])
-        bucket.append(12)  # caller-side same-time append, engine style
-        assert len(q) == 1
-        assert q.pop_bucket() == (2.0, [20])
-        assert not q
-
-    def test_heap_mode_accepts_out_of_order_pushes(self):
-        q = CalendarQueue(mode="heap")
-        q.push(5.0, "late")
-        q.push(1.0, "early")
-        q.push(1.0, "early-2")
-        assert q.pop() == (1.0, "early")
-        q.push(0.5, "past")  # before the last popped time: heap mode only
-        assert q.pop() == (0.5, "past")
-        assert q.pop() == (1.0, "early-2")
-        assert q.pop() == (5.0, "late")
-
-    def test_heap_mode_rejects_pop_bucket(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(mode="heap").pop_bucket()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(mode="banana")
-
-    def test_peek_and_len(self):
-        q = CalendarQueue()
-        assert q.peek() is None
-        q.push(2.0, "b")
-        q.push(1.0, "a")
-        assert q.peek() == (1.0, "a")
-        assert len(q) == 2 and bool(q)
 
 
 class TestResourceBank:

@@ -194,29 +194,28 @@ class TestFabricReach:
 
     def test_tier_tables_are_metadata_only(self):
         """Tier classification must not change edge pricing."""
-        from repro.engine.protocol import (
-            edge_cost_tables,
-            edge_tier_table,
-            rank_tier_matrix,
-            tiered_edge_cost_tables,
-        )
-        from repro.exec_model.costmodel import build_comm_costs
+        from repro.engine.protocol import edge_cost_tables, rank_tier_matrix
+        from repro.exec_model.artefacts import get_artefacts
 
         machine = cluster(2, 2)
-        costs = build_comm_costs(machine, Design.SHMEM_READONLY)
-        src = np.array([0, 0, 1, 2, 3], dtype=np.int64)
-        dst = np.array([1, 2, 3, 0, 3], dtype=np.int64)
-        local = src == dst
-        inc, delay = edge_cost_tables(costs, src, dst, local)
-        t_inc, t_delay, tier = tiered_edge_cost_tables(
-            costs, machine, src, dst, local
-        )
-        np.testing.assert_array_equal(inc, t_inc)
-        np.testing.assert_array_equal(delay, t_delay)
-        np.testing.assert_array_equal(
-            tier, edge_tier_table(machine, src, dst)
-        )
+        low = dag_profile_matrix(120, 8, 3.0, locality=0.3, seed=3)
+        dist = round_robin_distribution(low.shape[0], 4, 2)
+        art = get_artefacts(low)
+        place = art.placement(dist)
+        local = place.src_g == place.dst_g
+
+        def priced():
+            costs = art.comm_costs(machine, Design.SHMEM_READONLY)
+            return edge_cost_tables(costs, place.src_g, place.dst_g, local)
+
+        before = priced()
+        tiers = art.edge_tiers(dist, machine)
+        for old, new in zip(before, priced()):
+            np.testing.assert_array_equal(old, new)
         rt = rank_tier_matrix(machine)
+        np.testing.assert_array_equal(
+            tiers.tier_e, rt[place.src_g, place.dst_g]
+        )
         assert rt[0, 1] == 1 and rt[0, 2] == 2 and rt[3, 3] == 0
 
     def test_causality_flags_ib_without_fallback_consent(self):

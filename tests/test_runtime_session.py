@@ -16,6 +16,7 @@ Three batteries:
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_registry_is_nonempty_and_covers_both_kinds():
 # ---------------------------------------------------------------------------
 def test_repeated_solve_hits_artefact_cache(system):
     lower, b, _ = system
-    session = SolverSession(n_gpus=2, engine="reference")
+    session = SolverSession(n_gpus=2)
     first = session.solve(lower, b)
     bundle = get_artefacts(lower)
     assert bundle is session._artefacts
@@ -111,7 +112,7 @@ def test_rebinding_a_new_matrix_builds_a_fresh_bundle(system):
     lower, b, _ = system
     other = random_lower(80, 3.0, seed=4)
     b2, _ = random_rhs_for_solution(other, seed=4)
-    session = SolverSession(n_gpus=2, engine="reference")
+    session = SolverSession(n_gpus=2)
     session.solve(lower, b)
     first_bundle = session._artefacts
     session.solve(other, b2)
@@ -128,7 +129,7 @@ def test_session_solve_with_fault_plan_recovers(system):
         seed=3,
         specs=(FaultSpec(kind=FaultKind.MSG_DROP, rate=0.5),),
     )
-    session = SolverSession(n_gpus=2, plan=plan, engine="reference")
+    session = SolverSession(n_gpus=2, plan=plan)
     res = session.solve(lower, b)
     assert res.residual <= 1e-8
     assert residual_norm(lower, res.x, b) <= 1e-8
@@ -136,7 +137,7 @@ def test_session_solve_with_fault_plan_recovers(system):
 
 def test_resilient_run_matches_session(system):
     lower, b, _ = system
-    session = SolverSession(n_gpus=2, engine="reference")
+    session = SolverSession(n_gpus=2)
     res = session.solve(lower, b, with_report=False)
     dist = session.config.build_distribution(
         lower.shape[0], session.machine.n_gpus
@@ -160,13 +161,13 @@ def test_zerocopy_alias_maps_to_readonly_design():
 @pytest.mark.parametrize(
     "kwargs, needle",
     [
-        ({"engine": "simd"}, "valid choices"),
+        ({"topology": "simd"}, "valid choices"),
         ({"design": "warp"}, "valid choices"),
         ({"topology": "torus"}, "valid choices"),
         ({"distribution": "striped"}, "valid choices"),
         ({"n_gpus": 0}, "n_gpus"),
         ({"tasks_per_gpu": 0}, "tasks_per_gpu"),
-        ({"engine": "vector"}, "valid choices"),
+        ({"distribution": "vector"}, "valid choices"),
     ],
 )
 def test_bad_config_raises_typed_error(kwargs, needle):
@@ -176,15 +177,15 @@ def test_bad_config_raises_typed_error(kwargs, needle):
 
 def test_configuration_error_is_solver_and_value_error():
     with pytest.raises(SolverError):
-        RunConfig(engine="simd")
+        RunConfig(distribution="simd")
     with pytest.raises(ValueError):
-        RunConfig(engine="simd")
+        RunConfig(distribution="simd")
     try:
-        RunConfig(engine="simd")
+        RunConfig(distribution="simd")
     except ConfigurationError as err:
-        assert err.parameter == "engine"
+        assert err.parameter == "distribution"
         assert err.value == "simd"
-        assert "array" in err.choices
+        assert "block" in err.choices
 
 
 def _des_execute_vector(lower, b):
@@ -198,21 +199,49 @@ def _des_execute_vector(lower, b):
     )
 
 
+#: The config surfaces no longer know ``engine`` at all (their choices
+#: are the remaining keys); ``des_execute`` lists the two engines left.
+_CONFIG_KEYS = tuple(
+    sorted(
+        {f.name for f in dataclasses.fields(RunConfig)}
+        | {"watchdog", "machine_shape"}
+    )
+)
+
+
 @pytest.mark.parametrize(
-    "surface",
+    "surface, choices",
     [
-        lambda lower, b: RunConfig(engine="vector"),
-        lambda lower, b: RunConfig.from_mapping({"engine": "vector"}),
-        _des_execute_vector,
+        (
+            lambda lower, b: RunConfig.from_json('{"engine": "vector"}'),
+            _CONFIG_KEYS,
+        ),
+        (
+            lambda lower, b: RunConfig.from_mapping({"engine": "vector"}),
+            _CONFIG_KEYS,
+        ),
+        (_des_execute_vector, ("array", "reference")),
     ],
     ids=["RunConfig", "from_mapping", "des_execute"],
 )
-def test_removed_vector_engine_lists_remaining_choices(surface, system):
+def test_removed_vector_engine_lists_remaining_choices(
+    surface, choices, system
+):
     lower, b, _ = system
     with pytest.raises(ConfigurationError) as ei:
         surface(lower, b)
     assert ei.value.parameter == "engine"
-    assert ei.value.choices == ("auto", "array", "reference")
+    assert ei.value.choices == choices
+
+
+def test_engine_is_not_a_config_knob():
+    """Production runs one engine: ``engine`` is no ``RunConfig`` field,
+    and an old ``"engine"`` key is the unknown-key error."""
+    assert "engine" not in _CONFIG_KEYS
+    with pytest.raises(TypeError, match="engine"):
+        RunConfig(engine="array")
+    assert "engine" not in RunConfig().to_mapping()
+    assert "engine" not in RunConfig().canonical_mapping()
 
 
 @pytest.mark.parametrize(
@@ -227,6 +256,8 @@ def test_removed_vector_engine_lists_remaining_choices(surface, system):
         ({"epoch_lookahead": 1.0}, "unknown RunConfig key"),
         # The fast model always picks its own pass now.
         ({"scheduler": "auto"}, "unknown RunConfig key"),
+        # Production runs one DES engine; the knob is gone.
+        ({"engine": "array"}, "unknown RunConfig key"),
     ],
 )
 def test_from_mapping_rejects_unknown_keys(mapping, needle):
@@ -238,7 +269,6 @@ def test_from_mapping_builds_nested_objects():
     cfg = RunConfig.from_mapping(
         {
             "design": "zerocopy",
-            "engine": "array",
             "distribution": "taskpool",
             "tasks_per_gpu": 4,
             "recovery": {"max_retries": 3, "residual_check": False},
@@ -250,7 +280,6 @@ def test_from_mapping_builds_nested_objects():
         }
     )
     assert cfg.design is Design.SHMEM_READONLY
-    assert cfg.engine == "array"
     assert cfg.recovery.max_retries == 3
     assert cfg.recovery.residual_check is False
     assert cfg.plan.seed == 9
@@ -261,8 +290,8 @@ def test_from_mapping_builds_nested_objects():
 
 
 def test_from_json_surface():
-    cfg = RunConfig.from_json('{"engine": "reference", "n_gpus": 2}')
-    assert cfg.engine == "reference" and cfg.n_gpus == 2
+    cfg = RunConfig.from_json('{"design": "unified", "n_gpus": 2}')
+    assert cfg.design is Design.UNIFIED and cfg.n_gpus == 2
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         RunConfig.from_json("{nope")
     with pytest.raises(ConfigurationError, match="JSON object"):
@@ -272,13 +301,11 @@ def test_from_json_surface():
 def test_to_mapping_round_trips():
     cfg = RunConfig(
         design="unified",
-        engine="array",
         distribution="taskpool",
         watchdog_wall_limit=10.0,
     )
     again = RunConfig.from_mapping(cfg.to_mapping())
     assert again.design is cfg.design
-    assert again.engine == cfg.engine
     assert again.distribution == cfg.distribution
     assert again.watchdog_wall_limit == 10.0
 

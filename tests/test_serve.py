@@ -175,18 +175,9 @@ class TestDegradationLadder:
         )
         assert ladder.next_mode(DegradeMode.ESTIMATE, cfg) is None
 
-    @pytest.mark.parametrize("engine", ["auto", "array", "reference"])
-    def test_ladder_does_not_depend_on_engine(self, engine):
-        ladder = DegradationLadder()
-        cfg = RunConfig(engine=engine)
-        assert ladder.next_mode(DegradeMode.EXACT, cfg) is DegradeMode.STALE
-        assert ladder.derive_config(cfg, DegradeMode.STALE).engine == engine
-
     def test_stale_design_skips_stale_rung(self):
         ladder = DegradationLadder()
-        cfg = RunConfig(
-            engine="array", design=Design.STALE_SYNC, stale_k=1
-        )
+        cfg = RunConfig(design=Design.STALE_SYNC, stale_k=1)
         assert ladder.next_mode(DegradeMode.EXACT, cfg) is (
             DegradeMode.ESTIMATE
         )
@@ -220,7 +211,7 @@ class TestFingerprints:
 
     def test_round_trip_preserves_fingerprint(self):
         cfg = RunConfig(
-            engine="array",
+            design="unified",
             plan=FaultPlan.single(FaultKind.BITFLIP, bit=30),
             recovery=RecoveryPolicy(residual_ceiling=1e-10),
             stale_k=None,
@@ -231,7 +222,7 @@ class TestFingerprints:
     @pytest.mark.parametrize(
         "mutate",
         [
-            {"engine": "array"},
+            {"distribution": "taskpool"},
             {"n_gpus": 8},
             {"stale_k": 3, "design": Design.STALE_SYNC},
             {"recovery": RecoveryPolicy(max_retries=9)},
@@ -268,7 +259,7 @@ class TestSolveRequest:
     def test_from_mapping_round_trip(self):
         req = SolveRequest.from_mapping(
             {
-                "config": {"engine": "array"},
+                "config": {"design": "unified"},
                 "workload": WORKLOAD,
                 "rhs": {"seed": 9},
                 "deadline": 5.0,
@@ -276,7 +267,7 @@ class TestSolveRequest:
                 "id": "r-1",
             }
         )
-        assert req.config.engine == "array"
+        assert req.config.design is Design.UNIFIED
         assert req.deadline == 5.0
         assert not req.allow_degraded
         assert req.request_id == "r-1"
@@ -603,7 +594,9 @@ def _assert_equals_traced_session(config, result, raw):
         result.total_time == raw["total_time"] == base.execution.total_time
     )
     assert result.residual == raw["residual"] == base.residual
-    assert raw["repaired"] == len(base.repaired)
+    assert result.repaired == len(base.repaired)
+    assert result.to_mapping()["repaired"] == result.repaired
+    return base
 
 
 class TestUntracedService:
@@ -652,6 +645,17 @@ class TestUntracedService:
         assert retries == 1 and result.attempts == 2
         assert des_calls == [(False, 0)]
         _assert_equals_traced_session(config, result, jobs[-1][1])
+
+    def test_repaired_count_reaches_the_response(self, des_calls):
+        """A silent bit flip needs residual repair: the response (and its
+        wire mapping) carries the session solve's repaired count."""
+        config = RunConfig(
+            plan=FaultPlan.single(FaultKind.BITFLIP, count=1, bit=30, seed=1),
+            recovery=RecoveryPolicy(detect_corruption=False),
+        )
+        result, jobs, _ = _served_jobs({"bitflip": config})["bitflip"]
+        base = _assert_equals_traced_session(config, result, jobs[0][1])
+        assert result.repaired == len(base.repaired) > 0
 
     @pytest.mark.serve
     def test_process_pool_equals_traced_session_and_survives_kill(self):

@@ -8,14 +8,13 @@ never return silently wrong data.  Full runs additionally execute every
 cell on both DES engines and require bitwise agreement between them.
 
     python tools/chaos.py                 # full matrix, both engines
-    python tools/chaos.py --quick         # CI subset, auto engine
+    python tools/chaos.py --quick         # CI subset, array engine
     python tools/chaos.py --n 96 --seed 3 --out chaos.json
-    python tools/chaos.py --config '{"design": "unified", "engine": "array"}'
+    python tools/chaos.py --config '{"design": "unified", "n_gpus": 2}'
 
 ``--config`` takes a :class:`repro.runtime.RunConfig` JSON object (or
-``@path/to/file.json``); its ``design`` / ``distribution`` / ``engine``
-/ ``n_gpus`` knobs pin the matching matrix axis to that single value
-(``engine: "auto"`` keeps the default per-mode engine axis).
+``@path/to/file.json``); its ``design`` / ``distribution`` / ``n_gpus``
+knobs pin the matching matrix axis to that single value.
 
 Exit status: 0 when every cell is green, 1 otherwise.
 """
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI subset: fewer scenarios, smaller system, auto engine",
+        help="CI subset: fewer scenarios, smaller system, array engine",
     )
     parser.add_argument("--n", type=int, default=64, help="system size")
     parser.add_argument("--seed", type=int, default=7, help="workload seed")

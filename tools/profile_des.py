@@ -19,10 +19,10 @@ through a chosen engine and reports
     python tools/profile_des.py --engine array --case des-medium-8k
     python tools/profile_des.py --engine reference --n 20000 --top 40
     python tools/profile_des.py --case scale-50k --json PROF_des.json
-    python tools/profile_des.py --config '{"engine": "array", "n_gpus": 8}'
+    python tools/profile_des.py --config '{"design": "unified", "n_gpus": 8}'
 
-The engine comes from ``--engine`` or the RunConfig (``auto`` is
-resolved by system size and reported by name); workload knobs
+``--engine`` defaults to ``array``, the engine every production path
+runs; ``reference`` profiles the bit-identity oracle.  Workload knobs
 (``--n``, ``--levels``, ``--dependency``, ...) override the selected
 case's generator parameters.
 """
@@ -47,7 +47,7 @@ from repro.errors import ConfigurationError  # noqa: E402
 from repro.exec_model.artefacts import get_artefacts  # noqa: E402
 from repro.runtime import RunConfig, load_run_config  # noqa: E402
 from repro.solvers.des_array import compile_program  # noqa: E402
-from repro.solvers.des_solver import des_execute, resolve_engine  # noqa: E402
+from repro.solvers.des_solver import des_execute  # noqa: E402
 from repro.workloads.generators import dag_profile_matrix  # noqa: E402
 
 
@@ -75,7 +75,6 @@ def profile_run(
     """Profile one engine on one workload; returns the report payload."""
     lower = dag_profile_matrix(**knobs)
     n = lower.shape[0]
-    engine = resolve_engine(engine, n)
     get_artefacts(lower)  # the structure analysis, outside every timed phase
     machine = cfg.resolve_machine()
     dist = cfg.build_distribution(n, machine.n_gpus, lower=lower)
@@ -177,8 +176,8 @@ def render(report: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--engine", default=None, choices=("array", "reference"),
-        help="DES engine to profile (default: the RunConfig's engine)",
+        "--engine", default="array", choices=("array", "reference"),
+        help="DES engine to profile (default: array)",
     )
     parser.add_argument(
         "--case", default="des-medium-8k", choices=sorted(DES_CASES),
@@ -216,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config)
         report = profile_run(
-            cfg, args.engine or cfg.engine, _workload(args),
+            cfg, args.engine, _workload(args),
             repeats=args.repeats, top=args.top, trace=args.trace,
         )
     except ConfigurationError as err:
