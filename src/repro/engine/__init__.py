@@ -1,8 +1,9 @@
 """Discrete-event simulation core: simulator, commands, resources, traces.
 
-:mod:`repro.engine.protocol` additionally holds the engine-agnostic
-SpTRSV execution protocol (lifecycle tables, token layout, timing rules,
-delivery/fail-stop decision trees) that both DES engines interpret.
+:class:`Simulator` plays generator processes and is the reference DES
+engine's clock.  :mod:`repro.engine.protocol` holds the SpTRSV execution
+protocol both DES engines share: state constants, token layout, timing
+rules and the delivery/fail-stop decisions.
 """
 
 from repro.engine.chrometrace import trace_to_chrome, write_chrome_trace
@@ -17,16 +18,10 @@ from repro.engine.events import (
 )
 from repro.engine.protocol import (
     ALL_TRACE_KINDS,
-    COMPONENT_LIFECYCLE,
-    TRANSFER_LIFECYCLE,
-    DesignHooks,
-    StateRule,
     TokenLayout,
     delivery_action,
-    design_hooks,
 )
-from repro.engine.resources import Resource, ResourceBank
-from repro.engine.sequence import MonotonicSequence
+from repro.engine.resources import Resource
 from repro.engine.trace import Trace, TraceRecord
 
 __all__ = [
@@ -39,18 +34,11 @@ __all__ = [
     "Signal",
     "ScheduledEvent",
     "Resource",
-    "ResourceBank",
-    "MonotonicSequence",
     "Trace",
     "TraceRecord",
     "trace_to_chrome",
     "write_chrome_trace",
-    "StateRule",
     "TokenLayout",
-    "DesignHooks",
-    "COMPONENT_LIFECYCLE",
-    "TRANSFER_LIFECYCLE",
     "ALL_TRACE_KINDS",
     "delivery_action",
-    "design_hooks",
 ]

@@ -4,18 +4,18 @@ Processes are plain Python generators that yield commands from
 :mod:`repro.engine.events`.  The simulator owns the clock and an event
 heap; it resumes each process at its scheduled time, interprets the next
 command, and re-schedules.  Determinism: ties at equal time resolve in
-scheduling order (a monotone sequence number from the shared
-:class:`~repro.engine.sequence.MonotonicSequence`), so a given workload
-always produces the identical trace.
+scheduling order (a monotone sequence number issued at schedule time),
+so a given workload always produces the identical trace.
 
 Heap entries are :class:`~repro.engine.events.ScheduledEvent` records
 ordered by ``(time, seq)``; ``seq`` is unique, so ties never compare
 the process object.  This is the *reference* engine — kept deliberately
 literal (one generator per process, one scheduler entry per event) as
-the correctness oracle; the array-based fast path in
-:mod:`repro.solvers.des_array` replays the same command semantics
-without any of these per-event objects and must stay bit-identical to
-it (``tests/test_des_array.py`` enforces that).
+the correctness oracle; the array engine in
+:mod:`repro.solvers.des_array` plays the same protocol as integer tokens
+in per-time FIFO buckets, with no sequence numbers and none of these
+per-event objects, and must stay bit-identical to it
+(``tests/test_des_array.py`` enforces that).
 
 Example
 -------
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from itertools import count
 from typing import Any, Generator, Hashable
 
 from repro.engine.events import (
@@ -48,7 +49,6 @@ from repro.engine.events import (
     Wait,
 )
 from repro.engine.resources import Resource
-from repro.engine.sequence import MonotonicSequence
 from repro.errors import DeadlockError, SimulationError
 
 __all__ = ["Simulator", "Process"]
@@ -70,7 +70,7 @@ class Simulator:
     def __init__(self, max_events: int = 50_000_000, watchdog=None):
         self.now: float = 0.0
         self._heap: list[ScheduledEvent] = []
-        self._seq = MonotonicSequence()
+        self._seq = count()
         self._waiting: dict[Hashable, list[Process]] = defaultdict(list)
         self._alive: int = 0
         self._events_processed: int = 0
@@ -91,7 +91,7 @@ class Simulator:
 
     def _schedule(self, process: Process, time: float) -> None:
         heapq.heappush(
-            self._heap, ScheduledEvent(time, self._seq.next(), process)
+            self._heap, ScheduledEvent(time, next(self._seq), process)
         )
 
     # ------------------------------------------------------------------

@@ -1,59 +1,53 @@
 """Single-source SpTRSV execution protocol shared by both DES engines.
 
-PRs 3-4 implemented the event-granular execution semantics — the
-component and edge lifecycles, the fault/retry/remap protocol, and every
-timing rule — twice, bit-for-bit: once in the literal reference engine
-(:mod:`repro.solvers.des_solver`, one generator per process) and once in
-the token machine (:mod:`repro.solvers.des_array`, flat integer state
-machine).  Parity was enforced only by tests, so every new design, fault
-kind, or scheduling policy cost two synchronized implementations.
+The sync-free design plays one per-component state machine (dispatch,
+wait on the counter, gather, solve, update, release) and one per-edge
+transfer machine.  Two engines run it: the array engine
+(:mod:`repro.solvers.des_array`) compiles it to integer tokens, and the
+reference engine (:mod:`repro.solvers.des_solver` on
+:class:`repro.engine.des.Simulator`) plays it as one generator per
+process.  This module holds everything the two must agree on:
 
-This module is now the *only* home of that protocol.  It provides:
-
-* **lifecycle state tables** — the component states
-  (:data:`COMP_ACQUIRE` … :data:`COMP_DEAD`) and cross-GPU transfer
-  states (:data:`XFER_CLAIM` … :data:`XFER_RETIRE`) with their
-  declarative transition rules (:data:`COMPONENT_LIFECYCLE`,
-  :data:`TRANSFER_LIFECYCLE`), including the resilience states
-  (tombstones, retry episodes, remap, frozen in-flight routing);
-* **token layout** — :class:`TokenLayout` defines the integer encoding
-  the array engine compiles the tables into at build time (delivery /
-  component / local-hop / transfer / failure token ranges);
-* **timing rules** — one home for every cost formula and tie-break rule
-  both engines must agree on: kernel-launch serialisation
-  (:func:`launch_times`), solve and gather costs (:func:`solve_cost` /
-  :func:`solve_cost_table` / :func:`gather_cost_table`), link capacity
-  and wire time (:func:`link_capacity` / :func:`wire_time`), and the
-  failure-relaunch delay (:func:`relaunch_delay`).  The timestamp
-  tie-break itself — FIFO within an exact time, i.e. ``(time, seq)``
-  order with a schedule-time monotone sequence — lives in
-  :class:`repro.engine.sequence.MonotonicSequence` and the array
-  calendar's push-order-monotonicity invariant
-  (:mod:`repro.solvers.des_array`); this module documents it and the
-  engines implement it;
+* **state constants** — the component states (:data:`COMP_ACQUIRE` …
+  :data:`COMP_DEAD`) and cross-GPU transfer states (:data:`XFER_CLAIM`
+  … :data:`XFER_RETIRE`); each constant's comment states its
+  transition;
+* **token layout** — :class:`TokenLayout` fixes the array engine's
+  integer token ranges (delivery / component / local-hop / transfer /
+  failure) and builds the per-edge fan-out spawn tokens;
+* **timing rules** — one home for every cost formula both engines pay:
+  kernel-launch serialisation (:func:`launch_times`), solve and gather
+  costs (:func:`solve_cost` / :func:`solve_cost_table` /
+  :func:`gather_cost_table`), link capacity and wire time
+  (:func:`link_capacity` / :func:`wire_time`), the failure-relaunch
+  delay (:func:`relaunch_delay`) and the producer-side update pricing
+  (:func:`edge_update_inc` / :func:`edge_notify_delay` and the
+  vectorised :func:`edge_cost_tables`).  Timestamp ties resolve FIFO in
+  schedule order: the reference simulator's heap orders by ``(time,
+  seq)`` and the array calendar appends to per-time buckets (see
+  :mod:`repro.solvers.des_array`, invariant 1);
 * **the delivery protocol** — :func:`delivery_action` maps an
   injector-reported fate and the recovery policy to one of the
-  :data:`ACT_DELIVER` … :data:`ACT_EXHAUSTED` verdicts; both engines
-  branch on the verdict instead of re-deriving the drop / delay /
-  corrupt / retry / starve decision tree.  :func:`exhausted_delivery`
-  builds the one shared :class:`~repro.errors.RecoveryExhaustedError`;
+  :data:`ACT_DELIVER` … :data:`ACT_EXHAUSTED` verdicts, and
+  :func:`exhausted_delivery` builds the shared
+  :class:`~repro.errors.RecoveryExhaustedError`;
 * **the fail-stop protocol** — :func:`failure_victims` (which components
   a dying GPU cancels, in wake order) and :func:`remap_plan` (survivor
   targets plus the detector-latency + kernel-launch-serialised relaunch
   delays);
-* **per-design hooks** — :func:`design_hooks` returns the
-  :class:`DesignHooks` record for a design (page-table routing or cost
-  tables), with the scalar (:func:`edge_update_inc` /
-  :func:`edge_notify_delay`) and vectorised (:func:`edge_cost_tables`)
-  forms of the producer-side update pricing;
-* **validation** — :func:`coerce_design` and :func:`missing_diagonal` /
-  :func:`validate_diagonals` give both engines identical typed errors.
+* **the stale-synchronous protocol** — :class:`StalePolicy`,
+  :func:`wake_threshold` (the readiness gate) and
+  :func:`stale_validation_times` (the post-hoc pass's timestamps);
+* **link tiers** — :func:`rank_tier_matrix`, :func:`fallback_legal` and
+  :func:`validate_fabric_reach` for the multi-node fabric;
+* **validation** — :func:`coerce_design`, :func:`missing_diagonal` /
+  :func:`validate_diagonals` and :func:`deadlock_error` give both
+  engines identical typed errors.
 
-The reference engine *walks* these rules with generator objects; the
-array engine *compiles* them into integer token arrays at build time.
 ``tests/test_protocol_parity.py`` statically asserts that neither engine
-re-declares a protocol constant, and ``tests/test_des_array.py`` keeps
-the two interpretations bit-identical in every observable.
+re-declares a protocol constant and that every public name here is used
+by the program, and ``tests/test_des_array.py`` keeps the two engines
+bit-identical in every observable.
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ from repro.errors import (
 from repro.exec_model.costmodel import CommCosts, Design
 
 __all__ = [
-    # lifecycle states + tables
+    # lifecycle states
     "COMP_ACQUIRE",
     "COMP_DISPATCH",
     "COMP_GATHER",
@@ -84,10 +78,6 @@ __all__ = [
     "XFER_WIRE",
     "XFER_RETIRE",
     "XFER_SHIFT",
-    "StateRule",
-    "COMPONENT_LIFECYCLE",
-    "TRANSFER_LIFECYCLE",
-    "STALE_LIFECYCLE",
     # trace vocabulary
     "TRACE_DISPATCH",
     "TRACE_SOLVE",
@@ -138,9 +128,7 @@ __all__ = [
     "resolve_stale_policy",
     "wake_threshold",
     "stale_validation_times",
-    # per-design hooks
-    "DesignHooks",
-    "design_hooks",
+    # producer-side update pricing
     "edge_update_inc",
     "edge_notify_delay",
     "edge_cost_tables",
@@ -231,86 +219,6 @@ ALL_TRACE_KINDS = (
     TRACE_STALE_LAUNCH,
     TRACE_VALIDATE,
     TRACE_REPLAY,
-)
-
-
-@dataclass(frozen=True)
-class StateRule:
-    """One declarative lifecycle transition.
-
-    Attributes
-    ----------
-    state:
-        The integer state constant the rule describes.
-    name:
-        Human-readable state name (docs, chrometrace, parity test).
-    emits:
-        Trace kind recorded when the state runs (``None`` = silent).
-    cost:
-        Timing-rule key paid before the successor state runs (``None``
-        = zero-time hand-over).  Keys name the rule, not a value:
-        ``"t_warp_dispatch"`` and ``"t_kernel_launch"`` index the GPU
-        spec, ``"gather"``/``"solve"``/``"update"`` the per-component
-        cost tables, ``"wire"``/``"notify"`` the per-edge link pricing.
-    next:
-        Successor state (``None`` = terminal).
-    resource:
-        Pooled resource claimed (``acquire``) or retired (``release``)
-        by the state, if any.
-    """
-
-    state: int
-    name: str
-    emits: str | None = None
-    cost: str | None = None
-    next: int | None = None
-    resource: str | None = None
-
-
-#: The component lifecycle both engines interpret: ready → dispatch →
-#: execute → deliver, plus the tombstone resilience state.
-COMPONENT_LIFECYCLE: tuple[StateRule, ...] = (
-    StateRule(COMP_ACQUIRE, "acquire", next=COMP_DISPATCH,
-              resource="warp_slot:acquire"),
-    StateRule(COMP_DISPATCH, "dispatch", emits=TRACE_DISPATCH,
-              cost="t_warp_dispatch", next=COMP_GATHER),
-    StateRule(COMP_GATHER, "gather", cost="gather", next=COMP_SOLVE),
-    StateRule(COMP_SOLVE, "solve", cost="solve", next=COMP_POST),
-    StateRule(COMP_POST, "post", emits=TRACE_SOLVE, cost="update",
-              next=COMP_RELEASE),
-    StateRule(COMP_RELEASE, "release", emits=TRACE_RELEASE,
-              resource="warp_slot:release"),
-    StateRule(COMP_DEAD, "dead"),
-)
-
-#: Stale-synchronous *extension* rows, interpreted on top of the base
-#: component lifecycle when the design is
-#: :attr:`~repro.exec_model.costmodel.Design.STALE_SYNC`.  They do not
-#: introduce new integer states (the token layout is unchanged): the
-#: ``stale_launch`` row annotates the GATHER step of a component whose
-#: wake threshold fired with contributions still missing, and the
-#: ``validate`` / ``replay`` rows describe the post-hoc validation pass
-#: appended after the calendar drains (timestamps from
-#: :func:`stale_validation_times`).  Kept in a separate table so the
-#: base lifecycle's state set stays closed.
-STALE_LIFECYCLE: tuple[StateRule, ...] = (
-    StateRule(COMP_GATHER, "stale_launch", emits=TRACE_STALE_LAUNCH,
-              cost="gather", next=COMP_SOLVE),
-    StateRule(COMP_RELEASE, "validate", emits=TRACE_VALIDATE,
-              cost="validate"),
-    StateRule(COMP_RELEASE, "replay", emits=TRACE_REPLAY,
-              cost="t_kernel_launch"),
-)
-
-#: The cross-GPU transfer lifecycle (a local delivery skips straight to
-#: the terminal delivery hop).
-TRANSFER_LIFECYCLE: tuple[StateRule, ...] = (
-    StateRule(XFER_CLAIM, "claim", next=XFER_WIRE,
-              resource="link_channel:acquire"),
-    StateRule(XFER_WIRE, "wire", emits=TRACE_XFER_BEGIN, cost="wire",
-              next=XFER_RETIRE),
-    StateRule(XFER_RETIRE, "retire", emits=TRACE_XFER_END, cost="notify",
-              resource="link_channel:release"),
 )
 
 
@@ -428,7 +336,7 @@ def remap_plan(
 
 
 # ---------------------------------------------------------------------------
-# Token layout: how the array engine compiles the tables to integers.
+# Token layout: the array engine's integer token ranges.
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class TokenLayout:
@@ -464,22 +372,6 @@ class TokenLayout:
             failure_base=failure_base,
         )
 
-    # ------------------------------------------------------------- encoders
-    def component(self, i: int, state: int = COMP_ACQUIRE) -> int:
-        return (i << COMP_SHIFT) | state
-
-    def delivery(self, e: int) -> int:
-        return -1 - e
-
-    def local_start(self, e: int) -> int:
-        return self.local_base + e
-
-    def transfer(self, e: int, state: int = XFER_CLAIM) -> int:
-        return self.xfer_base + ((e << XFER_SHIFT) | state)
-
-    def failure(self, k: int) -> int:
-        return self.failure_base + k
-
     def spawn_codes(self, local_mask: np.ndarray) -> np.ndarray:
         """Per-edge fan-out spawn tokens: local start hop or transfer claim."""
         eids = np.arange(self.nnz, dtype=np.int64)
@@ -488,20 +380,6 @@ class TokenLayout:
             self.local_base + eids,
             self.xfer_base + (eids << XFER_SHIFT),
         )
-
-    # ------------------------------------------------------------- decoder
-    def describe(self, code: int) -> tuple[str, int, int | None]:
-        """Decode a token to ``(kind, id, state)`` (tests / diagnostics)."""
-        if code < 0:
-            return ("delivery", -1 - code, None)
-        if code < self.local_base:
-            return ("component", code >> COMP_SHIFT, code & (2**COMP_SHIFT - 1))
-        if code < self.xfer_base:
-            return ("local_start", code - self.local_base, None)
-        if code < self.failure_base:
-            c = code - self.xfer_base
-            return ("transfer", c >> XFER_SHIFT, c & (2**XFER_SHIFT - 1))
-        return ("failure", code - self.failure_base, None)
 
 
 # ---------------------------------------------------------------------------
@@ -645,58 +523,8 @@ def stale_validation_times(
 
 
 # ---------------------------------------------------------------------------
-# Per-design hooks: unified page-table routing vs priced cost tables.
+# Producer-side update pricing (every design but the unified page table).
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DesignHooks:
-    """How one communication design routes producer-side updates.
-
-    Attributes
-    ----------
-    design:
-        The design the hooks describe.
-    page_table:
-        ``True`` for :attr:`~repro.exec_model.costmodel.Design.UNIFIED`:
-        every remote update is charged through the exact
-        :class:`~repro.machine.unified.UnifiedMemory` page table (the
-        engines own the stateful table; the hook only routes).  Local
-        updates and notify latencies use the shared cost tables either
-        way.
-    stale:
-        The default :class:`StalePolicy` for
-        :attr:`~repro.exec_model.costmodel.Design.STALE_SYNC` (``None``
-        for every fully synchronous design).
-    one_sided:
-        ``True`` for the NVSHMEM designs whose remote traffic is
-        one-sided puts/gets.  These may cross the fallback link tier
-        only when the topology grants ``shmem_over_fallback`` (the IB
-        RDMA transport) — see :func:`fallback_legal`; the unified
-        design stages through page migration and has no such
-        restriction.
-    """
-
-    design: Design
-    page_table: bool
-    stale: "StalePolicy | None" = None
-    one_sided: bool = True
-
-
-_DESIGN_HOOKS = {
-    d: DesignHooks(
-        design=d,
-        page_table=d is Design.UNIFIED,
-        stale=DEFAULT_STALE_POLICY if d is Design.STALE_SYNC else None,
-        one_sided=d is not Design.UNIFIED,
-    )
-    for d in Design
-}
-
-
-def design_hooks(design: Design | str) -> DesignHooks:
-    """The per-design hook record (coerces and validates ``design``)."""
-    return _DESIGN_HOOKS[coerce_design(design)]
-
-
 def edge_update_inc(costs: CommCosts, src_g: int, dst_g: int) -> float:
     """Producer-side cost of one dependant update (non-page-table path)."""
     if src_g == dst_g:
@@ -720,7 +548,7 @@ def edge_cost_tables(
     """Vectorised per-edge ``(update_inc, notify_delay)`` tables.
 
     The array engine compiles these at build time for non-page-table
-    designs; values are bit-identical to the scalar hooks.
+    designs; values are bit-identical to the scalar forms.
     """
     inc = np.where(
         local_e, costs.update_local, costs.update_remote[src_g_e, dst_g_e]
@@ -770,7 +598,7 @@ def fallback_legal(design: Design | str, topology) -> bool:
     """
     if topology.fallback is None:
         return False
-    if design_hooks(design).one_sided:
+    if coerce_design(design) is not Design.UNIFIED:
         return bool(topology.shmem_over_fallback)
     return True
 

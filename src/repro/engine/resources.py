@@ -1,17 +1,12 @@
-"""Counted resources with FIFO queueing for the DES core.
+"""Counted resources with FIFO queueing for the reference DES engine.
 
 A :class:`Resource` models anything with finite concurrent capacity —
 GPU warp slots, a link's message channels, the single owner of a managed
 page.  Processes interact with it only through the ``Acquire``/``Release``
-commands; direct method calls exist for the simulator's use.
-
-:class:`ResourceBank` is the pooled counterpart for the array engine:
-every warp-slot pool and link channel of a run lives as one *row* of
-flat parallel arrays (capacity, in-use count, stats) plus a FIFO waiter
-queue of integer process ids — no per-pool object, no per-acquire
-allocation.  Grant/hand-over semantics are identical to
-:class:`Resource`, which is what keeps the two engines' schedules
-bit-comparable.
+commands; direct method calls exist for the simulator's use.  The array
+engine (:mod:`repro.solvers.des_array`) runs the same grant/hand-over
+rule inline over flat per-row lists, which is what keeps the two
+engines' schedules bit-comparable.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from typing import Any
 
 from repro.errors import SimulationError
 
-__all__ = ["Resource", "ResourceBank"]
+__all__ = ["Resource"]
 
 
 @dataclass
@@ -41,9 +36,6 @@ class Resource:
     capacity: int
     in_use: int = field(default=0, init=False)
     _queue: deque = field(default_factory=deque, init=False)
-    # Statistics
-    total_acquisitions: int = field(default=0, init=False)
-    peak_in_use: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -53,7 +45,7 @@ class Resource:
     def try_acquire(self, process: Any) -> bool:
         """Grant a unit if available, else enqueue ``process``."""
         if self.in_use < self.capacity and not self._queue:
-            self._grant()
+            self.in_use += 1
             return True
         self._queue.append(process)
         return False
@@ -71,15 +63,9 @@ class Resource:
             )
         if self._queue:
             # Hand the unit straight to the head waiter: in_use unchanged.
-            self.total_acquisitions += 1
             return self._queue.popleft()
         self.in_use -= 1
         return None
-
-    def _grant(self) -> None:
-        self.in_use += 1
-        self.total_acquisitions += 1
-        self.peak_in_use = max(self.peak_in_use, self.in_use)
 
     def drain(self) -> list:
         """Evict every queued waiter (FIFO order) without granting.
@@ -95,10 +81,6 @@ class Resource:
 
     # Introspection -----------------------------------------------------------
     @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    @property
     def queue_length(self) -> int:
         return len(self._queue)
 
@@ -107,86 +89,3 @@ class Resource:
             f"Resource({self.name!r}, {self.in_use}/{self.capacity} used, "
             f"{len(self._queue)} queued)"
         )
-
-
-class ResourceBank:
-    """Pooled counted resources addressed by integer row id.
-
-    One bank replaces a run's whole population of :class:`Resource`
-    objects: :meth:`add` allocates a row (name, capacity, in-use count,
-    acquisition stats, FIFO waiter queue) and returns its id; the array
-    engine then acquires/releases by ``(row id, process id)`` with plain
-    integer bookkeeping.  Semantics match :class:`Resource` exactly —
-    FIFO waiters, capacity handed straight to the head waiter on release
-    so a barging process can never steal a release-acquire pair.
-    """
-
-    __slots__ = (
-        "names",
-        "capacity",
-        "in_use",
-        "total_acquisitions",
-        "peak_in_use",
-        "_queues",
-    )
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-        self.capacity: list[int] = []
-        self.in_use: list[int] = []
-        self.total_acquisitions: list[int] = []
-        self.peak_in_use: list[int] = []
-        self._queues: list[deque] = []
-
-    def add(self, name: str, capacity: int) -> int:
-        """Allocate one pooled resource row; returns its id."""
-        if capacity < 1:
-            raise SimulationError(f"resource {name!r} needs capacity >= 1")
-        rid = len(self.names)
-        self.names.append(name)
-        self.capacity.append(capacity)
-        self.in_use.append(0)
-        self.total_acquisitions.append(0)
-        self.peak_in_use.append(0)
-        self._queues.append(deque())
-        return rid
-
-    def try_acquire(self, rid: int, pid: int) -> bool:
-        """Grant a unit of row ``rid`` if available, else enqueue ``pid``."""
-        if self.in_use[rid] < self.capacity[rid] and not self._queues[rid]:
-            used = self.in_use[rid] + 1
-            self.in_use[rid] = used
-            self.total_acquisitions[rid] += 1
-            if used > self.peak_in_use[rid]:
-                self.peak_in_use[rid] = used
-            return True
-        self._queues[rid].append(pid)
-        return False
-
-    def release(self, rid: int) -> int | None:
-        """Return a unit of row ``rid``; pop and return the next waiter.
-
-        As with :class:`Resource.release`, a returned process id must be
-        resumed with the grant already applied (``in_use`` is unchanged
-        on hand-over).
-        """
-        if self.in_use[rid] <= 0:
-            raise SimulationError(
-                f"release of {self.names[rid]!r} with no outstanding "
-                "acquisition"
-            )
-        queue = self._queues[rid]
-        if queue:
-            self.total_acquisitions[rid] += 1
-            return queue.popleft()
-        self.in_use[rid] -= 1
-        return None
-
-    def queue_length(self, rid: int) -> int:
-        return len(self._queues[rid])
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ResourceBank({len(self.names)} pooled resources)"

@@ -7,7 +7,7 @@ unified-memory page migration, and NVSHMEM one-sided semantics — while
 carrying real NumPy data so solvers produce real numerics.
 """
 
-from repro.machine.gpu import BatchWarpPool, GpuCounters, WarpScheduler, solve_cost
+from repro.machine.gpu import BatchWarpPool, GpuCounters, WarpScheduler
 from repro.machine.link import LinkTracker
 from repro.machine.memory import DeviceMemory
 from repro.machine.mesh import (
@@ -49,7 +49,6 @@ __all__ = [
     "WarpScheduler",
     "BatchWarpPool",
     "SmWarpScheduler",
-    "solve_cost",
     "LinkTracker",
     "DeviceMemory",
     "MachineConfig",

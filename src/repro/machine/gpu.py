@@ -1,4 +1,4 @@
-"""GPU execution model: warp-slot occupancy and per-component costing.
+"""GPU execution model: warp-slot occupancy and dispatch scheduling.
 
 One warp solves one component (Liu et al.'s mapping, kept by the paper).
 A GPU sustains :attr:`~repro.machine.specs.GpuSpec.warp_slots` resident
@@ -7,34 +7,29 @@ solve-update finishes — *including* the lock-wait spin, which is how
 waiting time eats hardware and why workload imbalance hurts (Section V).
 
 :class:`WarpScheduler` implements dispatch-in-order list scheduling over
-the slot pool; it is shared by the fast timing model and the DES tier.
+the slot pool; the thread-level solver drives it directly.  The fast
+timing model runs the same rule inlined in its list loop, or batched by
+:class:`BatchWarpPool`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.machine.specs import GpuSpec
 
-__all__ = ["WarpScheduler", "BatchWarpPool", "GpuCounters", "solve_cost"]
+__all__ = ["WarpScheduler", "BatchWarpPool", "GpuCounters"]
 
 
 @dataclass
 class GpuCounters:
     """Per-GPU accounting accumulated during a simulated solve."""
 
-    busy_time: float = 0.0  # productive solve-update time
-    spin_time: float = 0.0  # lock-wait time while holding a slot
-    comm_time: float = 0.0  # time in remote gets / faults
     components: int = 0
     last_finish: float = 0.0
-
-    @property
-    def occupied_time(self) -> float:
-        return self.busy_time + self.spin_time + self.comm_time
 
 
 class WarpScheduler:
@@ -198,12 +193,3 @@ class BatchWarpPool:
             self.counters.last_finish = last
         return dispatch, finish
 
-
-def solve_cost(spec: GpuSpec, col_nnz: int, in_degree: int) -> float:
-    """Productive time of one component's solve-update phase.
-
-    ``in_degree`` left-sum accumulations feed the solve; ``col_nnz - 1``
-    strictly-lower entries are produced as updates (the update *targets*
-    are charged separately per memory model).
-    """
-    return spec.t_per_nnz * (max(col_nnz, 1) + max(in_degree, 0))

@@ -1,20 +1,20 @@
-"""Array-based DES fast path: the event-granular playout without generators.
+"""Array-based DES engine: the event-granular playout without generators.
 
-This module is the *compiling interpreter* of the shared execution
-protocol in :mod:`repro.engine.protocol`: :func:`compile_program`
-compiles the protocol's lifecycle tables, token layout, and timing
-rules into flat integer/float arrays once per structure, and
-:func:`execute_array` drains them with a branchy hot loop once per
-right-hand side — the same components, notifiers, warp slots, link
-channels, and unified-memory page table as the reference engine
-(:func:`repro.solvers.des_solver.des_execute`, which *walks* the same
-tables with generator objects), as a flat state machine instead of one
-Python generator per process:
+This module compiles the shared execution protocol of
+:mod:`repro.engine.protocol`: :func:`compile_program` turns its state
+constants, token layout and timing rules into flat integer/float arrays
+once per structure, and :func:`execute_array` drains them with a branchy
+hot loop once per right-hand side — the same components, notifiers,
+warp slots, link channels, and unified-memory page table as the
+reference engine (:func:`repro.solvers.des_solver.des_execute` with
+``engine="reference"``, which plays the same state machine with
+generator objects), as a flat state machine instead of one Python
+generator per process:
 
 * **compile once, drain per solve** — an :class:`ArrayProgram` holds
   everything that depends only on the structure, placement, machine and
   design (index and ownership lists, per-warp and per-edge cost tables,
-  link-bank rows, the sorted dispatch-front calendar seed, and each
+  resource rows, the sorted dispatch-front calendar seed, and each
   edge's fan-out delay); a drain builds only what depends on ``b`` and
   on the run itself.  A :class:`~repro.runtime.session.SolverSession`
   keeps one program across its solves;
@@ -36,10 +36,11 @@ Python generator per process:
   (gather, solve, update chains, notify latencies, link rows, wire
   times) are precomputed and indexed straight off the token, so one
   engine tick is an integer compare plus a handful of float adds;
-* **pooled resources** — every warp-slot pool and link channel is a row
-  in one :class:`~repro.engine.resources.ResourceBank`; the hot loop
-  hoists the bank's parallel lists into locals and runs the
-  grant/hand-over protocol inline.
+* **pooled resources** — every warp-slot pool and link channel is one
+  row of four flat lists (name, capacity, in-use count, FIFO waiter
+  queue) built per drain from the program's ``bank_rows``; the hot loop
+  runs :class:`~repro.engine.resources.Resource`'s grant/hand-over rule
+  inline on them.
 
 Bit-equality contract
 ---------------------
@@ -51,10 +52,10 @@ counts.  Two invariants carry the proof:
 
 1. *FIFO-bucket order is ``(time, seq)`` order.*  The reference engine
    breaks timestamp ties with a monotone sequence number assigned at
-   schedule (push) time
-   (:class:`~repro.engine.sequence.MonotonicSequence`), and every
-   push lands at ``time >= now`` — delays are non-negative.  A token
-   appended to a bucket therefore always carries a larger sequence
+   schedule (push) time (the :class:`~repro.engine.des.Simulator`
+   heap orders by ``(time, seq)``), and every push lands at
+   ``time >= now`` — delays are non-negative.  A token appended to a
+   bucket therefore always carries a larger sequence
    number than every token already in it: insertion order within an
    exact timestamp *is* the reference heap's pop order, so the calendar
    never materialises a sequence number or an entry tuple.
@@ -77,6 +78,7 @@ physics.
 from __future__ import annotations
 
 import gc
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -111,11 +113,11 @@ from repro.engine.protocol import (
     XFER_CLAIM,
     XFER_RETIRE,
     XFER_SHIFT,
+    XFER_WIRE,
     TokenLayout,
     coerce_design,
     deadlock_error,
     delivery_action,
-    design_hooks,
     edge_cost_tables,
     exhausted_delivery,
     failure_victims,
@@ -129,7 +131,6 @@ from repro.engine.protocol import (
     wake_threshold,
     wire_time,
 )
-from repro.engine.resources import ResourceBank
 from repro.engine.trace import Trace
 from repro.errors import SimulationError, SolverError
 from repro.exec_model.artefacts import get_artefacts
@@ -308,6 +309,13 @@ def _interned(values: np.ndarray) -> list:
     return out.tolist()
 
 
+def _bank_row(name: str, capacity: int) -> tuple[str, int]:
+    """One pooled-resource row; rejects a capacity ``Resource`` rejects."""
+    if capacity < 1:
+        raise SimulationError(f"resource {name!r} needs capacity >= 1")
+    return (name, capacity)
+
+
 def compile_program(
     lower: CscMatrix,
     dist: Distribution,
@@ -335,7 +343,7 @@ def compile_program(
     costs = art.comm_costs(machine, design)
     n_gpus = machine.n_gpus
     gpu_spec = machine.gpu
-    unified = design_hooks(design).page_table
+    unified = design is Design.UNIFIED
     topo = machine.topology
     phys = machine.active_gpus
 
@@ -370,7 +378,9 @@ def compile_program(
     # update fan-out is ingested with a single slice-extend.
     layout = TokenLayout.for_system(n, nnz)
 
-    bank_rows = [(f"gpu{g}.warps", gpu_spec.warp_slots) for g in range(n_gpus)]
+    bank_rows = [
+        _bank_row(f"gpu{g}.warps", gpu_spec.warp_slots) for g in range(n_gpus)
+    ]
     pair_rid = np.full(n_gpus * n_gpus, -1, dtype=np.int64)
     pair_wire = np.zeros(n_gpus * n_gpus)
     cross_pairs = np.unique(src_g_e[~local_e] * n_gpus + dst_g_e[~local_e])
@@ -379,7 +389,7 @@ def compile_program(
         ga, gb = int(phys[src_pe]), int(phys[dst_pe])
         capacity = link_capacity(topo, ga, gb, MESSAGES_IN_FLIGHT_PER_LINK)
         pair_rid[p] = len(bank_rows)
-        bank_rows.append((f"link{src_pe}->{dst_pe}", capacity))
+        bank_rows.append(_bank_row(f"link{src_pe}->{dst_pe}", capacity))
         pair_wire[p] = wire_time(topo, ga, gb)
     # Equal values share one boxed object: the link and wire lists index
     # pools keyed by PE pair (a last slot for local edges: no link, no
@@ -551,10 +561,6 @@ def execute_array(
                 e_delay = e_delay.copy()
                 rel = rel.copy()
 
-    bank = ResourceBank()
-    for name, capacity in program.bank_rows:
-        bank.add(name, capacity)
-
     um: UnifiedMemory | None = None
     s_left = s_indeg = None
     um_access = None
@@ -602,14 +608,12 @@ def execute_array(
     now = 0.0
     t_disp = gpu_spec.t_warp_dispatch
 
-    # Hot-loop locals: the resource bank's parallel lists are hoisted so
-    # grant/hand-over run as plain list ops (stats included, matching
-    # ResourceBank.try_acquire/release).
-    r_cap = bank.capacity
-    r_used = bank.in_use
-    r_tot = bank.total_acquisitions
-    r_peak = bank.peak_in_use
-    r_q = bank._queues
+    # Pooled resources: one row per warp-slot pool and link channel,
+    # granted and handed over with plain list ops (Resource's rule).
+    r_names = [name for name, _cap in program.bank_rows]
+    r_cap = [cap for _name, cap in program.bank_rows]
+    r_used = [0] * len(r_cap)
+    r_q = [deque() for _ in r_cap]
     bget = buckets.get
 
     # The playout only appends into long-lived lists; cyclic-GC passes
@@ -825,13 +829,18 @@ def execute_array(
                                         sp, dp = p // n_gpus, p % n_gpus
                                         ga = int(phys[sp])
                                         gb = int(phys[dp])
-                                        cap = link_capacity(
-                                            topo, ga, gb,
-                                            MESSAGES_IN_FLIGHT_PER_LINK,
+                                        name, cap = _bank_row(
+                                            f"link{sp}->{dp}",
+                                            link_capacity(
+                                                topo, ga, gb,
+                                                MESSAGES_IN_FLIGHT_PER_LINK,
+                                            ),
                                         )
-                                        pair_rid[p] = bank.add(
-                                            f"link{sp}->{dp}", cap
-                                        )
+                                        pair_rid[p] = len(r_cap)
+                                        r_names.append(name)
+                                        r_cap.append(cap)
+                                        r_used.append(0)
+                                        r_q.append(deque())
                                         pair_wire[p] = wire_time(topo, ga, gb)
                                 eu = upd.tolist()
                                 se_t = se.tolist()
@@ -887,7 +896,6 @@ def execute_array(
                         link = elink_l[e]
                         q = r_q[link]
                         if q:
-                            r_tot[link] += 1
                             cur.append(q.popleft())
                         else:
                             r_used[link] -= 1
@@ -907,13 +915,9 @@ def execute_array(
                         link = elink_l[e]
                         q = r_q[link]
                         if q or r_used[link] >= r_cap[link]:
-                            q.append(code + 1)  # park; resume at WIRE
+                            q.append(code - st + XFER_WIRE)  # park
                             continue
-                        u = r_used[link] + 1
-                        r_used[link] = u
-                        r_tot[link] += 1
-                        if u > r_peak[link]:
-                            r_peak[link] = u
+                        r_used[link] += 1
                     # XFER_WIRE (granted inline above, or woken parked)
                     if emit is not None:
                         emit((
@@ -1068,7 +1072,6 @@ def execute_array(
                         c_release += 1
                     q = r_q[g]
                     if q:
-                        r_tot[g] += 1
                         cur.append(q.popleft())
                     else:
                         r_used[g] -= 1
@@ -1083,11 +1086,7 @@ def execute_array(
                     if q or r_used[g] >= r_cap[g]:
                         q.append(code | COMP_DISPATCH)  # park; grant later
                         continue
-                    u = r_used[g] + 1
-                    r_used[g] = u
-                    r_tot[g] += 1
-                    if u > r_peak[g]:
-                        r_peak[g] = u
+                    r_used[g] += 1
                 if emit is not None:
                     emit((now, TRACE_DISPATCH, g, i))
                 else:
@@ -1111,7 +1110,7 @@ def execute_array(
     if any(remaining):
         parked = [i for i in range(n) if parked_ready[i]]
         queued = {
-            bank.names[rid]: len(q) for rid, q in enumerate(r_q) if q
+            r_names[rid]: len(q) for rid, q in enumerate(r_q) if q
         }
         if parked or queued:
             raise deadlock_error(now, nevents, parked, queued, gpu_np)

@@ -12,13 +12,12 @@ counts, exact ownership churn).
 array engine (:mod:`repro.solvers.des_array`), which compiles the
 shared execution protocol of :mod:`repro.engine.protocol` to integer
 tokens; every production path runs that engine.  Its generator body,
-run with ``engine="reference"``, is the *literal interpreter* of the
-same protocol: it walks the lifecycle tables with generator objects on
-the :class:`~repro.engine.des.Simulator`, one process per component,
-and stays only as the bit-identity oracle the array engine is checked
-against.  Every state constant, timing rule, delivery verdict, and
-remap decision comes from the protocol core — neither engine declares
-protocol logic of its own.
+run with ``engine="reference"``, plays the same state machine as one
+:class:`~repro.engine.des.Simulator` process per component and per
+update message, and stays only as the bit-identity oracle the array
+engine is checked against.  Both engines take every state constant,
+timing rule, delivery verdict and remap decision from the protocol
+module rather than declaring their own.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from repro.engine.protocol import (
     coerce_design,
     deadlock_error,
     delivery_action,
-    design_hooks,
     edge_notify_delay,
     edge_update_inc,
     exhausted_delivery,
@@ -175,7 +173,6 @@ def des_execute(
             choices=VALID_ENGINES,
         )
     design = coerce_design(design)
-    hooks = design_hooks(design)
     stale = resolve_stale_policy(design, stale)
     wake_at = wake_threshold(stale)
     validate_fabric_reach(machine, design)
@@ -281,7 +278,7 @@ def des_execute(
         return links[key]
     um: UnifiedMemory | None = None
     s_left = s_indeg = None
-    if hooks.page_table:
+    if design is Design.UNIFIED:
         um = UnifiedMemory(machine.um, machine.topology)
         s_left = um.malloc_managed("s.left_sum", n)
         s_indeg = um.malloc_managed("s.in_degree", n, dtype=np.int64)
@@ -429,7 +426,7 @@ def des_execute(
             emit((sim.now, TRACE_STALE_LAUNCH, g, (i, int(remaining[i]))))
         # Gather phase (remote reads / final poll fault).
         gather = costs.gather if in_counts[i] else 0.0
-        if hooks.page_table and um is not None and in_counts[i]:
+        if um is not None and in_counts[i]:
             cost, _ = um.access(phys[g], s_indeg, i, sharers=n_gpus)
             gather += cost
         if gather > 0.0:
@@ -456,7 +453,7 @@ def des_execute(
             rid = int(indices[e])
             contrib = data[e] * x[i]
             dst_g = int(gpu_of[rid])
-            if hooks.page_table and um is not None and dst_g != g:
+            if um is not None and dst_g != g:
                 cost, faulted = um.access(phys[g], s_left, rid, sharers=n_gpus)
                 update_cost += cost
                 if faulted:

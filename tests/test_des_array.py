@@ -214,6 +214,26 @@ class TestFailureModes:
         with pytest.raises(SimulationError, match="deadlock"):
             des_execute(lower, b, dist, dgx1(2), engine="array")
 
+    def test_zero_link_capacity_rejected_identically(self, monkeypatch):
+        import repro.solvers.des_solver as mod
+
+        monkeypatch.setattr(mod, "MESSAGES_IN_FLIGHT_PER_LINK", 0)
+        _, gen = GENERATORS[5]  # scattered: cross-GPU heavy
+        lower = gen(2)
+        n = lower.shape[0]
+        errors = []
+        for engine in ("reference", "array"):
+            with pytest.raises(SimulationError) as info:
+                des_execute(
+                    lower, np.ones(n), block_distribution(n, 2), dgx1(2),
+                    engine=engine,
+                )
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[1] == (
+            SimulationError, "resource 'link0->1' needs capacity >= 1"
+        )
+
 
 # ---------------------------------------------------------------------------
 # Faulted parity: the bit-equality contract extends to every fault-

@@ -139,7 +139,8 @@ class TestWarpScheduler:
         assert sched.counters.last_finish == 2.0
 
     def test_solve_cost_monotone(self):
-        from repro.machine.gpu import solve_cost
+        from repro.engine.protocol import solve_cost
 
-        assert solve_cost(V100, 10, 3) > solve_cost(V100, 2, 1)
-        assert solve_cost(V100, 0, 0) > 0  # floor of one entry
+        t = V100.t_per_nnz
+        assert solve_cost(t, 10, 3) > solve_cost(t, 2, 1)
+        assert solve_cost(t, 0, 0) > 0  # floor of one entry

@@ -14,13 +14,14 @@ import pytest
 from repro.engine.protocol import (
     COMP_SHIFT,
     TokenLayout,
-    design_hooks,
+    coerce_design,
     edge_cost_tables,
     gather_cost_table,
     launch_times,
     solve_cost_table,
 )
 from repro.exec_model.artefacts import get_artefacts
+from repro.exec_model.costmodel import Design
 from repro.runtime.config import RunConfig
 from repro.serve.request import build_workload
 from repro.solvers import des_array
@@ -100,7 +101,7 @@ def _plain_tables(lower, dist, machine, design):
         "ewire_l": np.where(local, 0.0, program.pair_wire[pair]).tolist(),
         "notify_l": costs.notify.tolist(),
     }
-    if design_hooks(design).page_table:
+    if coerce_design(design) is Design.UNIFIED:
         tables["e_delay"] = tables["rel"] = None
     else:
         inc, dl = edge_cost_tables(costs, src, dst, local)

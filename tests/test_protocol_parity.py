@@ -8,12 +8,14 @@ modules — at the AST level (no module-level re-declaration, no
 string-literal trace kinds smuggled back in) and at runtime (every bound
 name is the protocol's own object) — so a future edit that forks the
 protocol fails CI before any bit-equality battery has to catch it.
+A last check keeps the protocol module free of exports no code runs.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -23,14 +25,8 @@ import repro.solvers.des_array as des_array
 import repro.solvers.des_solver as des_solver
 from repro.engine.protocol import (
     ALL_TRACE_KINDS,
-    COMPONENT_LIFECYCLE,
     DEFAULT_STALE_POLICY,
     PROTOCOL_CONSTANTS,
-    STALE_LIFECYCLE,
-    TRACE_REPLAY,
-    TRACE_STALE_LAUNCH,
-    TRACE_VALIDATE,
-    TRANSFER_LIFECYCLE,
     TokenLayout,
 )
 
@@ -116,7 +112,6 @@ def test_engine_functions_are_protocol_functions():
         "launch_times",
         "link_capacity",
         "wire_time",
-        "design_hooks",
     )
     for name in shared:
         proto_fn = getattr(protocol, name)
@@ -196,49 +191,6 @@ def test_compiled_shift_widths_are_pinned():
     # either constant requires recompiling the hot loop.
     assert protocol.COMP_SHIFT == 3
     assert protocol.XFER_SHIFT == 2
-    assert len(COMPONENT_LIFECYCLE) <= (1 << protocol.COMP_SHIFT)
-    assert len(TRANSFER_LIFECYCLE) <= (1 << protocol.XFER_SHIFT)
-
-
-def test_lifecycle_tables_are_coherent():
-    comp_states = {rule.state for rule in COMPONENT_LIFECYCLE}
-    assert comp_states == {
-        protocol.COMP_ACQUIRE,
-        protocol.COMP_DISPATCH,
-        protocol.COMP_GATHER,
-        protocol.COMP_SOLVE,
-        protocol.COMP_POST,
-        protocol.COMP_RELEASE,
-        protocol.COMP_DEAD,
-    }
-    for rule in COMPONENT_LIFECYCLE + TRANSFER_LIFECYCLE:
-        if rule.emits is not None:
-            assert rule.emits in ALL_TRACE_KINDS, rule
-        if rule.next is not None:
-            table = (
-                COMPONENT_LIFECYCLE
-                if rule in COMPONENT_LIFECYCLE
-                else TRANSFER_LIFECYCLE
-            )
-            assert rule.next in {r.state for r in table}, rule
-
-
-def test_stale_lifecycle_is_coherent():
-    # Stale rows annotate existing component states — they must never
-    # widen the base component state machine (the compiled COMP_SHIFT
-    # token width pins its size), and every emit must be a registered
-    # trace kind.
-    comp_states = {rule.state for rule in COMPONENT_LIFECYCLE}
-    for rule in STALE_LIFECYCLE:
-        assert rule.state in comp_states, rule
-        assert rule.emits in ALL_TRACE_KINDS, rule
-        if rule.next is not None:
-            assert rule.next in comp_states, rule
-    emitted = {rule.emits for rule in STALE_LIFECYCLE}
-    assert emitted == {TRACE_STALE_LAUNCH, TRACE_VALIDATE, TRACE_REPLAY}
-    # The stale rows are an overlay, not new base transitions.
-    base_keys = {(r.state, r.name) for r in COMPONENT_LIFECYCLE}
-    assert not base_keys & {(r.state, r.name) for r in STALE_LIFECYCLE}
 
 
 def test_stale_constants_in_manifest():
@@ -266,3 +218,68 @@ def test_token_layout_round_trip():
         (3 << protocol.XFER_SHIFT) | protocol.XFER_WIRE
     )
     assert layout.xfer_base <= xfer < layout.failure_base
+
+
+# ---------------------------------------------------------------------------
+# 5. Every public protocol name is something the program runs.
+# ---------------------------------------------------------------------------
+#: Manifests the tests read; the program itself need not.
+_MANIFESTS = {"ALL_TRACE_KINDS", "PROTOCOL_CONSTANTS"}
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Every identifier ``node`` reads, imports, or looks up as attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_public_protocol_name_is_used():
+    """No declarative table, codec, or record that no code reads.
+
+    A public name is live when some module under ``src/repro`` other
+    than the protocol module and the ``repro.engine`` re-export refers
+    to it, or when a live top-level definition of the protocol module
+    does (``wire_time`` keeps ``MESSAGE_BYTES`` live).  The manifests
+    are exempt and keep nothing live.
+    """
+    package = Path(protocol.__file__).resolve().parents[1]
+    proto_file = Path(protocol.__file__).resolve()
+    skip = {proto_file, proto_file.with_name("__init__.py")}
+    outside = set()
+    for path in package.rglob("*.py"):
+        if path.resolve() not in skip:
+            outside |= _referenced_names(ast.parse(path.read_text()))
+    defs: dict[str, set[str]] = {}
+    for node in _module_tree(protocol).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = _referenced_names(node) - {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            bound = {t.id for t in targets if isinstance(t, ast.Name)}
+            for name in bound:
+                defs[name] = _referenced_names(node) - bound
+    live = outside & defs.keys()
+    stack = sorted(live - _MANIFESTS)
+    while stack:
+        for name in defs[stack.pop()] & defs.keys():
+            if name not in live:
+                live.add(name)
+                stack.append(name)
+    unused = [
+        name
+        for name in protocol.__all__
+        if name not in live and name not in _MANIFESTS
+    ]
+    assert not unused, (
+        f"repro.engine.protocol exports {unused}, which no code runs; "
+        "delete them or use them"
+    )
