@@ -587,7 +587,10 @@ class SolveService:
                     self._injector is not None
                     and self._injector.take_worker_kill()
                 ):
-                    if self.pool.mode != "process" or not self.pool.kill_one():
+                    if (
+                        self.pool.mode != "process"
+                        or not await self.pool.kill_one()
+                    ):
                         # Inline pools have no process to kill; model the
                         # crash directly so the retry path still runs.
                         raise WorkerCrashError("injected worker kill")

@@ -33,6 +33,7 @@ import asyncio
 import os
 import signal
 import threading
+import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -219,18 +220,33 @@ class WorkerPool:
             self._executor = None
 
     # ------------------------------------------------------------------
-    def kill_one(self) -> bool:
-        """SIGKILL one live pool process (the worker-kill fault hook)."""
+    async def kill_one(self, timeout: float = 5.0) -> bool:
+        """SIGKILL one live pool process (the worker-kill fault hook).
+
+        Returns once the executor has marked itself broken (or after
+        ``timeout`` seconds).  The executor's manager thread acts on a
+        worker death only on a wake-up with no result or submission
+        ready, so a surviving worker can finish a storm of small jobs
+        before the death is seen; the kill would then never reach the
+        retry ladder.
+        """
         if not self.workers or self._executor is None:
             return False
-        procs = getattr(self._executor, "_processes", {})
+        executor = self._executor
+        procs = getattr(executor, "_processes", {})
         for pid in list(procs):
             try:
                 os.kill(pid, signal.SIGKILL)
-                self.kills += 1
-                return True
             except (ProcessLookupError, PermissionError):  # pragma: no cover
                 continue
+            self.kills += 1
+            deadline = time.monotonic() + timeout
+            while (
+                not getattr(executor, "_broken", True)
+                and time.monotonic() < deadline
+            ):
+                await asyncio.sleep(0.001)
+            return True
         return False  # pragma: no cover - pool without processes
 
     async def run(self, payload: dict, timeout: float | None = None) -> dict:
@@ -245,18 +261,23 @@ class WorkerPool:
         if self._executor is None:
             self.start()
         loop = asyncio.get_running_loop()
+        executor = self._executor
         try:
             # submit itself raises BrokenProcessPool when the executor
             # is already marked broken (a worker died between jobs), so
             # it must sit inside the same translation scope as the await.
-            future = loop.run_in_executor(self._executor, solve_job, payload)
+            future = loop.run_in_executor(executor, solve_job, payload)
             return await asyncio.wait_for(future, timeout)
         except BrokenProcessPool as err:
             # A dead worker poisons the whole executor: rebuild so the
             # next attempt (and every other tenant) gets a live pool.
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = self._build()
-            self.rebuilds += 1
+            # Every job the broken executor held fails here; only the
+            # first rebuilds, so no retry lands on a pool that a later
+            # failure then shuts down.
+            if self._executor is executor:
+                executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = self._build()
+                self.rebuilds += 1
             raise WorkerCrashError(
                 f"worker process died mid-solve ({err}); pool rebuilt"
             ) from None

@@ -305,6 +305,31 @@ class TestProcessPoolChaos:
         assert kills == 1 and rebuilds >= 1
         assert counts.get("ok", 0) == 4, counts
 
+    def test_kill_is_seen_before_instant_jobs(self, monkeypatch):
+        """Jobs that finish at once cannot outrun the crash detection:
+        the next submission fails, and only it rebuilds the pool."""
+        import repro.serve.workers as workers
+
+        monkeypatch.setattr(workers, "solve_job", abs)  # an instant job
+
+        async def scenario():
+            pool = workers.WorkerPool(workers=2)
+            pool.start()
+            try:
+                assert await pool.kill_one()
+                outs = await asyncio.gather(
+                    *(pool.run(-1) for _ in range(4)),
+                    return_exceptions=True,
+                )
+                return outs, pool.rebuilds
+            finally:
+                pool.stop()
+
+        outs, rebuilds = asyncio.run(scenario())
+        assert rebuilds == 1
+        assert isinstance(outs[0], WorkerCrashError)
+        assert outs[1:] == [1, 1, 1]
+
 
 class TestLoopWatchdog:
     def test_blocked_event_loop_is_detected(self):
