@@ -589,11 +589,14 @@ class SolveService:
                 ):
                     if (
                         self.pool.mode != "process"
-                        or not await self.pool.kill_one()
+                        or not await self.pool.kill_one(remaining)
                     ):
                         # Inline pools have no process to kill; model the
                         # crash directly so the retry path still runs.
                         raise WorkerCrashError("injected worker kill")
+                    # Waiting for the executor to see the kill spent
+                    # part of the deadline.
+                    remaining = ticket.remaining(time.monotonic())
                 raw = await self.pool.run(
                     self._payload(ticket, mode), timeout=remaining
                 )

@@ -220,15 +220,15 @@ class WorkerPool:
             self._executor = None
 
     # ------------------------------------------------------------------
-    async def kill_one(self, timeout: float = 5.0) -> bool:
+    async def kill_one(self, within: float) -> bool:
         """SIGKILL one live pool process (the worker-kill fault hook).
 
-        Returns once the executor has marked itself broken (or after
-        ``timeout`` seconds).  The executor's manager thread acts on a
-        worker death only on a wake-up with no result or submission
-        ready, so a surviving worker can finish a storm of small jobs
-        before the death is seen; the kill would then never reach the
-        retry ladder.
+        Returns once the executor has marked itself broken, or after
+        ``within`` seconds (the caller's remaining deadline).  The
+        executor's manager thread acts on a worker death only on a
+        wake-up with no result or submission ready, so a surviving
+        worker can finish a storm of small jobs before the death is
+        seen; the kill would then never reach the retry ladder.
         """
         if not self.workers or self._executor is None:
             return False
@@ -240,7 +240,7 @@ class WorkerPool:
             except (ProcessLookupError, PermissionError):  # pragma: no cover
                 continue
             self.kills += 1
-            deadline = time.monotonic() + timeout
+            deadline = time.monotonic() + within
             while (
                 not getattr(executor, "_broken", True)
                 and time.monotonic() < deadline

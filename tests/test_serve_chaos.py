@@ -316,7 +316,7 @@ class TestProcessPoolChaos:
             pool = workers.WorkerPool(workers=2)
             pool.start()
             try:
-                assert await pool.kill_one()
+                assert await pool.kill_one(5.0)
                 outs = await asyncio.gather(
                     *(pool.run(-1) for _ in range(4)),
                     return_exceptions=True,
