@@ -39,7 +39,10 @@ entirely: replaying tens of millions of events through generators (and
 holding their trace records) is what this sweep exists to avoid.  Those
 rows are marked ``verified: "repeat"``: the array engine's counters
 (solution bits, simulated clock, event and trace counters) must agree
-between the verification run and the last timed run.  Cross-engine
+between the verification run and the last timed run, and the
+verification run records its arithmetic, which must follow the
+dependency order (:func:`~repro.solvers.des_array.check_record_order`
+raises on a violation).  Cross-engine
 equality is covered by the smaller cases, the scale-out rows, and the
 test batteries.  The scale-1M throughput row is recorded, met or not,
 under ``throughput_target``.
@@ -59,10 +62,15 @@ from typing import Any
 
 import numpy as np
 
+from repro.engine.protocol import coerce_design
 from repro.exec_model.artefacts import load_artefacts, spill_artefacts
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
-from repro.solvers.des_array import compile_program
+from repro.solvers.des_array import (
+    DrainRecord,
+    check_record_order,
+    compile_program,
+)
 from repro.solvers.des_solver import des_execute
 from repro.tasks.schedule import block_distribution
 from repro.workloads.generators import dag_profile_matrix
@@ -321,10 +329,11 @@ def measure_des_case(
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
 
-    def run(engine: str, trace: bool, program=None):
+    def run(engine: str, trace: bool, program=None, record=None):
         return des_execute(
             lower, b, dist, machine, design,
             engine=engine, trace_enabled=trace, program=program,
+            record=record,
         )
 
     def compile_():
@@ -338,7 +347,12 @@ def measure_des_case(
 
     skip_reference = n >= SKIP_REFERENCE_N
     if skip_reference:
-        base = run("array", False, program)
+        record = DrainRecord()
+        base = run("array", False, program, record)
+        check_record_order(
+            record, lower, coerce_design(design) is Design.STALE_SYNC
+        )
+        del record  # 8 bytes per add and solve: freed before the timed drains
         verified = "repeat"
     else:
         base = run("reference", True)

@@ -100,6 +100,13 @@ class Trace:
         if n:
             self._bulk[kind] += n
 
+    def copy(self) -> Trace:
+        """A trace with this one's rows and counts that appends apart."""
+        other = Trace(enabled=self.enabled)
+        other.rows = self.rows.copy()
+        other._bulk = self._bulk.copy()
+        return other
+
     @property
     def records(self) -> list[TraceRecord]:
         """The rows as :class:`TraceRecord` objects, built on first read.

@@ -28,7 +28,6 @@ __all__ = ["WarpScheduler", "BatchWarpPool", "GpuCounters"]
 class GpuCounters:
     """Per-GPU accounting accumulated during a simulated solve."""
 
-    components: int = 0
     last_finish: float = 0.0
 
 
@@ -60,7 +59,6 @@ class WarpScheduler:
     def retire(self, finish_time: float) -> None:
         """Release the slot at ``finish_time``."""
         heapq.heappush(self._busy, finish_time)
-        self.counters.components += 1
         self.counters.last_finish = max(self.counters.last_finish, finish_time)
 
     @property
@@ -187,7 +185,6 @@ class BatchWarpPool:
                 pool = np.sort(np.asarray(heap))
 
         self._free = pool
-        self.counters.components += m
         last = float(np.max(finish))
         if last > self.counters.last_finish:
             self.counters.last_finish = last

@@ -94,7 +94,6 @@ class SmWarpScheduler:
             )
         self._slots[sm, cnt] = finish_time
         self._counts[sm] = cnt + 1
-        self.counters.components += 1
         self.counters.last_finish = max(self.counters.last_finish, finish_time)
 
     @property

@@ -82,6 +82,8 @@ def resilient_run(
     trace_enabled: bool = True,
     stale=None,
     program=None,
+    record=None,
+    replay=None,
 ) -> SessionResult:
     """Run one faulted, recovered, residual-checked DES solve.
 
@@ -100,31 +102,45 @@ def resilient_run(
     hangs (watchdog) and never returns silently corrupted data (residual
     check).
 
+    ``record`` (an empty :class:`~repro.solvers.des_array.DrainRecord`)
+    has the array drain write down its arithmetic; ``replay`` (a record
+    filled by a drain of ``program`` with the same ``plan``,
+    ``recovery`` and ``stale``) skips the drain and recomputes its
+    solution for this ``b`` instead
+    (:func:`~repro.solvers.des_solver.replay_execute`).  A replay builds
+    no injector and polls no ``watchdog``.  Everything after the drain
+    (stale-sync pass, residual check and repair) runs on either.
+
     Returns a :class:`SessionResult` with ``report=None``.
     """
     from repro.resilience.recovery import RecoveryPolicy, residual_repair
-    from repro.solvers.des_solver import des_execute
+    from repro.solvers.des_solver import des_execute, replay_execute
     from repro.sparse.validate import residual_norm
 
-    injector = None
-    if plan is not None and not plan.is_null:
-        injector = plan.build(lower, dist)
-    if recovery is None and injector is not None:
+    faulted = plan is not None and not plan.is_null
+    if recovery is None and faulted:
         recovery = RecoveryPolicy()
-    ex = des_execute(
-        lower,
-        b,
-        dist,
-        machine,
-        design,
-        trace_enabled=trace_enabled,
-        engine=engine,
-        injector=injector,
-        recovery=recovery,
-        watchdog=watchdog,
-        stale=stale,
-        program=program,
-    )
+    if replay is not None:
+        ex = replay_execute(
+            lower, b, machine, design,
+            stale=stale, program=program, record=replay,
+        )
+    else:
+        ex = des_execute(
+            lower,
+            b,
+            dist,
+            machine,
+            design,
+            trace_enabled=trace_enabled,
+            engine=engine,
+            injector=plan.build(lower, dist) if faulted else None,
+            recovery=recovery,
+            watchdog=watchdog,
+            stale=stale,
+            program=program,
+            record=record,
+        )
     x = ex.x
     repaired: list[int] = []
     if recovery is not None and recovery.residual_check:
@@ -152,8 +168,22 @@ class SolverSession:
     repeated calls on the same matrix reuse the DAG, level sets,
     placement, and comm-cost tables instead of rebuilding them.  The
     first :meth:`solve` / :meth:`execute` also compiles the matrix's
-    :class:`~repro.solvers.des_array.ArrayProgram`, and later solves of
-    the same matrix only drain it.
+    :class:`~repro.solvers.des_array.ArrayProgram`.
+
+    Drain once, record on the second drain, replay after that: the
+    first :meth:`solve` of a matrix drains the program; the second
+    drains it again with a :class:`~repro.solvers.des_array.DrainRecord`
+    attached (so a one-shot session never pays the recording hook) and
+    keeps the record next to the program; every later :meth:`solve`
+    replays the record for its ``b``
+    (:func:`~repro.solvers.des_array.replay_array`) instead of
+    re-simulating events whose order no value can change.  The
+    stale-sync pass, the residual check and repair, and the residual
+    norm run after every replay as after a drain, and the result is
+    bit-identical to a drain's.  A solve that raises keeps nothing;
+    binding a new matrix drops the program and its record together.  A
+    replay polls no watchdog (see ``RunConfig.watchdog_wall_limit``).
+    :meth:`execute` always drains.
     """
 
     def __init__(self, config: RunConfig | None = None, **overrides):
@@ -167,6 +197,8 @@ class SolverSession:
         self._artefacts = None
         self._dist = None
         self._program = None
+        self._drained = False
+        self._record = None
 
     @property
     def machine(self):
@@ -193,6 +225,8 @@ class SolverSession:
                 lower.shape[0], machine.n_gpus, lower=lower
             )
             self._program = None
+            self._drained = False
+            self._record = None
 
     def _array_program(self, lower):
         """The bound matrix's array-engine program, compiled on first use."""
@@ -233,14 +267,21 @@ class SolverSession:
         """Run the full configured pipeline on one system.
 
         Plays the system out at event granularity with the configured
-        fault plan / recovery policy / watchdog, residual-checks (and
-        selectively repairs) the solution per the policy — all through
-        :func:`resilient_run`, fed the session's compiled array program —
-        and, when ``with_report``, re-prices the execution through the
-        fast model for a comparable :class:`ExecutionReport`.
+        fault plan / recovery policy / watchdog (or, from the third solve
+        of a matrix on, replays the recorded second drain), residual-checks
+        (and selectively repairs) the solution per the policy — all
+        through :func:`resilient_run`, fed the session's compiled array
+        program — and, when ``with_report``, re-prices the execution
+        through the fast model for a comparable :class:`ExecutionReport`.
         """
         cfg = self.config
         self._bind(lower)
+        replay = self._record
+        record = None
+        if replay is None and self._drained:
+            from repro.solvers.des_array import DrainRecord
+
+            record = DrainRecord()
         res = resilient_run(
             lower,
             b,
@@ -253,7 +294,12 @@ class SolverSession:
             trace_enabled=cfg.trace_enabled,
             stale=cfg.build_stale_policy(),
             program=self._array_program(lower),
+            record=record,
+            replay=replay,
         )
+        self._drained = True
+        if record is not None:
+            self._record = record
         if not with_report:
             return res
         return replace(res, report=self.simulate(lower))

@@ -40,7 +40,15 @@ generator per process:
   row of four flat lists (name, capacity, in-use count, FIFO waiter
   queue) built per drain from the program's ``bank_rows``; the hot loop
   runs :class:`~repro.engine.resources.Resource`'s grant/hand-over rule
-  inline on them.
+  inline on them;
+* **drain once, replay per right-hand side** — a drain never branches
+  on a value: ``b`` and the matrix values enter only the two arithmetic
+  lines (a delivery adds ``data[e] * x[col[e]]`` into its destination's
+  partial sum, a solve sets ``x[i] = (b[i] - left_sum[i]) / diag``).
+  A drain given a :class:`DrainRecord` writes that arithmetic down in
+  order, and :func:`replay_array` recomputes ``x`` for a new ``b`` from
+  the record alone, level by level, with the same binary64 operations
+  per component (``tests/test_session_replay.py``).
 
 Bit-equality contract
 ---------------------
@@ -78,9 +86,11 @@ physics.
 from __future__ import annotations
 
 import gc
+from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +153,11 @@ from repro.tasks.schedule import Distribution
 
 __all__ = [
     "ArrayProgram",
+    "DrainRecord",
+    "check_record_order",
     "compile_program",
     "execute_array",
+    "replay_array",
 ]
 
 
@@ -213,6 +226,34 @@ class ArrayProgram:
             and self.machine is machine
             and self.design is coerce_design(design)
         )
+
+
+@dataclass(eq=False)
+class DrainRecord:
+    """One drain's arithmetic, and the observables no value changes.
+
+    :func:`execute_array` given a record appends to ``ops`` in event
+    order: ``e`` for "add edge ``e``'s contribution to its destination's
+    partial sum" and ``-1 - i`` for "solve component ``i``".  ``flips``
+    holds ``(position, bit)`` for each add whose contribution landed
+    bit-flipped (a corrupted delivery with no checksum).  At the end of
+    the drain it stores the run's ``total_time``, ``page_faults``,
+    ``events`` and a copy of its ``trace``, all taken before any
+    stale-sync validation pass.
+
+    None of this depends on ``b`` or on the matrix values, so
+    :func:`replay_array` turns the record into the solution for any
+    other ``b``.  The replay plan is built from the record on the first
+    replay and kept in ``plan``.
+    """
+
+    ops: array = field(default_factory=lambda: array("q"))
+    flips: list = field(default_factory=list)
+    total_time: float = 0.0
+    page_faults: int = 0
+    events: int = 0
+    trace: Trace | None = None
+    plan: tuple | None = None
 
 
 #: Once fewer columns than this are still long enough, the fan-out pass
@@ -460,6 +501,7 @@ def execute_array(
     recovery=None,
     watchdog=None,
     stale=None,
+    record: DrainRecord | None = None,
 ) -> tuple[np.ndarray, float, Trace, int, int]:
     """Drain one event-granular SpTRSV of a compiled program.
 
@@ -471,6 +513,13 @@ def execute_array(
     resilience hooks (see :func:`repro.solvers.des_solver.des_execute`);
     with a null/absent plan every instrumented branch is dead and the
     playout is bit-identical to the un-instrumented engine.
+
+    ``record``, an empty :class:`DrainRecord`, makes the drain write its
+    arithmetic and observables down for :func:`replay_array`.  The hook
+    costs a few percent of a drain, so a
+    :class:`~repro.runtime.session.SolverSession` passes one only on its
+    second solve of a program; every other drain runs without it.  A
+    drain that raises leaves the record incomplete.
     """
     from repro.solvers.des_solver import MESSAGES_IN_FLIGHT_PER_LINK
 
@@ -600,6 +649,7 @@ def execute_array(
 
     trace = Trace(enabled=trace_enabled)
     emit = trace.append if trace_enabled else None
+    rec = record.ops.append if record is not None else None
     c_dispatch = c_solve = c_release = c_fault = c_xb = c_xe = 0
     c_inject = c_retry = c_recov = c_lost = c_gfail = c_remap = 0
     c_stale = 0
@@ -673,6 +723,8 @@ def execute_array(
                             if verdict == ACT_CORRUPT:
                                 # No checksum: flipped value lands below.
                                 contrib = flip_mantissa_bit(contrib, arg)
+                                if rec is not None:
+                                    record.flips.append((len(record.ops), arg))
                                 e_attempt[e] = att + 1
                             elif verdict == ACT_STARVE:
                                 if emit is not None:
@@ -719,6 +771,8 @@ def execute_array(
                                 )
                             else:
                                 c_recov += 1
+                    if rec is not None:
+                        rec(e)
                     dst = idx_l[e]
                     left_sum[dst] += contrib
                     rem = remaining[dst] - 1
@@ -1014,6 +1068,8 @@ def execute_array(
                     lo = indptr_l[i]
                     hi = indptr_l[i + 1]
                     x_l[i] = (b_l[i] - left_sum[i]) / data_l[lo]
+                    if rec is not None:
+                        rec(-1 - i)
                     done_l[i] = True
                     g = g_l[i]
                     if emit is not None:
@@ -1130,11 +1186,313 @@ def execute_array(
         trace.bulk_count(TRACE_REMAP, c_remap)
         trace.bulk_count(TRACE_STALE_LAUNCH, c_stale)
 
+    page_faults = um.fault_count if um is not None else 0
+    if record is not None:
+        record.total_time = now
+        record.page_faults = page_faults
+        record.events = nevents
+        record.trace = trace.copy()
     x = np.asarray(x_l, dtype=np.float64)
+    return x, now, trace, page_faults, nevents
+
+
+def _split_record(record: DrainRecord, n: int) -> tuple:
+    """A record's ``(solved, solve_pos, add_at, edges)``.
+
+    ``solved`` lists the solved components in order and ``solve_pos[i]``
+    is the record position of component ``i``'s solve (``len(ops)`` for
+    one never solved); ``add_at`` and ``edges`` are the positions and
+    edges of the adds.
+    """
+    ops = np.frombuffer(record.ops, dtype=np.int64)
+    solve_at = np.flatnonzero(ops < 0)
+    solved = -1 - ops[solve_at]
+    solve_pos = np.full(n, len(ops), dtype=np.int64)
+    solve_pos[solved] = solve_at
+    add_at = np.flatnonzero(ops >= 0)
+    return solved, solve_pos, add_at, ops[add_at]
+
+
+def check_record_order(record: DrainRecord, lower: CscMatrix, stale) -> None:
+    """Check a drain record against the dependency order of ``lower``.
+
+    Every add of edge ``e`` must come after the solve of its source
+    column ``col[e]`` and, unless the run was stale-synchronous
+    (``stale`` not ``None``), before the solve of its destination
+    ``idx[e]``; every component must be solved exactly once.  Raises
+    :class:`~repro.errors.SimulationError` naming the first violation.
+    """
+    n = lower.shape[0]
+    solved, solve_pos, add_at, edges = _split_record(record, n)
+    times = np.bincount(solved, minlength=n)
+    bad = np.flatnonzero(times != 1)
+    if len(bad):
+        i = int(bad[0])
+        raise SimulationError(
+            f"drain record solves component {i} {int(times[i])} times"
+        )
+    src = np.searchsorted(lower.indptr, edges, side="right") - 1
+    early = add_at < solve_pos[src]
+    if not stale:
+        early |= add_at > solve_pos[lower.indices[edges]]
+    early |= lower.indptr[src] == edges  # a diagonal entry is no edge
+    if early.any():
+        k = int(np.argmax(early))
+        e = int(edges[k])
+        raise SimulationError(
+            f"drain record adds edge {e} ({int(src[k])} -> "
+            f"{int(lower.indices[e])}) out of dependency order at "
+            f"position {int(add_at[k])}"
+        )
+
+
+#: A level of the replay plan with fewer adds than this runs as part of
+#: a scalar loop: below it, one numpy step per chain position costs more
+#: than the adds it advances.
+_REPLAY_VECTOR_MIN = 128
+
+
+class _WideLevel(NamedTuple):
+    """A level replayed as one numpy add per chain position.
+
+    ``nodes`` are the level's solved components, longest chain first;
+    its adds (``edges``, source columns ``cols``) are stored
+    position-major, so chain position ``p`` adds into the first
+    ``widths[p]`` partial sums.  ``diag`` indexes each node's diagonal,
+    and the adds at ``flip_at`` land with bit ``flip_bit`` flipped.
+    """
+
+    nodes: np.ndarray
+    edges: np.ndarray
+    cols: np.ndarray
+    widths: np.ndarray
+    diag: np.ndarray
+    flip_at: np.ndarray
+    flip_bit: np.ndarray
+
+
+class _NarrowRun(NamedTuple):
+    """Consecutive narrow levels replayed as one scalar loop.
+
+    ``xs`` holds ``x[ext]`` (the columns solved before the run) and
+    then one slot per node of the run, seeded with its ``b``.  Entry
+    ``k`` of ``ops`` with ``c = ops[k] >= 0`` adds ``data[vals[k]] *
+    xs[c]`` to the running partial sum; ``c < 0`` solves slot ``~c``
+    with diagonal ``data[vals[k]]`` and starts the next node's sum.
+    The entries at ``flip_at`` land with bit ``flip_bit`` flipped.
+    """
+
+    nodes: np.ndarray
+    ext: np.ndarray
+    ops: np.ndarray
+    vals: np.ndarray
+    flip_at: np.ndarray
+    flip_bit: np.ndarray
+
+
+def _replay_plan(program: ArrayProgram, record: DrainRecord) -> tuple:
+    """Group a drain record by level and chain position.
+
+    A component's value needs only its own adds in record order (its
+    partial-sum chain) and the values of their source columns, which sit
+    on lower levels of the DAG.  Adds that landed after their
+    destination's solve (late stale-sync deliveries) no longer change
+    ``x`` and are dropped.  The plan is a tuple of steps in level order:
+    a :class:`_WideLevel` per level with at least
+    :data:`_REPLAY_VECTOR_MIN` adds, and a :class:`_NarrowRun` per run
+    of narrower levels.  Every array is an int array.
+    """
+    lower = program.lower
+    n = lower.shape[0]
+    solved, solve_pos, add_at, edges = _split_record(record, n)
+    dst = lower.indices[edges]
+    keep = add_at < solve_pos[dst]
+    edges, dst = edges[keep], dst[keep]
+    flip = None  # each add's flipped bit, -1 for none
+    if record.flips:
+        f_at, f_bit = np.array(record.flips, dtype=np.int64).T
+        flip = np.full(len(record.ops), -1, dtype=np.int64)
+        flip[f_at] = f_bit
+        flip = flip[add_at[keep]]
+    del solve_pos, add_at, keep
+    m = len(edges)
+    # Every sort below is on a unique integer key: no tie order matters.
+    # Chain position of each add within its destination's chain.
+    chain = np.bincount(dst, minlength=n)
+    by_dst = np.argsort(dst * m + np.arange(m))
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_dst] = np.arange(m) - np.repeat(np.cumsum(chain) - chain, chain)
+    del by_dst
+
+    level_of = get_artefacts(lower).levels.level_of
+    n_levels = int(level_of.max(initial=-1)) + 1
+    # Nodes by level, longest chain first; ``ni`` is each node's slot.
+    c_max = int(chain.max(initial=0))
+    r = c_max + 1
+    nodes = solved[np.argsort(
+        (level_of[solved] * r + c_max - chain[solved]) * n + solved
+    )]
+    node_cut = np.searchsorted(level_of[nodes], np.arange(n_levels + 1))
+    ni = np.empty(n, dtype=np.int64)
+    ni[nodes] = np.arange(len(nodes))
+    add_lev = level_of[dst]
+    lev_adds = np.bincount(add_lev, minlength=n_levels)
+    wide = lev_adds >= _REPLAY_VECTOR_MIN
+    # Adds by level: chain-major in a narrow level (by node slot, then
+    # chain position), position-major in a wide one.  Both keys of a
+    # level with node slots ``[lo, hi)`` fall in ``[lo * r, hi * r)``,
+    # ``r`` one past the longest chain, so the levels stay in order.
+    key = ni[dst]
+    del dst
+    key *= r
+    key += rank
+    w = np.flatnonzero(wide[add_lev])
+    lev = add_lev[w]
+    del add_lev
+    lo = node_cut[:-1]
+    local = key[w] // r - lo[lev]
+    local += rank[w] * np.diff(node_cut)[lev]
+    local += (lo * r)[lev]
+    key[w] = local
+    del w, lev, local
+    order = np.argsort(key)
+    del key
+    edges, rank = edges[order], rank[order]
+    if flip is not None:
+        flip = flip[order]
+    del order
+    src = np.repeat(np.arange(n), np.diff(lower.indptr))[edges]
+
+    # Level boundaries in the sorted streams; a run of narrow levels is
+    # one step, each wide level another.
+    node_cut = node_cut.tolist()
+    add_cut = np.concatenate(([0], np.cumsum(lev_adds))).tolist()
+    wide_l = wide.tolist()
+    no_flips = np.empty(0, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
+    steps = []
+    lv = 0
+    while lv < n_levels:
+        hi = lv + 1
+        if not wide_l[lv]:
+            while hi < n_levels and not wide_l[hi]:
+                hi += 1
+        n0, n1 = node_cut[lv], node_cut[hi]
+        a0, a1 = add_cut[lv], add_cut[hi]
+        f_at = f_bit = no_flips
+        if flip is not None:
+            f_at = np.flatnonzero(flip[a0:a1] >= 0)
+            f_bit = flip[a0:a1][f_at]
+        run_nodes = nodes[n0:n1]
+        if wide_l[lv]:
+            steps.append(_WideLevel(
+                run_nodes,
+                edges[a0:a1],
+                src[a0:a1],
+                np.bincount(rank[a0:a1]),
+                lower.indptr[run_nodes],
+                f_at,
+                f_bit,
+            ))
+        else:
+            # One entry per add (its source's slot) and, after each
+            # node's chain, one for its solve (``~slot``).
+            run_src = src[a0:a1]
+            inner = ni[run_src] >= n0
+            ext = np.unique(run_src[~inner])
+            slot[ext] = np.arange(len(ext))
+            slot[run_nodes] = len(ext) + np.arange(len(run_nodes))
+            at_solve = np.cumsum(chain[run_nodes]) + np.arange(len(run_nodes))
+            is_solve = np.zeros(a1 - a0 + n1 - n0, dtype=bool)
+            is_solve[at_solve] = True
+            run_ops = np.empty(len(is_solve), dtype=np.int64)
+            run_ops[is_solve] = ~slot[run_nodes]
+            run_ops[~is_solve] = slot[run_src]
+            vals = np.empty(len(is_solve), dtype=np.int64)
+            vals[is_solve] = lower.indptr[run_nodes]
+            vals[~is_solve] = edges[a0:a1]
+            steps.append(_NarrowRun(
+                run_nodes,
+                ext,
+                run_ops,
+                vals,
+                np.flatnonzero(~is_solve)[f_at],
+                f_bit,
+            ))
+        lv = hi
+    return tuple(steps)
+
+
+def _flip_bits(values: np.ndarray, at: np.ndarray, bit: np.ndarray) -> None:
+    """:func:`~repro.resilience.faults.flip_mantissa_bit` in place on
+    ``values[at]``, one bit per entry."""
+    bits = values.view(np.uint64)
+    bits[at] ^= np.left_shift(np.uint64(1), bit.astype(np.uint64))
+
+
+def replay_array(
+    program: ArrayProgram, record: DrainRecord, b: np.ndarray
+) -> tuple[np.ndarray, float, Trace, int, int]:
+    """Recompute a recorded drain for a new right-hand side ``b``.
+
+    Returns what :func:`execute_array` returns for ``b`` under the drain
+    that filled ``record`` — ``(x, total_time, trace, page_faults,
+    events)`` — with ``x`` bit-identical and the observables copied from
+    the record (a fresh :class:`~repro.engine.trace.Trace` each call).
+    Each component's partial sum runs the drain's chain of binary64 adds
+    in the drain's order, then the same subtract and divide.  The first
+    replay builds the record's plan (:func:`_replay_plan`).  A replay
+    polls no watchdog: it has no clock to advance and always finishes.
+    """
+    plan = record.plan
+    if plan is None:
+        plan = record.plan = _replay_plan(program, record)
+    data = program.lower.data
+    b = np.asarray(b, dtype=np.float64)
+    x = np.zeros(program.layout.n)
+    for step in plan:
+        if isinstance(step, _WideLevel):
+            nodes, edges, cols, widths, diag, f_at, f_bit = step
+            contrib = data[edges] * x[cols]
+            if len(f_at):
+                _flip_bits(contrib, f_at, f_bit)
+            left = np.zeros(len(nodes))
+            a = 0
+            for w in widths.tolist():
+                left[:w] += contrib[a : a + w]
+                a += w
+            x[nodes] = (b[nodes] - left) / data[diag]
+            continue
+        nodes, ext, ops, vals, f_at, f_bit = step
+        ne = len(ext)
+        xs = x[ext].tolist()
+        xs += b[nodes].tolist()  # a node's slot holds b until it solves
+        s = 0.0
+        if not len(f_at):
+            for c, d in zip(ops.tolist(), data[vals].tolist()):
+                if c >= 0:
+                    s += d * xs[c]
+                else:
+                    c = ~c
+                    xs[c] = (xs[c] - s) / d
+                    s = 0.0
+        else:
+            flipped = dict(zip(f_at.tolist(), f_bit.tolist()))
+            for k, (c, d) in enumerate(zip(ops.tolist(), data[vals].tolist())):
+                if c >= 0:
+                    v = d * xs[c]
+                    if k in flipped:
+                        v = flip_mantissa_bit(v, flipped[k])
+                    s += v
+                else:
+                    c = ~c
+                    xs[c] = (xs[c] - s) / d
+                    s = 0.0
+        x[nodes] = xs[ne:]
     return (
         x,
-        now,
-        trace,
-        um.fault_count if um is not None else 0,
-        nevents,
+        record.total_time,
+        record.trace.copy(),
+        record.page_faults,
+        record.events,
     )

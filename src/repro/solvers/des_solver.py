@@ -83,7 +83,7 @@ from repro.solvers.base import SolveResult, TriangularSolver, validate_system
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import Distribution
 
-__all__ = ["DesExecution", "des_execute", "DesSolver"]
+__all__ = ["DesExecution", "des_execute", "DesSolver", "replay_execute"]
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ def des_execute(
     watchdog=None,
     stale: StalePolicy | None = None,
     program=None,
+    record=None,
 ) -> DesExecution:
     """Play out a multi-GPU SpTRSV at event granularity.
 
@@ -140,6 +141,12 @@ def des_execute(
     array engine then drains it instead of compiling one for this call
     (a :class:`~repro.runtime.session.SolverSession` passes the one it
     keeps across solves).  The reference engine ignores it.
+
+    ``record`` is an empty :class:`~repro.solvers.des_array.DrainRecord`
+    the array engine fills with the drain's arithmetic and observables
+    (taken before the stale-sync pass) for
+    :func:`~repro.solvers.des_array.replay_array`; the reference engine
+    rejects it with :class:`~repro.errors.ConfigurationError`.
 
     Resilience hooks (all optional, all bit-transparent when absent):
 
@@ -172,6 +179,12 @@ def des_execute(
             value=engine,
             choices=VALID_ENGINES,
         )
+    if record is not None and engine != "array":
+        raise ConfigurationError(
+            f"only the array engine records a drain, not {engine!r}",
+            parameter="engine",
+            value=engine,
+        )
     design = coerce_design(design)
     stale = resolve_stale_policy(design, stale)
     wake_at = wake_threshold(stale)
@@ -190,27 +203,6 @@ def des_execute(
     dag = art.dag
     costs = art.comm_costs(machine, design)
 
-    def _finish(x, total_time, trace, page_faults, events) -> DesExecution:
-        """Shared finishing step: the stale-sync validation/replay pass.
-
-        Runs identically after every engine (pure function of the
-        finished run's observables), so the repaired solution, the
-        appended trace records, and the extended wall clock stay
-        bit-identical across reference and array.
-        """
-        if stale is not None:
-            x, total_time = _stale_validation_pass(
-                lower, b, x, stale, trace, total_time,
-                machine.gpu.t_kernel_launch,
-            )
-        return DesExecution(
-            x=x,
-            total_time=total_time,
-            trace=trace,
-            page_faults=page_faults,
-            events=events,
-        )
-
     if engine == "array":
         from repro.solvers.des_array import compile_program, execute_array
 
@@ -220,7 +212,7 @@ def des_execute(
             raise SolverError(
                 "array program was compiled for a different system"
             )
-        x, total_time, trace, page_faults, events = execute_array(
+        run = execute_array(
             program,
             b,
             trace_enabled=trace_enabled,
@@ -228,8 +220,9 @@ def des_execute(
             recovery=recovery,
             watchdog=watchdog,
             stale=stale,
+            record=record,
         )
-        return _finish(x, total_time, trace, page_faults, events)
+        return _finish_execution(lower, b, machine, stale, *run)
     n_gpus = machine.n_gpus
     gpu_spec = machine.gpu
 
@@ -520,12 +513,75 @@ def des_execute(
     events = sim.run()
     if np.any(remaining != 0):
         raise SolverError("DES run finished with unsatisfied dependencies")
-    return _finish(
+    return _finish_execution(
+        lower,
+        b,
+        machine,
+        stale,
         x,
         sim.now,
         trace,
         um.fault_count if um is not None else 0,
         events,
+    )
+
+
+def _finish_execution(
+    lower: CscMatrix,
+    b: np.ndarray,
+    machine: MachineConfig,
+    stale: StalePolicy | None,
+    x: np.ndarray,
+    total_time: float,
+    trace: Trace,
+    page_faults: int,
+    events: int,
+) -> DesExecution:
+    """The step after every drain or replay: the stale-sync pass.
+
+    ``stale`` is the run's resolved policy (``None`` off ``stale_sync``).
+    The pass is a pure function of the finished run's observables, so
+    the repaired solution, the appended trace records and the extended
+    wall clock stay bit-identical across the reference engine, the array
+    engine and a replay of a recorded array drain.
+    """
+    if stale is not None:
+        x, total_time = _stale_validation_pass(
+            lower, b, x, stale, trace, total_time,
+            machine.gpu.t_kernel_launch,
+        )
+    return DesExecution(
+        x=x,
+        total_time=total_time,
+        trace=trace,
+        page_faults=page_faults,
+        events=events,
+    )
+
+
+def replay_execute(
+    lower: CscMatrix,
+    b: np.ndarray,
+    machine: MachineConfig,
+    design: Design | str,
+    *,
+    stale: StalePolicy | None = None,
+    program,
+    record,
+) -> DesExecution:
+    """:func:`des_execute` for a new ``b`` from a recorded array drain.
+
+    ``record`` is a :class:`~repro.solvers.des_array.DrainRecord` filled
+    by a drain of ``program`` under the same fault plan, recovery policy
+    and stale policy; :func:`~repro.solvers.des_array.replay_array`
+    recomputes ``x`` from it and the stale-sync pass runs on the result
+    as after a drain.  Bit-identical to that drain for any ``b``.
+    """
+    from repro.solvers.des_array import replay_array
+
+    stale = resolve_stale_policy(coerce_design(design), stale)
+    return _finish_execution(
+        lower, b, machine, stale, *replay_array(program, record, b)
     )
 
 

@@ -124,8 +124,9 @@ class TestEngineSelection:
 
 
 # ---------------------------------------------------------------------------
-# One production engine: every session solve drains the array engine, down
-# to one-row systems, and stays bit-identical to the reference oracle.
+# One production engine: every session solve runs the array engine (a
+# drain, or from the third solve of a matrix a replay of one), down to
+# one-row systems, and stays bit-identical to the reference oracle.
 # ---------------------------------------------------------------------------
 SMALL_NS = (1, 2, 3, 5, 8, 40)
 
@@ -434,8 +435,8 @@ class TestFaultedErrorParity:
 
 
 # ---------------------------------------------------------------------------
-# Compile once, drain per solve: a session compiles one ArrayProgram per
-# bound matrix and every drain of it must equal a fresh reference run.
+# Compile once per bound matrix: a session compiles one ArrayProgram and
+# every solve of it, drained or replayed, must equal a fresh reference run.
 # ---------------------------------------------------------------------------
 
 import repro.solvers.des_array as des_array_mod  # noqa: E402

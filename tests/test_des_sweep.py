@@ -105,6 +105,26 @@ class TestMeasureCase:
         assert res["identical"] is True
         assert res["verified"] == "repeat"
 
+    def test_repeat_row_raises_on_out_of_order_record(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.errors import SimulationError
+        from repro.solvers import des_array
+
+        monkeypatch.setattr(dessweep, "SKIP_REFERENCE_N", 100)
+        real = des_array.execute_array
+
+        def reversed_record(*args, record=None, **kwargs):
+            run = real(*args, record=record, **kwargs)
+            if record is not None:
+                record.ops.reverse()  # every add before its source solves
+            return run
+
+        monkeypatch.setattr(des_array, "execute_array", reversed_record)
+        path = spill_artefacts(_tiny_matrix(5), tmp_path / "case.pkl")
+        with pytest.raises(SimulationError, match="dependency order"):
+            measure_des_case("tiny", str(path), n_gpus=2, repeats=1)
+
 
 class TestScalingFlatness:
     @staticmethod

@@ -223,7 +223,6 @@ def test_batch_pool_matches_heap_scheduler(warp_slots):
         np.testing.assert_array_equal(dsp, rdsp)
         np.testing.assert_array_equal(fin, rfin)
     assert pool.resident == ws.resident
-    assert pool.counters.components == ws.counters.components
     assert pool.counters.last_finish == ws.counters.last_finish
 
 

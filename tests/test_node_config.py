@@ -133,9 +133,9 @@ class TestWarpScheduler:
         from repro.machine.gpu import WarpScheduler
 
         sched = WarpScheduler(V100)
-        sched.dispatch(0.0)
+        assert sched.dispatch(0.0) == V100.t_warp_dispatch
         sched.retire(2.0)
-        assert sched.counters.components == 1
+        assert sched.resident == 1
         assert sched.counters.last_finish == 2.0
 
     def test_solve_cost_monotone(self):

@@ -58,7 +58,7 @@ class TestSmWarpScheduler:
         sched = SmWarpScheduler(V100)
         sched.dispatch(0.0)
         sched.retire(2.0)
-        assert sched.counters.components == 1
+        assert sched.counters.last_finish == 2.0
         assert sched.resident == 1
 
     def test_invalid_spec(self):

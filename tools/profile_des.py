@@ -8,10 +8,15 @@ case (``--case`` from the sweep table, or explicit generator knobs)
 through a chosen engine and reports
 
 * a wall-clock summary (``perf_counter`` best-of-``--repeats``, events/s),
-  split into the array engine's two phases: ``compile_s`` (building the
+  split into the array engine's phases: ``compile_s`` (building the
   solve-invariant :class:`~repro.solvers.des_array.ArrayProgram`, paid
-  once per structure) and ``drain_s`` (one solve of it, paid per
-  right-hand side; the reference engine has no compile phase),
+  once per structure), ``drain_s`` (one solve of it; the reference
+  engine has neither compile nor the phases below), ``record_drain_s``
+  (the same drain writing a :class:`~repro.solvers.des_array.DrainRecord`,
+  a warm session's second solve; ``record_overhead`` is its cost over
+  ``drain_s``), ``replay_first_s`` (the first replay of that record,
+  which builds its plan) and ``replay_s`` (each later solve of a warm
+  session),
 * the top-``--top`` cProfile rows of one full compile + drain, ranked by
   tottime (self time), and
 * the same table as JSON (``--json``) for trend tooling.
@@ -46,8 +51,8 @@ from repro.bench.dessweep import DES_CASES  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.exec_model.artefacts import get_artefacts  # noqa: E402
 from repro.runtime import RunConfig, load_run_config  # noqa: E402
-from repro.solvers.des_array import compile_program  # noqa: E402
-from repro.solvers.des_solver import des_execute  # noqa: E402
+from repro.solvers.des_array import DrainRecord, compile_program  # noqa: E402
+from repro.solvers.des_solver import des_execute, replay_execute  # noqa: E402
 from repro.workloads.generators import dag_profile_matrix  # noqa: E402
 
 
@@ -75,7 +80,8 @@ def profile_run(
     """Profile one engine on one workload; returns the report payload."""
     lower = dag_profile_matrix(**knobs)
     n = lower.shape[0]
-    get_artefacts(lower)  # the structure analysis, outside every timed phase
+    # The structure analysis, outside every timed phase.
+    get_artefacts(lower).levels
     machine = cfg.resolve_machine()
     dist = cfg.build_distribution(n, machine.n_gpus, lower=lower)
     rng = np.random.default_rng(0)
@@ -86,12 +92,18 @@ def profile_run(
             return None
         return compile_program(lower, dist, machine, cfg.design)
 
-    def drain(program):
+    def drain(program, record=None):
         return des_execute(
             lower, b, dist, machine, cfg.design,
             engine=engine,
             trace_enabled=trace, stale=cfg.build_stale_policy(),
-            program=program,
+            program=program, record=record,
+        )
+
+    def replay(program, record):
+        return replay_execute(
+            lower, b, machine, cfg.design,
+            stale=cfg.build_stale_policy(), program=program, record=record,
         )
 
     program = compile_()
@@ -108,6 +120,23 @@ def profile_run(
     compile_s = min(compile_times) if engine == "array" else None
     drain_s = min(drain_times)
     best = (compile_s or 0.0) + drain_s
+    record_s = replay_first_s = replay_s = None
+    if engine == "array":
+        record_times, replay_times = [], []
+        for _ in range(max(repeats, 1)):
+            record = DrainRecord()
+            t0 = time.perf_counter()
+            drain(program, record)
+            record_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        replay(program, record)
+        replay_first_s = time.perf_counter() - t0
+        for _ in range(max(repeats, 1)):
+            t0 = time.perf_counter()
+            replay(program, record)
+            replay_times.append(time.perf_counter() - t0)
+        record_s = min(record_times)
+        replay_s = min(replay_times)
 
     prof = cProfile.Profile()
     prof.enable()
@@ -139,6 +168,12 @@ def profile_run(
         "total_time_simulated": result.total_time,
         "compile_s": compile_s,
         "drain_s": drain_s,
+        "record_drain_s": record_s,
+        "record_overhead": (
+            None if record_s is None else record_s / drain_s - 1.0
+        ),
+        "replay_first_s": replay_first_s,
+        "replay_s": replay_s,
         "wall_seconds": best,
         "events_per_sec": result.events / best if best > 0 else None,
         "repeats": repeats,
@@ -160,8 +195,16 @@ def render(report: dict) -> str:
     out.write(
         "compile="
         + ("-" if compile_s is None else f"{compile_s:.4f}s")
-        + f" drain={report['drain_s']:.4f}s\n"
+        + f" drain={report['drain_s']:.4f}s"
     )
+    if report["replay_s"] is not None:
+        out.write(
+            f" recorded={report['record_drain_s']:.4f}s"
+            f" ({100.0 * report['record_overhead']:+.1f}%)"
+            f" replay={report['replay_s']:.4f}s"
+            f" (first {report['replay_first_s']:.4f}s)"
+        )
+    out.write("\n")
     out.write(
         f"{'%':>6} {'tottime':>9} {'cumtime':>9} {'ncalls':>10}  function\n"
     )
