@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.errors import RecoveryExhaustedError
 from repro.sparse.csc import CscMatrix
-from repro.sparse.validate import residual_norm
+from repro.sparse.validate import backward_errors, residual_norm
 
 __all__ = [
     "RecoveryPolicy",
@@ -95,20 +95,6 @@ class RecoveryPolicy:
         return self.retry_timeout * self.backoff**attempt
 
 
-def _row_backward_errors(
-    lower: CscMatrix, x: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Componentwise scaled residual per row (vector form of
-    :func:`repro.sparse.validate.residual_norm`)."""
-    r = lower.matvec(x) - b
-    scale_mat = CscMatrix(
-        lower.indptr, lower.indices, np.abs(lower.data), lower.shape
-    )
-    scale = scale_mat.matvec(np.abs(x)) + np.abs(b)
-    scale[scale == 0.0] = 1.0
-    return np.abs(r) / scale
-
-
 def residual_repair(
     lower: CscMatrix,
     b: np.ndarray,
@@ -128,7 +114,7 @@ def residual_repair(
     the repairable single-component kind).
     """
     b = np.asarray(b, dtype=np.float64)
-    errs = _row_backward_errors(lower, x, b)
+    errs = backward_errors(lower, x, b)
     suspects = np.nonzero(errs > ceiling)[0]
     if len(suspects) == 0:
         return x, []
@@ -140,12 +126,12 @@ def residual_repair(
             f"selective replay of {len(replayed)} components left backward "
             f"error {final:.3e} above ceiling {ceiling:.1e}",
             context={
-                "suspects": [int(i) for i in suspects],
+                "suspects": suspects.tolist(),
                 "replayed": int(len(replayed)),
                 "residual": final,
             },
         )
-    return x_fixed, [int(i) for i in replayed]
+    return x_fixed, replayed.tolist()
 
 
 def _closure_replay(
@@ -160,39 +146,54 @@ def _closure_replay(
     replayed in ascending order so each repaired value feeds its
     affected dependants.  Returns ``(x_fixed, replayed_indices)``; the
     input ``x`` is not modified.
+
+    Every edge points to a later component, so one ascending sweep
+    finds the closure.  An affected row adds its clean columns' terms
+    from ``0.0`` in ascending column order (one ``bincount`` in entry
+    order), then its affected columns' terms as they solve, also
+    ascending.  A column's first entry is its diagonal, never an edge.
     """
     n = lower.shape[0]
     indptr, indices, data = lower.indptr, lower.indices, lower.data
-    affected = np.zeros(n, dtype=bool)
-    stack = [int(i) for i in suspects]
-    while stack:
-        i = stack.pop()
-        if affected[i]:
-            continue
-        affected[i] = True
-        for e in range(int(indptr[i]) + 1, int(indptr[i + 1])):
-            j = int(indices[e])
-            if not affected[j]:
-                stack.append(j)
+    suspects = np.asarray(suspects, dtype=np.int64)
+    mark = np.zeros(n, dtype=bool)
+    mark[suspects] = True
+    seen = bytearray(mark.tobytes())
+    ptr = indptr.tolist()
+    idx = indices.tolist()
+    for i in range(int(suspects.min(initial=n)), n):
+        if seen[i]:
+            for j in idx[ptr[i] + 1 : ptr[i + 1]]:
+                seen[j] = 1
+    affected = np.frombuffer(seen, dtype=bool)
 
+    cols = lower.entry_cols()
+    first = np.zeros(lower.nnz, dtype=bool)
+    first[indptr[:-1][indptr[:-1] < indptr[1:]]] = True
+    into = affected[indices] & ~first  # the edges into an affected row
     x_fixed = np.asarray(x, dtype=np.float64).copy()
-    left = np.zeros(n)
-    for i in range(n):
-        if affected[i]:
-            continue
-        lo, hi = int(indptr[i]), int(indptr[i + 1])
-        rows = indices[lo + 1 : hi]
-        mask = affected[rows]
-        if np.any(mask):
-            left[rows[mask]] += data[lo + 1 : hi][mask] * x_fixed[i]
-    replayed = np.nonzero(affected)[0]
-    for i in replayed.tolist():
-        lo, hi = int(indptr[i]), int(indptr[i + 1])
-        x_fixed[i] = (b[i] - left[i]) / data[lo]
-        rows = indices[lo + 1 : hi]
-        mask = affected[rows]
-        if np.any(mask):
-            left[rows[mask]] += data[lo + 1 : hi][mask] * x_fixed[i]
+    e = np.flatnonzero(into & ~affected[cols])
+    left = np.bincount(
+        indices[e], weights=data[e] * x_fixed[cols[e]], minlength=n
+    ).astype(np.float64, copy=False).tolist()
+
+    # The affected columns in entry order: each one's solve (``~row``,
+    # its diagonal) and then its edges into affected rows.
+    e = np.flatnonzero(affected[cols] & (first | into))
+    rows = indices[e]
+    ops = np.where(first[e], ~rows, rows).tolist()
+    bl = b.tolist()
+    xs = []
+    xi = 0.0
+    for c, v in zip(ops, data[e].tolist()):
+        if c >= 0:
+            left[c] += v * xi
+        else:
+            c = ~c
+            xi = (bl[c] - left[c]) / v
+            xs.append(xi)
+    replayed = np.flatnonzero(affected)
+    x_fixed[replayed] = xs
     return x_fixed, replayed
 
 
@@ -216,7 +217,7 @@ def stale_validate(
     fails the ceiling.
     """
     b = np.asarray(b, dtype=np.float64)
-    errs = _row_backward_errors(lower, x, b)
+    errs = backward_errors(lower, x, b)
     suspects = np.nonzero(errs > ceiling)[0]
     if len(suspects) == 0:
         return x, [], []
@@ -227,9 +228,9 @@ def stale_validate(
             f"stale-read replay of {len(replayed)} components left "
             f"backward error {final:.3e} above ceiling {ceiling:.1e}",
             context={
-                "suspects": [int(i) for i in suspects],
+                "suspects": suspects.tolist(),
                 "replayed": int(len(replayed)),
                 "residual": final,
             },
         )
-    return x_fixed, [int(i) for i in suspects], [int(i) for i in replayed]
+    return x_fixed, suspects.tolist(), replayed.tolist()

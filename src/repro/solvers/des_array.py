@@ -1247,25 +1247,27 @@ def check_record_order(record: DrainRecord, lower: CscMatrix, stale) -> None:
 
 
 #: A level of the replay plan with fewer adds than this runs as part of
-#: a scalar loop: below it, one numpy step per chain position costs more
-#: than the adds it advances.
-_REPLAY_VECTOR_MIN = 128
+#: a scalar loop: below it, the handful of numpy calls of a vectorised
+#: level cost more than the adds it advances: about 25–50 adds
+#: (EXPERIMENTS.md, "Whole-array certify and replay").
+_REPLAY_VECTOR_MIN = 32
 
 
 class _WideLevel(NamedTuple):
-    """A level replayed as one numpy add per chain position.
+    """A level replayed as one ``bincount`` of its adds.
 
-    ``nodes`` are the level's solved components, longest chain first;
-    its adds (``edges``, source columns ``cols``) are stored
-    position-major, so chain position ``p`` adds into the first
-    ``widths[p]`` partial sums.  ``diag`` indexes each node's diagonal,
-    and the adds at ``flip_at`` land with bit ``flip_bit`` flipped.
+    ``nodes`` are the level's solved components; add ``k`` (edge
+    ``edges[k]``, source column ``cols[k]``) lands in the partial sum of
+    ``nodes[slot[k]]``.  The adds are stored by chain position, then by
+    edge, so every node's adds come in its chain order and the gathers
+    walk memory forward.  ``diag`` indexes each node's diagonal, and the
+    adds at ``flip_at`` land with bit ``flip_bit`` flipped.
     """
 
     nodes: np.ndarray
     edges: np.ndarray
     cols: np.ndarray
-    widths: np.ndarray
+    slot: np.ndarray
     diag: np.ndarray
     flip_at: np.ndarray
     flip_bit: np.ndarray
@@ -1316,7 +1318,7 @@ def _replay_plan(program: ArrayProgram, record: DrainRecord) -> tuple:
         flip = flip[add_at[keep]]
     del solve_pos, add_at, keep
     m = len(edges)
-    # Every sort below is on a unique integer key: no tie order matters.
+    # Every sort below is on a unique key: no tie order matters.
     # Chain position of each add within its destination's chain.
     chain = np.bincount(dst, minlength=n)
     by_dst = np.argsort(dst * m + np.arange(m))
@@ -1326,12 +1328,9 @@ def _replay_plan(program: ArrayProgram, record: DrainRecord) -> tuple:
 
     level_of = get_artefacts(lower).levels.level_of
     n_levels = int(level_of.max(initial=-1)) + 1
-    # Nodes by level, longest chain first; ``ni`` is each node's slot.
-    c_max = int(chain.max(initial=0))
-    r = c_max + 1
-    nodes = solved[np.argsort(
-        (level_of[solved] * r + c_max - chain[solved]) * n + solved
-    )]
+    # Nodes by level, then index; ``ni`` is each node's slot.
+    r = int(chain.max(initial=0)) + 1
+    nodes = solved[np.argsort(level_of[solved] * n + solved)]
     node_cut = np.searchsorted(level_of[nodes], np.arange(n_levels + 1))
     ni = np.empty(n, dtype=np.int64)
     ni[nodes] = np.arange(len(nodes))
@@ -1339,29 +1338,24 @@ def _replay_plan(program: ArrayProgram, record: DrainRecord) -> tuple:
     lev_adds = np.bincount(add_lev, minlength=n_levels)
     wide = lev_adds >= _REPLAY_VECTOR_MIN
     # Adds by level: chain-major in a narrow level (by node slot, then
-    # chain position), position-major in a wide one.  Both keys of a
-    # level with node slots ``[lo, hi)`` fall in ``[lo * r, hi * r)``,
-    # ``r`` one past the longest chain, so the levels stay in order.
+    # chain position), position-major in a wide one (by chain position,
+    # then edge).  Both keys of a level with node slots ``[lo, hi)``
+    # fall in ``[lo * r, hi * r)``, ``r`` one past the longest chain, so
+    # the levels stay in order; the edge breaks a wide level's ties.
     key = ni[dst]
     del dst
     key *= r
     key += rank
     w = np.flatnonzero(wide[add_lev])
-    lev = add_lev[w]
-    del add_lev
-    lo = node_cut[:-1]
-    local = key[w] // r - lo[lev]
-    local += rank[w] * np.diff(node_cut)[lev]
-    local += (lo * r)[lev]
-    key[w] = local
-    del w, lev, local
-    order = np.argsort(key)
+    key[w] = node_cut[add_lev[w]] * r + rank[w]
+    del w, add_lev, rank
+    order = np.lexsort((edges, key))
     del key
-    edges, rank = edges[order], rank[order]
+    edges = edges[order]
     if flip is not None:
         flip = flip[order]
     del order
-    src = np.repeat(np.arange(n), np.diff(lower.indptr))[edges]
+    src = lower.entry_cols()[edges]
 
     # Level boundaries in the sorted streams; a run of narrow levels is
     # one step, each wide level another.
@@ -1389,7 +1383,7 @@ def _replay_plan(program: ArrayProgram, record: DrainRecord) -> tuple:
                 run_nodes,
                 edges[a0:a1],
                 src[a0:a1],
-                np.bincount(rank[a0:a1]),
+                ni[lower.indices[edges[a0:a1]]] - n0,
                 lower.indptr[run_nodes],
                 f_at,
                 f_bit,
@@ -1452,15 +1446,12 @@ def replay_array(
     x = np.zeros(program.layout.n)
     for step in plan:
         if isinstance(step, _WideLevel):
-            nodes, edges, cols, widths, diag, f_at, f_bit = step
+            nodes, edges, cols, slot, diag, f_at, f_bit = step
             contrib = data[edges] * x[cols]
             if len(f_at):
                 _flip_bits(contrib, f_at, f_bit)
-            left = np.zeros(len(nodes))
-            a = 0
-            for w in widths.tolist():
-                left[:w] += contrib[a : a + w]
-                a += w
+            # Each node's adds from 0.0 in input (chain) order.
+            left = np.bincount(slot, weights=contrib, minlength=len(nodes))
             x[nodes] = (b[nodes] - left) / data[diag]
             continue
         nodes, ext, ops, vals, f_at, f_bit = step

@@ -615,8 +615,9 @@ def _stale_validation_pass(
         t_validate, TRACE_VALIDATE, 0,
         (len(suspects), len(replayed)),
     ))
-    for k, i in enumerate(replayed):
-        trace.append((float(t_replays[k]), TRACE_REPLAY, 0, i))
+    append = trace.append
+    for t, i in zip(t_replays.tolist(), replayed):
+        append((t, TRACE_REPLAY, 0, i))
     if len(replayed):
         total_time = float(t_replays[-1])
     return x_fixed, total_time

@@ -30,6 +30,7 @@ from repro.sparse.triangular import (
 )
 from repro.sparse.validate import (
     assert_solutions_close,
+    backward_errors,
     random_rhs_for_solution,
     relative_error,
     residual_norm,
@@ -59,6 +60,7 @@ __all__ = [
     "require_lower_triangular",
     "check_nonzero_diagonal",
     "permute_symmetric",
+    "backward_errors",
     "residual_norm",
     "relative_error",
     "assert_solutions_close",

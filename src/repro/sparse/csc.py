@@ -77,6 +77,37 @@ class CscMatrix:
         """Number of stored entries per column, shape ``(n_cols,)``."""
         return np.diff(self.indptr)
 
+    def entry_cols(self) -> np.ndarray:
+        """Column of every stored entry, shape ``(nnz,)``, read-only.
+
+        Built on first use and kept on the matrix (a matrix's structure
+        does not change after construction); a pickle leaves it out.
+        """
+        cols = self.__dict__.get("_entry_cols")
+        if cols is None:
+            cols = np.repeat(
+                np.arange(self.n_cols, dtype=np.int64), self.col_nnz()
+            )
+            cols.flags.writeable = False
+            self._entry_cols = cols
+        return cols
+
+    def row_sums(self, weights: np.ndarray) -> np.ndarray:
+        """Sum one weight per stored entry into its row, shape ``(n_rows,)``.
+
+        Each row adds its weights from ``0.0`` in entry order (ascending
+        column), as ``np.add.at`` would, in one ``np.bincount`` pass.
+        """
+        out = np.bincount(
+            self.indices, weights=weights, minlength=self.shape[0]
+        )
+        return out.astype(np.float64, copy=False)  # int zeros when nnz == 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_entry_cols", None)
+        return state
+
     def iter_cols(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield ``(j, rows, vals)`` per column (views, do not mutate)."""
         for j in range(self.n_cols):
@@ -142,16 +173,13 @@ class CscMatrix:
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` computed column-wise (scatter-add of scaled columns)."""
+        """``A @ x`` as one scatter-add of the scaled entries (:meth:`row_sums`)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ShapeError(
                 f"matvec operand has shape {x.shape}, expected ({self.shape[1]},)"
             )
-        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), self.col_nnz())
-        out = np.zeros(self.shape[0])
-        np.add.at(out, self.indices, self.data * x[cols])
-        return out
+        return self.row_sums(self.data * x[self.entry_cols()])
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal as a dense vector (missing entries are 0)."""

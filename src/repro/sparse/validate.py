@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ShapeError
 from repro.sparse.csc import CscMatrix
 
 __all__ = [
+    "backward_errors",
     "residual_norm",
     "relative_error",
     "assert_solutions_close",
@@ -22,18 +24,36 @@ __all__ = [
 ]
 
 
-def residual_norm(lower: CscMatrix, x: np.ndarray, b: np.ndarray) -> float:
-    """Infinity-norm of ``L x - b`` scaled by ``|L| |x| + |b|`` (componentwise
-    backward-error style), robust to wildly varying magnitudes."""
+def backward_errors(
+    lower: CscMatrix, x: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Componentwise backward error of every row: ``|L x - b|`` over
+    ``|L| |x| + |b|`` (a zero scale counts as 1).
+
+    One pass over the stored entries: ``prod = data * x[col]`` is
+    summed into ``L x`` and, as ``|prod| == |data| |x[col]|`` exactly,
+    into ``|L| |x|`` (:meth:`CscMatrix.row_sums`).
+    """
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    r = lower.matvec(x) - b
-    scale_mat = CscMatrix(
-        lower.indptr, lower.indices, np.abs(lower.data), lower.shape
-    )
-    scale = scale_mat.matvec(np.abs(x)) + np.abs(b)
+    if x.shape != (lower.shape[1],):
+        raise ShapeError(
+            f"x has shape {x.shape}, expected ({lower.shape[1]},)"
+        )
+    prod = lower.data * x[lower.entry_cols()]
+    r = lower.row_sums(prod) - b
+    np.abs(prod, out=prod)
+    scale = lower.row_sums(prod)
+    scale += np.abs(b)
     scale[scale == 0.0] = 1.0
-    return float(np.max(np.abs(r) / scale))
+    return np.abs(r) / scale
+
+
+def residual_norm(lower: CscMatrix, x: np.ndarray, b: np.ndarray) -> float:
+    """Infinity-norm of ``L x - b`` scaled by ``|L| |x| + |b|`` (componentwise
+    backward-error style), robust to wildly varying magnitudes: the max
+    of :func:`backward_errors`."""
+    return float(np.max(backward_errors(lower, x, b)))
 
 
 def relative_error(x: np.ndarray, x_ref: np.ndarray) -> float:

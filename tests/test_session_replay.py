@@ -177,6 +177,13 @@ def _extra_config(name: str, lower) -> RunConfig:
             plan=FaultPlan.single("bitflip", count=4, bit=30, seed=14),
             recovery=RecoveryPolicy(detect_corruption=False),
         )
+    if name == "bitflip-wide":
+        # Silent flips in the wide levels of a mixed plan and in its
+        # scalar runs.
+        return RunConfig(
+            plan=FaultPlan.single("bitflip", count=12, bit=30, seed=15),
+            recovery=RecoveryPolicy(detect_corruption=False),
+        )
     if name.startswith("gpu_fail-remap"):
         T = _makespan(RunConfig(), lower)
         return RunConfig(
@@ -194,6 +201,7 @@ EXTRA = (
     "cluster-hierarchical",
     "msg_drop-recovery",
     "bitflip-no-checksum",
+    "bitflip-wide",
     # A failed rank 3 remaps and recovers; a failed rank 2 ends in a
     # DeadlockError on every solve.
     "gpu_fail-remap-2",
@@ -207,8 +215,15 @@ def test_extra_config_replays_bitwise(name, plan_kind):
     record = check_session_replays(_extra_config(name, lower), lower)
     if name != "gpu_fail-remap-2":
         assert record is not None
-    if name == "bitflip-no-checksum":
+    if name.startswith("bitflip"):
         assert record.flips  # the corrupted adds are replayed, flipped
+    if name == "bitflip-wide":
+        # A wide level's adds are reordered: its flips must follow them.
+        wide = [
+            len(step.flip_at) for step in record.plan
+            if isinstance(step, des_array._WideLevel)
+        ]
+        assert (sum(wide) > 0) == (plan_kind != "scalar")
     if name == "unified":
         assert record.page_faults > 0
     if name == "stale_sync":

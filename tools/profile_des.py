@@ -15,8 +15,9 @@ through a chosen engine and reports
   (the same drain writing a :class:`~repro.solvers.des_array.DrainRecord`,
   a warm session's second solve; ``record_overhead`` is its cost over
   ``drain_s``), ``replay_first_s`` (the first replay of that record,
-  which builds its plan) and ``replay_s`` (each later solve of a warm
-  session),
+  which builds its plan), ``replay_s`` (each later solve of a warm
+  session) and ``residual_s`` (the backward-error certificate of the
+  replayed ``x``, the rest of that solve),
 * the top-``--top`` cProfile rows of one full compile + drain, ranked by
   tottime (self time), and
 * the same table as JSON (``--json``) for trend tooling.
@@ -53,6 +54,7 @@ from repro.exec_model.artefacts import get_artefacts  # noqa: E402
 from repro.runtime import RunConfig, load_run_config  # noqa: E402
 from repro.solvers.des_array import DrainRecord, compile_program  # noqa: E402
 from repro.solvers.des_solver import des_execute, replay_execute  # noqa: E402
+from repro.sparse.validate import residual_norm  # noqa: E402
 from repro.workloads.generators import dag_profile_matrix  # noqa: E402
 
 
@@ -120,9 +122,9 @@ def profile_run(
     compile_s = min(compile_times) if engine == "array" else None
     drain_s = min(drain_times)
     best = (compile_s or 0.0) + drain_s
-    record_s = replay_first_s = replay_s = None
+    record_s = replay_first_s = replay_s = residual_s = None
     if engine == "array":
-        record_times, replay_times = [], []
+        record_times, replay_times, residual_times = [], [], []
         for _ in range(max(repeats, 1)):
             record = DrainRecord()
             t0 = time.perf_counter()
@@ -133,10 +135,14 @@ def profile_run(
         replay_first_s = time.perf_counter() - t0
         for _ in range(max(repeats, 1)):
             t0 = time.perf_counter()
-            replay(program, record)
-            replay_times.append(time.perf_counter() - t0)
+            x = replay(program, record).x
+            t1 = time.perf_counter()
+            residual_norm(lower, x, b)
+            replay_times.append(t1 - t0)
+            residual_times.append(time.perf_counter() - t1)
         record_s = min(record_times)
         replay_s = min(replay_times)
+        residual_s = min(residual_times)
 
     prof = cProfile.Profile()
     prof.enable()
@@ -174,6 +180,7 @@ def profile_run(
         ),
         "replay_first_s": replay_first_s,
         "replay_s": replay_s,
+        "residual_s": residual_s,
         "wall_seconds": best,
         "events_per_sec": result.events / best if best > 0 else None,
         "repeats": repeats,
@@ -203,6 +210,7 @@ def render(report: dict) -> str:
             f" ({100.0 * report['record_overhead']:+.1f}%)"
             f" replay={report['replay_s']:.4f}s"
             f" (first {report['replay_first_s']:.4f}s)"
+            f" residual={report['residual_s']:.4f}s"
         )
     out.write("\n")
     out.write(
