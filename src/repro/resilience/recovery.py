@@ -100,7 +100,7 @@ def residual_repair(
     b: np.ndarray,
     x: np.ndarray,
     ceiling: float = 1e-8,
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, list[int], float]:
     """Detect and repair silently corrupted components of ``x``.
 
     Rows whose componentwise backward error exceeds ``ceiling`` are the
@@ -108,16 +108,18 @@ def residual_repair(
     inconsistent); their forward closure — every component whose value
     was derived, directly or transitively, from a suspect — is replayed
     in dependency (ascending-index) order from the surviving clean
-    values.  Returns ``(x_repaired, replayed_components)``; the input is
-    not modified.  Raises :class:`RecoveryExhaustedError` when the
-    repaired system still fails the ceiling (the corruption was not of
-    the repairable single-component kind).
+    values.  Returns ``(x_repaired, replayed_components, residual)``,
+    ``residual`` being :func:`~repro.sparse.validate.residual_norm` of
+    ``x_repaired`` (taken from the check itself, never recomputed); the
+    input is not modified.  Raises :class:`RecoveryExhaustedError` when
+    the repaired system still fails the ceiling (the corruption was not
+    of the repairable single-component kind).
     """
     b = np.asarray(b, dtype=np.float64)
     errs = backward_errors(lower, x, b)
     suspects = np.nonzero(errs > ceiling)[0]
     if len(suspects) == 0:
-        return x, []
+        return x, [], float(np.max(errs))
 
     x_fixed, replayed = _closure_replay(lower, b, x, suspects)
     final = residual_norm(lower, x_fixed, b)
@@ -131,7 +133,7 @@ def residual_repair(
                 "residual": final,
             },
         )
-    return x_fixed, replayed.tolist()
+    return x_fixed, replayed.tolist(), final
 
 
 def _closure_replay(
@@ -202,7 +204,7 @@ def stale_validate(
     b,
     x: np.ndarray,
     ceiling: float,
-) -> tuple[np.ndarray, list[int], list[int]]:
+) -> tuple[np.ndarray, list[int], list[int], float]:
     """Post-hoc validation pass of the ``stale_sync`` design.
 
     A component that launched on a bounded-stale partial sum and never
@@ -211,16 +213,17 @@ def stale_validate(
     backward error equals the missing mass.  Rows above ``ceiling`` are
     the suspects; their forward closure is replayed from the clean
     values (:func:`residual_repair` machinery).  Returns
-    ``(x_validated, suspects, replayed)`` — both index lists ascending,
-    ``replayed`` a superset of ``suspects`` — and raises
-    :class:`RecoveryExhaustedError` when the replayed system still
-    fails the ceiling.
+    ``(x_validated, suspects, replayed, residual)`` — both index lists
+    ascending, ``replayed`` a superset of ``suspects``, ``residual`` the
+    :func:`~repro.sparse.validate.residual_norm` of ``x_validated`` — and
+    raises :class:`RecoveryExhaustedError` when the replayed system
+    still fails the ceiling.
     """
     b = np.asarray(b, dtype=np.float64)
     errs = backward_errors(lower, x, b)
     suspects = np.nonzero(errs > ceiling)[0]
     if len(suspects) == 0:
-        return x, [], []
+        return x, [], [], float(np.max(errs))
     x_fixed, replayed = _closure_replay(lower, b, x, suspects)
     final = residual_norm(lower, x_fixed, b)
     if final > ceiling:
@@ -233,4 +236,4 @@ def stale_validate(
                 "residual": final,
             },
         )
-    return x_fixed, suspects.tolist(), replayed.tolist()
+    return x_fixed, suspects.tolist(), replayed.tolist(), final

@@ -22,10 +22,11 @@ makes this testable.
 
 :func:`resilient_run` is the DES-and-repair stage of that pipeline,
 written once: :meth:`SolverSession.solve` calls it with the session's
-compiled array program, the chaos harness calls it with its own
-distributions, and :class:`~repro.solvers.des_solver.DesSolver` solves
-through a session — so the path production and the benchmark run is
-the path the conformance cases audit.
+compiled array program (or, once it has recorded, its drain record),
+the chaos harness calls it with its own distributions, and
+:class:`~repro.solvers.des_solver.DesSolver` solves through a session
+— so the path production and the benchmark run is the path the
+conformance cases audit.
 """
 
 from __future__ import annotations
@@ -104,12 +105,20 @@ def resilient_run(
 
     ``record`` (an empty :class:`~repro.solvers.des_array.DrainRecord`)
     has the array drain write down its arithmetic; ``replay`` (a record
-    filled by a drain of ``program`` with the same ``plan``,
+    filled by an array drain of this system with the same ``plan``,
     ``recovery`` and ``stale``) skips the drain and recomputes its
     solution for this ``b`` instead
-    (:func:`~repro.solvers.des_solver.replay_execute`).  A replay builds
-    no injector and polls no ``watchdog``.  Everything after the drain
-    (stale-sync pass, residual check and repair) runs on either.
+    (:func:`~repro.solvers.des_solver.replay_execute`).  A replay reads
+    no ``program`` (pass none), builds no injector and polls no
+    ``watchdog``.  Everything after the drain (stale-sync pass, residual
+    check and repair) runs on either.
+
+    Each solution is certified once: the backward error the stale-sync
+    pass or :func:`~repro.resilience.recovery.residual_repair` computed
+    for the final ``x`` is the result's ``residual``, and a stale-sync
+    solution already under the recovery ceiling skips the repair check.
+    Only a solve that neither routine checked computes
+    :func:`~repro.sparse.validate.residual_norm` here.
 
     Returns a :class:`SessionResult` with ``report=None``.
     """
@@ -122,8 +131,7 @@ def resilient_run(
         recovery = RecoveryPolicy()
     if replay is not None:
         ex = replay_execute(
-            lower, b, machine, design,
-            stale=stale, program=program, record=replay,
+            lower, b, machine, design, stale=stale, record=replay
         )
     else:
         ex = des_execute(
@@ -142,19 +150,23 @@ def resilient_run(
             record=record,
         )
     x = ex.x
+    residual = ex.residual
     repaired: list[int] = []
     if recovery is not None and recovery.residual_check:
-        x, repaired = residual_repair(
-            lower, b, x, ceiling=recovery.residual_ceiling
-        )
+        ceiling = recovery.residual_ceiling
+        # A stale-sync solution under the ceiling has no suspects.
+        if residual is None or not residual <= ceiling:
+            x, repaired, residual = residual_repair(
+                lower, b, x, ceiling=ceiling
+            )
+    if residual is None:
+        residual = residual_norm(lower, x, np.asarray(b, dtype=np.float64))
     return SessionResult(
         x=x,
         execution=ex,
         report=None,
         repaired=tuple(repaired),
-        residual=float(
-            residual_norm(lower, x, np.asarray(b, dtype=np.float64))
-        ),
+        residual=residual,
     )
 
 
@@ -173,17 +185,25 @@ class SolverSession:
     Drain once, record on the second drain, replay after that: the
     first :meth:`solve` of a matrix drains the program; the second
     drains it again with a :class:`~repro.solvers.des_array.DrainRecord`
-    attached (so a one-shot session never pays the recording hook) and
-    keeps the record next to the program; every later :meth:`solve`
+    attached (so a one-shot session never pays the recording hook),
+    keeps the record and drops the program; every later :meth:`solve`
     replays the record for its ``b``
-    (:func:`~repro.solvers.des_array.replay_array`) instead of
-    re-simulating events whose order no value can change.  The
+    (:func:`~repro.solvers.des_array.replay_array`, whose first call
+    builds the record's plan from the matrix) instead of re-simulating
+    events whose order no value can change.  The
     stale-sync pass, the residual check and repair, and the residual
     norm run after every replay as after a drain, and the result is
     bit-identical to a drain's.  A solve that raises keeps nothing;
     binding a new matrix drops the program and its record together.  A
     replay polls no watchdog (see ``RunConfig.watchdog_wall_limit``).
-    :meth:`execute` always drains.
+
+    A warm session therefore holds the artefact bundle, the record
+    (8 bytes per nonzero and per row, plus the drain's trace copy) and
+    its plan, never both a record and a program: replays read no
+    program table, and the program's boxed per-edge lists would
+    otherwise stay alive for every full garbage collection to walk.
+    :meth:`execute` always drains; after the session has recorded it
+    compiles a transient program for each call and keeps none.
     """
 
     def __init__(self, config: RunConfig | None = None, **overrides):
@@ -229,14 +249,22 @@ class SolverSession:
             self._record = None
 
     def _array_program(self, lower):
-        """The bound matrix's array-engine program, compiled on first use."""
-        if self._program is None:
+        """The bound matrix's array-engine program, compiled on first use.
+
+        Kept until the session records a drain; after that every call
+        compiles a transient program (a session holding a record holds
+        no program).
+        """
+        program = self._program
+        if program is None:
             from repro.solvers.des_array import compile_program
 
-            self._program = compile_program(
+            program = compile_program(
                 lower, self._dist, self.machine, self.config.design
             )
-        return self._program
+            if self._record is None:
+                self._program = program
+        return program
 
     def execute(self, lower, b):
         """Event-granular playout only (no faults, no repair, no report)."""
@@ -271,8 +299,10 @@ class SolverSession:
         of a matrix on, replays the recorded second drain), residual-checks
         (and selectively repairs) the solution per the policy — all
         through :func:`resilient_run`, fed the session's compiled array
-        program — and, when ``with_report``, re-prices the execution
-        through the fast model for a comparable :class:`ExecutionReport`.
+        program or its record — and, when ``with_report``, re-prices the
+        execution through the fast model for a comparable
+        :class:`ExecutionReport`.  The recording solve drops the
+        program once it holds the record.
         """
         cfg = self.config
         self._bind(lower)
@@ -293,13 +323,14 @@ class SolverSession:
             watchdog=cfg.build_watchdog(),
             trace_enabled=cfg.trace_enabled,
             stale=cfg.build_stale_policy(),
-            program=self._array_program(lower),
+            program=self._array_program(lower) if replay is None else None,
             record=record,
             replay=replay,
         )
         self._drained = True
         if record is not None:
             self._record = record
+            self._program = None
         if not with_report:
             return res
         return replace(res, report=self.simulate(lower))

@@ -17,7 +17,7 @@ generator per process:
   resource rows, the sorted dispatch-front calendar seed, and each
   edge's fan-out delay); a drain builds only what depends on ``b`` and
   on the run itself.  A :class:`~repro.runtime.session.SolverSession`
-  keeps one program across its solves;
+  keeps one program across its drains;
 * **exact-time event calendar** — pending events live in FIFO buckets
   keyed by timestamp, inlined into the hot loop's locals: a dict maps
   each distinct time to a list of integer tokens and a small heap
@@ -47,8 +47,10 @@ generator per process:
   partial sum, a solve sets ``x[i] = (b[i] - left_sum[i]) / diag``).
   A drain given a :class:`DrainRecord` writes that arithmetic down in
   order, and :func:`replay_array` recomputes ``x`` for a new ``b`` from
-  the record alone, level by level, with the same binary64 operations
-  per component (``tests/test_session_replay.py``).
+  the record and the matrix alone, level by level, with the same
+  binary64 operations per component (``tests/test_session_replay.py``).
+  A replay reads no program table, so a session that has recorded
+  keeps its record and drops its program.
 
 Bit-equality contract
 ---------------------
@@ -243,8 +245,11 @@ class DrainRecord:
 
     None of this depends on ``b`` or on the matrix values, so
     :func:`replay_array` turns the record into the solution for any
-    other ``b``.  The replay plan is built from the record on the first
-    replay and kept in ``plan``.
+    other ``b``.  The replay plan is built from the record and the
+    matrix on the first replay and kept in ``plan``.  Neither reads the
+    :class:`ArrayProgram` that drained, so a
+    :class:`~repro.runtime.session.SolverSession` keeps the record and
+    drops the program once it has recorded.
     """
 
     ops: array = field(default_factory=lambda: array("q"))
@@ -1292,7 +1297,7 @@ class _NarrowRun(NamedTuple):
     flip_bit: np.ndarray
 
 
-def _replay_plan(program: ArrayProgram, record: DrainRecord) -> tuple:
+def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
     """Group a drain record by level and chain position.
 
     A component's value needs only its own adds in record order (its
@@ -1304,7 +1309,6 @@ def _replay_plan(program: ArrayProgram, record: DrainRecord) -> tuple:
     :data:`_REPLAY_VECTOR_MIN` adds, and a :class:`_NarrowRun` per run
     of narrower levels.  Every array is an int array.
     """
-    lower = program.lower
     n = lower.shape[0]
     solved, solve_pos, add_at, edges = _split_record(record, n)
     dst = lower.indices[edges]
@@ -1425,7 +1429,7 @@ def _flip_bits(values: np.ndarray, at: np.ndarray, bit: np.ndarray) -> None:
 
 
 def replay_array(
-    program: ArrayProgram, record: DrainRecord, b: np.ndarray
+    lower: CscMatrix, record: DrainRecord, b: np.ndarray
 ) -> tuple[np.ndarray, float, Trace, int, int]:
     """Recompute a recorded drain for a new right-hand side ``b``.
 
@@ -1434,16 +1438,18 @@ def replay_array(
     events)`` — with ``x`` bit-identical and the observables copied from
     the record (a fresh :class:`~repro.engine.trace.Trace` each call).
     Each component's partial sum runs the drain's chain of binary64 adds
-    in the drain's order, then the same subtract and divide.  The first
-    replay builds the record's plan (:func:`_replay_plan`).  A replay
-    polls no watchdog: it has no clock to advance and always finishes.
+    in the drain's order, then the same subtract and divide.  A replay
+    reads ``lower`` (the matrix the drain solved) and the record, never
+    the drain's :class:`ArrayProgram`; the first one builds the record's
+    plan (:func:`_replay_plan`).  A replay polls no watchdog: it has no
+    clock to advance and always finishes.
     """
     plan = record.plan
     if plan is None:
-        plan = record.plan = _replay_plan(program, record)
-    data = program.lower.data
+        plan = record.plan = _replay_plan(lower, record)
+    data = lower.data
     b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(program.layout.n)
+    x = np.zeros(lower.shape[0])
     for step in plan:
         if isinstance(step, _WideLevel):
             nodes, edges, cols, slot, diag, f_at, f_bit = step

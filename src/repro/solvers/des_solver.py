@@ -88,13 +88,19 @@ __all__ = ["DesExecution", "des_execute", "DesSolver", "replay_execute"]
 
 @dataclass(frozen=True)
 class DesExecution:
-    """Result of one event-granular run."""
+    """Result of one event-granular run.
+
+    ``residual`` is the componentwise backward error of ``x`` when the
+    stale-sync pass certified it, and ``None`` after a run without that
+    pass.
+    """
 
     x: np.ndarray
     total_time: float
     trace: Trace
     page_faults: int
     events: int
+    residual: float | None = None
 
     def solve_order(self) -> list[int]:
         return self.trace.solve_order()
@@ -545,8 +551,9 @@ def _finish_execution(
     wall clock stay bit-identical across the reference engine, the array
     engine and a replay of a recorded array drain.
     """
+    residual = None
     if stale is not None:
-        x, total_time = _stale_validation_pass(
+        x, total_time, residual = _stale_validation_pass(
             lower, b, x, stale, trace, total_time,
             machine.gpu.t_kernel_launch,
         )
@@ -556,6 +563,7 @@ def _finish_execution(
         trace=trace,
         page_faults=page_faults,
         events=events,
+        residual=residual,
     )
 
 
@@ -566,22 +574,24 @@ def replay_execute(
     design: Design | str,
     *,
     stale: StalePolicy | None = None,
-    program,
     record,
 ) -> DesExecution:
     """:func:`des_execute` for a new ``b`` from a recorded array drain.
 
     ``record`` is a :class:`~repro.solvers.des_array.DrainRecord` filled
-    by a drain of ``program`` under the same fault plan, recovery policy
-    and stale policy; :func:`~repro.solvers.des_array.replay_array`
-    recomputes ``x`` from it and the stale-sync pass runs on the result
-    as after a drain.  Bit-identical to that drain for any ``b``.
+    by an array drain of ``lower`` under the same machine, design, fault
+    plan, recovery policy and stale policy;
+    :func:`~repro.solvers.des_array.replay_array` recomputes ``x`` from
+    it and the stale-sync pass runs on the result as after a drain.
+    Bit-identical to that drain for any ``b``.  No
+    :class:`~repro.solvers.des_array.ArrayProgram` is read: the record,
+    its plan and the matrix are all a replay needs.
     """
     from repro.solvers.des_array import replay_array
 
     stale = resolve_stale_policy(coerce_design(design), stale)
     return _finish_execution(
-        lower, b, machine, stale, *replay_array(program, record, b)
+        lower, b, machine, stale, *replay_array(lower, record, b)
     )
 
 
@@ -601,13 +611,16 @@ def _stale_validation_pass(
     machinery, and appends the protocol's ``validate`` / ``replay``
     records at the timestamps of
     :func:`~repro.engine.protocol.stale_validation_times`.  Returns the
-    validated solution and the extended wall clock.  Raises
+    validated solution, the extended wall clock and the solution's
+    backward error.  Raises
     :class:`~repro.errors.RecoveryExhaustedError` when replay cannot
     bring the system under the ceiling.
     """
     from repro.resilience.recovery import stale_validate
 
-    x_fixed, suspects, replayed = stale_validate(lower, b, x, stale.ceiling)
+    x_fixed, suspects, replayed, residual = stale_validate(
+        lower, b, x, stale.ceiling
+    )
     t_validate, t_replays = stale_validation_times(
         total_time, len(replayed), t_kernel_launch
     )
@@ -620,7 +633,7 @@ def _stale_validation_pass(
         append((t, TRACE_REPLAY, 0, i))
     if len(replayed):
         total_time = float(t_replays[-1])
-    return x_fixed, total_time
+    return x_fixed, total_time, residual
 
 
 class DesSolver(TriangularSolver):

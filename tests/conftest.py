@@ -127,6 +127,26 @@ def machine8_dgx2():
     return dgx2(8)
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """Count ``compile_program`` calls; each entry is the compiled matrix.
+
+    Sessions and ``des_execute`` import it from its module at call time,
+    so patching the module attribute sees every compile.
+    """
+    import repro.solvers.des_array as des_array
+
+    calls = []
+    real = des_array.compile_program
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(des_array, "compile_program", counting)
+    return calls
+
+
 ALL_FIXTURE_MATRICES = list(_MATRIX_BUILDERS)
 
 

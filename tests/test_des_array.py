@@ -439,7 +439,6 @@ class TestFaultedErrorParity:
 # every solve of it, drained or replayed, must equal a fresh reference run.
 # ---------------------------------------------------------------------------
 
-import repro.solvers.des_array as des_array_mod  # noqa: E402
 from repro.solvers.des_array import compile_program  # noqa: E402
 
 REUSE_DESIGNS = (
@@ -451,19 +450,6 @@ REUSE_DESIGNS = (
 REUSE_GENERATORS = [
     g for g in GENERATORS if g[0] in ("banded", "level-major", "scattered")
 ]
-
-
-@pytest.fixture
-def compiles(monkeypatch):
-    """Count compile_program calls (sessions import it at call time)."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return compile_program(*args, **kwargs)
-
-    monkeypatch.setattr(des_array_mod, "compile_program", counting)
-    return calls
 
 
 def _fresh_reference(session, lower, b, **kwargs):

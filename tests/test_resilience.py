@@ -37,6 +37,7 @@ from repro.resilience.recovery import (
 from repro.resilience.watchdog import Watchdog
 from repro.runtime import resilient_run
 from repro.solvers.serial import serial_forward
+from repro.sparse.validate import residual_norm
 from repro.tasks.schedule import (
     block_distribution,
     remap_failed_components,
@@ -135,17 +136,19 @@ class TestResidualRepair:
 
     def test_clean_solution_untouched(self):
         lower, b, x = self._system()
-        fixed, replayed = residual_repair(lower, b, x)
+        fixed, replayed, residual = residual_repair(lower, b, x)
         assert replayed == []
         assert fixed.tobytes() == x.tobytes()
+        assert residual == residual_norm(lower, x, b)
 
     def test_poisoned_component_repaired_bitwise(self):
         lower, b, x = self._system()
         poisoned = x.copy()
         poisoned[7] = flip_mantissa_bit(poisoned[7], 45)
-        fixed, replayed = residual_repair(lower, b, poisoned)
+        fixed, replayed, residual = residual_repair(lower, b, poisoned)
         assert 7 in replayed
         assert fixed.tobytes() == x.tobytes()
+        assert residual == residual_norm(lower, fixed, b)
 
     def test_unrepairable_raises_typed(self):
         lower, b, x = self._system()

@@ -11,7 +11,12 @@ same for any ``b``.  These tests hold the replay to that:
   stale-sync pass, and the residual repair;
 * a config whose drain raises raises the same typed error on every
   solve, and its session keeps nothing;
-* a session drains, records on its second solve and replays after that.
+* a session drains, records on its second solve and replays after that;
+  the recording solve builds the replay plan and releases the compiled
+  program (nothing the session keeps or returns reaches it), and
+  ``execute`` after that drains a transient program;
+* each solution is certified once: one backward-error pass per solve,
+  two when the stale-sync pass or the residual repair replays rows.
 
 Each case runs with the replay plan forced all-scalar, all-vectorised
 and mixed, so both step kinds face every fault kind.
@@ -19,7 +24,9 @@ and mixed, so both step kinds face every fault kind.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +36,7 @@ from repro.engine.protocol import ALL_TRACE_KINDS
 from repro.errors import DeadlockError, ReproError, SimulationError
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
+from repro.resilience import recovery
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RecoveryPolicy
 from repro.resilience.watchdog import Watchdog
@@ -40,6 +48,9 @@ from repro.solvers.des_array import (
     check_record_order,
     compile_program,
 )
+from repro.serve.request import build_workload
+from repro.sparse import validate
+from repro.sparse.validate import residual_norm
 from repro.verify.registry import default_registry
 from repro.workloads.generators import banded_lower, dag_profile_matrix
 
@@ -292,7 +303,7 @@ def test_chaos_quick_cell_replays_bitwise(
             recovery=scenario.recovery,
             watchdog=Watchdog(stall_horizon=max(50.0 * T, 1.0)),
             trace_enabled=True,
-            program=program,
+            program=program if replay is None else None,
             record=record,
             replay=replay,
         )
@@ -361,6 +372,123 @@ def test_new_matrix_drops_the_record(monkeypatch):
         second, _rhs(3, 600), with_report=False
     )
     assert_same_result(result, fresh)
+
+
+RELEASE_CONFIGS = (
+    "default", "stale_sync", "unified", "bitflip-no-checksum",
+    "gpu_fail-remap-3",
+)
+
+
+@pytest.mark.parametrize("name", RELEASE_CONFIGS)
+def test_recording_solve_releases_the_program(name):
+    """Reference counting alone frees the program once the session has
+    recorded: no record, plan, trace or result reaches it."""
+    lower = _matrix()
+    config = (
+        RunConfig() if name == "default" else _extra_config(name, lower)
+    )
+    session = SolverSession(config)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = [session.solve(lower, _rhs(0, 600), with_report=False)]
+        program = weakref.ref(session._program)
+        assert session._record is None
+        results.append(session.solve(lower, _rhs(1, 600), with_report=False))
+        assert program() is None
+        assert session._program is None
+        assert session._record is not None
+        results.append(session.solve(lower, _rhs(2, 600), with_report=False))
+        assert session._program is None
+        assert session._record.plan is not None  # built by the replay
+    finally:
+        if enabled:
+            gc.enable()
+    assert all(r.execution.trace.rows for r in results)
+
+
+def test_execute_after_recording_drains_a_transient_program(compiles):
+    lower = _matrix()
+    config = RunConfig()
+    session = SolverSession(config)
+    for k in range(4):  # drain, record, two replays
+        session.solve(lower, _rhs(k, 600), with_report=False)
+    assert len(compiles) == 1
+    got = session.execute(lower, _rhs(4, 600))
+    assert len(compiles) == 2  # compiled for this call, not kept
+    assert session._program is None and session._record is not None
+    want = SolverSession(config).execute(lower, _rhs(4, 600))
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.events == want.events
+    assert got.total_time == want.total_time
+    assert got.page_faults == want.page_faults
+    assert got.trace.rows == want.trace.rows
+    # Solves keep replaying the record and compile nothing.
+    compiles.clear()
+    session.solve(lower, _rhs(5, 600), with_report=False)
+    assert compiles == []
+
+
+# ------------------------------------------------ one certificate per x
+@pytest.fixture
+def certificates(monkeypatch):
+    """Count backward-error passes (``residual_norm`` is their max)."""
+    calls = []
+    real = validate.backward_errors
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "backward_errors", counting)
+    monkeypatch.setattr(recovery, "backward_errors", counting)
+    return calls
+
+
+def _stale_grid():
+    return build_workload(
+        {"generator": "grid", "rows": 64, "cols": 64, "seed": 1}
+    )
+
+
+CERTIFIED = {
+    # name: (config, matrix, backward-error passes per solve)
+    "plain": (RunConfig, _matrix, 1),
+    "clean-recovered": (
+        lambda: RunConfig(recovery=RecoveryPolicy()), _matrix, 1,
+    ),
+    "repaired": (
+        lambda: _extra_config("bitflip-no-checksum", None), _matrix, 2,
+    ),
+    "stale_sync-replayed": (
+        lambda: RunConfig(design="stale_sync"), _stale_grid, 2,
+    ),
+    "stale_sync-replayed-recovered": (
+        lambda: RunConfig(design="stale_sync", recovery=RecoveryPolicy()),
+        _stale_grid,
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_each_solution_is_certified_once(name, certificates):
+    make_config, make_matrix, passes = CERTIFIED[name]
+    lower = make_matrix()
+    n = lower.shape[0]
+    session = SolverSession(make_config())
+    for k in range(3):  # drain, recorded drain, replay
+        certificates.clear()
+        b = _rhs(k, n)
+        res = session.solve(lower, b, with_report=False)
+        assert len(certificates) == passes
+        if name == "repaired":
+            assert res.repaired
+        if name.startswith("stale_sync"):
+            assert res.execution.trace.count("replay") > 0
+        assert res.residual == residual_norm(lower, res.x, b)
+    assert session._record is not None
 
 
 def test_raising_config_raises_every_solve_and_keeps_nothing():

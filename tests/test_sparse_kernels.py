@@ -226,7 +226,7 @@ def test_stale_sync_closure_matches_the_loop(structure, checked_closures):
     b = lower.matvec(x)
     poisoned = x.copy()
     poisoned[[n // 3, n // 2, n - 2]] += 1.0
-    fixed, _ = recovery.residual_repair(lower, b, poisoned)
+    fixed, _, _ = recovery.residual_repair(lower, b, poisoned)
     assert fixed.tobytes() != poisoned.tobytes()
     assert checked_closures
 

@@ -289,9 +289,12 @@ class TestStaleProperties:
         x = serial_forward(lower, b)
         x_bad = x.copy()
         x_bad[n // 2] += 1.0
-        fixed, suspects, replayed = stale_validate(lower, b, x_bad, 1e-12)
+        fixed, suspects, replayed, residual = stale_validate(
+            lower, b, x_bad, 1e-12
+        )
         assert suspects and replayed
         assert fixed.tobytes() == x.tobytes()
+        assert residual == residual_norm(lower, fixed, b)
         # An unreachable ceiling: even a perfect full replay leaves
         # rounding-level backward error, which must surface as the
         # typed exhaustion error rather than silent acceptance.

@@ -17,7 +17,11 @@ through a chosen engine and reports
   ``drain_s``), ``replay_first_s`` (the first replay of that record,
   which builds its plan), ``replay_s`` (each later solve of a warm
   session) and ``residual_s`` (the backward-error certificate of the
-  replayed ``x``, the rest of that solve),
+  replayed ``x``, the rest of that solve), and ``gc_warm_s`` (one full
+  ``gc.collect()`` while the process holds only the replay state: the
+  matrix, its artefacts, the record and its plan, as a warm session
+  does) beside ``gc_program_s`` (the same with the compiled program
+  still alive),
 * the top-``--top`` cProfile rows of one full compile + drain, ranked by
   tottime (self time), and
 * the same table as JSON (``--json``) for trend tooling.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import json
 import pstats
@@ -102,11 +107,20 @@ def profile_run(
             program=program, record=record,
         )
 
-    def replay(program, record):
+    def replay(record):
         return replay_execute(
             lower, b, machine, cfg.design,
-            stale=cfg.build_stale_policy(), program=program, record=record,
+            stale=cfg.build_stale_policy(), record=record,
         )
+
+    def full_collection():
+        """Best-of-``repeats`` wall of one full ``gc.collect()``."""
+        times = []
+        for _ in range(max(repeats, 1)):
+            t0 = time.perf_counter()
+            gc.collect()
+            times.append(time.perf_counter() - t0)
+        return min(times)
 
     program = compile_()
     result = drain(program)  # warmup; also provides the event count
@@ -123,6 +137,7 @@ def profile_run(
     drain_s = min(drain_times)
     best = (compile_s or 0.0) + drain_s
     record_s = replay_first_s = replay_s = residual_s = None
+    gc_program_s = gc_warm_s = None
     if engine == "array":
         record_times, replay_times, residual_times = [], [], []
         for _ in range(max(repeats, 1)):
@@ -131,11 +146,11 @@ def profile_run(
             drain(program, record)
             record_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        replay(program, record)
+        replay(record)
         replay_first_s = time.perf_counter() - t0
         for _ in range(max(repeats, 1)):
             t0 = time.perf_counter()
-            x = replay(program, record).x
+            x = replay(record).x
             t1 = time.perf_counter()
             residual_norm(lower, x, b)
             replay_times.append(t1 - t0)
@@ -143,6 +158,9 @@ def profile_run(
         record_s = min(record_times)
         replay_s = min(replay_times)
         residual_s = min(residual_times)
+        gc_program_s = full_collection()
+        program = None  # a warm session keeps the record, not the program
+        gc_warm_s = full_collection()
 
     prof = cProfile.Profile()
     prof.enable()
@@ -181,6 +199,8 @@ def profile_run(
         "replay_first_s": replay_first_s,
         "replay_s": replay_s,
         "residual_s": residual_s,
+        "gc_program_s": gc_program_s,
+        "gc_warm_s": gc_warm_s,
         "wall_seconds": best,
         "events_per_sec": result.events / best if best > 0 else None,
         "repeats": repeats,
@@ -211,6 +231,8 @@ def render(report: dict) -> str:
             f" replay={report['replay_s']:.4f}s"
             f" (first {report['replay_first_s']:.4f}s)"
             f" residual={report['residual_s']:.4f}s"
+            f" gc={report['gc_warm_s']:.4f}s"
+            f" (program alive {report['gc_program_s']:.4f}s)"
         )
     out.write("\n")
     out.write(
