@@ -191,6 +191,11 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _build(self):
         if self.workers:
+            # Workers fork from this process: import scipy.sparse, which
+            # every solve's certificate runs on (0.25-0.37 s), once here
+            # rather than in each new worker.
+            import scipy.sparse  # noqa: F401
+
             return ProcessPoolExecutor(max_workers=self.workers)
         return ThreadPoolExecutor(
             max_workers=self.inline_threads,

@@ -1251,28 +1251,32 @@ def check_record_order(record: DrainRecord, lower: CscMatrix, stale) -> None:
         )
 
 
-#: A level of the replay plan with fewer adds than this runs as part of
-#: a scalar loop: below it, the handful of numpy calls of a vectorised
-#: level cost more than the adds it advances: about 25–50 adds
-#: (EXPERIMENTS.md, "Whole-array certify and replay").
+#: A level of the replay plan with at least one add but fewer than this
+#: runs as part of a scalar loop: below it, the handful of numpy calls
+#: of a vectorised level cost more than the adds it advances: about
+#: 25–50 adds (EXPERIMENTS.md, "Whole-array certify and replay";
+#: re-swept for CSR levels in "Replay and certify through sparse
+#: matvecs").
 _REPLAY_VECTOR_MIN = 32
 
 
 class _WideLevel(NamedTuple):
-    """A level replayed as one ``bincount`` of its adds.
+    """A level replayed as one CSR matvec of its adds.
 
-    ``nodes`` are the level's solved components; add ``k`` (edge
-    ``edges[k]``, source column ``cols[k]``) lands in the partial sum of
-    ``nodes[slot[k]]``.  The adds are stored by chain position, then by
-    edge, so every node's adds come in its chain order and the gathers
-    walk memory forward.  ``diag`` indexes each node's diagonal, and the
-    adds at ``flip_at`` land with bit ``flip_bit`` flipped.
+    ``nodes`` are the level's solved components.  Row ``k`` of the
+    level's CSR skeleton is node ``nodes[k]``'s partial-sum chain in
+    chain order: entries ``indptr[k]:indptr[k + 1]`` of ``cols`` (each
+    add's source column) and ``edges`` (its matrix entry).  The skeleton
+    holds indices only; a replay fills it with ``data[edges]``.  ``diag``
+    indexes each node's diagonal, and the adds at ``flip_at`` land with
+    bit ``flip_bit`` flipped.  A level with no adds has an empty
+    skeleton.
     """
 
     nodes: np.ndarray
-    edges: np.ndarray
+    indptr: np.ndarray
     cols: np.ndarray
-    slot: np.ndarray
+    edges: np.ndarray
     diag: np.ndarray
     flip_at: np.ndarray
     flip_bit: np.ndarray
@@ -1298,16 +1302,19 @@ class _NarrowRun(NamedTuple):
 
 
 def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
-    """Group a drain record by level and chain position.
+    """Group a drain record by level and node.
 
     A component's value needs only its own adds in record order (its
     partial-sum chain) and the values of their source columns, which sit
     on lower levels of the DAG.  Adds that landed after their
     destination's solve (late stale-sync deliveries) no longer change
-    ``x`` and are dropped.  The plan is a tuple of steps in level order:
-    a :class:`_WideLevel` per level with at least
-    :data:`_REPLAY_VECTOR_MIN` adds, and a :class:`_NarrowRun` per run
-    of narrower levels.  Every array is an int array.
+    ``x`` and are dropped.  The kept adds are sorted node-major (by node
+    slot: level, then index; then by chain position), so each level's
+    adds are one contiguous block of whole chains.  The plan is a tuple
+    of steps in level order: a :class:`_WideLevel` (a CSR skeleton) per
+    level with no adds or at least :data:`_REPLAY_VECTOR_MIN` of them,
+    and a :class:`_NarrowRun` per run of the other levels.  Every array
+    is an int array: the plan holds no matrix value.
     """
     n = lower.shape[0]
     solved, solve_pos, add_at, edges = _split_record(record, n)
@@ -1321,50 +1328,32 @@ def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
         flip[f_at] = f_bit
         flip = flip[add_at[keep]]
     del solve_pos, add_at, keep
-    m = len(edges)
-    # Every sort below is on a unique key: no tie order matters.
-    # Chain position of each add within its destination's chain.
-    chain = np.bincount(dst, minlength=n)
-    by_dst = np.argsort(dst * m + np.arange(m))
-    rank = np.empty(m, dtype=np.int64)
-    rank[by_dst] = np.arange(m) - np.repeat(np.cumsum(chain) - chain, chain)
-    del by_dst
 
     level_of = get_artefacts(lower).levels.level_of
     n_levels = int(level_of.max(initial=-1)) + 1
     # Nodes by level, then index; ``ni`` is each node's slot.
-    r = int(chain.max(initial=0)) + 1
     nodes = solved[np.argsort(level_of[solved] * n + solved)]
     node_cut = np.searchsorted(level_of[nodes], np.arange(n_levels + 1))
     ni = np.empty(n, dtype=np.int64)
     ni[nodes] = np.arange(len(nodes))
-    add_lev = level_of[dst]
-    lev_adds = np.bincount(add_lev, minlength=n_levels)
-    wide = lev_adds >= _REPLAY_VECTOR_MIN
-    # Adds by level: chain-major in a narrow level (by node slot, then
-    # chain position), position-major in a wide one (by chain position,
-    # then edge).  Both keys of a level with node slots ``[lo, hi)``
-    # fall in ``[lo * r, hi * r)``, ``r`` one past the longest chain, so
-    # the levels stay in order; the edge breaks a wide level's ties.
-    key = ni[dst]
+    # A stable sort keeps each chain in record order.
+    order = np.argsort(ni[dst], kind="stable")
+    chain = np.bincount(dst, minlength=n)
     del dst
-    key *= r
-    key += rank
-    w = np.flatnonzero(wide[add_lev])
-    key[w] = node_cut[add_lev[w]] * r + rank[w]
-    del w, add_lev, rank
-    order = np.lexsort((edges, key))
-    del key
     edges = edges[order]
     if flip is not None:
         flip = flip[order]
     del order
     src = lower.entry_cols()[edges]
+    # ``ptr[k]`` is where node slot ``k``'s chain starts.
+    ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(chain[nodes], out=ptr[1:])
+    lev_adds = np.diff(ptr[node_cut])
+    wide = (lev_adds >= _REPLAY_VECTOR_MIN) | (lev_adds == 0)
 
     # Level boundaries in the sorted streams; a run of narrow levels is
     # one step, each wide level another.
     node_cut = node_cut.tolist()
-    add_cut = np.concatenate(([0], np.cumsum(lev_adds))).tolist()
     wide_l = wide.tolist()
     no_flips = np.empty(0, dtype=np.int64)
     slot = np.empty(n, dtype=np.int64)
@@ -1376,7 +1365,7 @@ def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
             while hi < n_levels and not wide_l[hi]:
                 hi += 1
         n0, n1 = node_cut[lv], node_cut[hi]
-        a0, a1 = add_cut[lv], add_cut[hi]
+        a0, a1 = int(ptr[n0]), int(ptr[n1])
         f_at = f_bit = no_flips
         if flip is not None:
             f_at = np.flatnonzero(flip[a0:a1] >= 0)
@@ -1385,9 +1374,9 @@ def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
         if wide_l[lv]:
             steps.append(_WideLevel(
                 run_nodes,
-                edges[a0:a1],
+                ptr[n0 : n1 + 1] - a0,
                 src[a0:a1],
-                ni[lower.indices[edges[a0:a1]]] - n0,
+                edges[a0:a1],
                 lower.indptr[run_nodes],
                 f_at,
                 f_bit,
@@ -1400,7 +1389,7 @@ def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
             ext = np.unique(run_src[~inner])
             slot[ext] = np.arange(len(ext))
             slot[run_nodes] = len(ext) + np.arange(len(run_nodes))
-            at_solve = np.cumsum(chain[run_nodes]) + np.arange(len(run_nodes))
+            at_solve = ptr[n0 + 1 : n1 + 1] - a0 + np.arange(n1 - n0)
             is_solve = np.zeros(a1 - a0 + n1 - n0, dtype=bool)
             is_solve[at_solve] = True
             run_ops = np.empty(len(is_solve), dtype=np.int64)
@@ -1421,11 +1410,42 @@ def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
     return tuple(steps)
 
 
-def _flip_bits(values: np.ndarray, at: np.ndarray, bit: np.ndarray) -> None:
-    """:func:`~repro.resilience.faults.flip_mantissa_bit` in place on
-    ``values[at]``, one bit per entry."""
-    bits = values.view(np.uint64)
-    bits[at] ^= np.left_shift(np.uint64(1), bit.astype(np.uint64))
+def _csr_matvec(
+    indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """``M @ x`` for the CSR matrix ``(vals, cols, indptr)`` with
+    ``len(x)`` columns: scipy's compiled ``csr_matvec``, which sums each
+    row from ``0.0`` in storage order.  Called directly, not through a
+    ``csr_array``: building one per level made a 50k replay 40–70%
+    slower (EXPERIMENTS.md, "Replay and certify through sparse
+    matvecs")."""
+    from scipy.sparse import _sparsetools
+
+    out = np.zeros(len(indptr) - 1)
+    _sparsetools.csr_matvec(len(out), len(x), indptr, cols, vals, x, out)
+    return out
+
+
+def _refold_flipped(
+    left: np.ndarray,
+    step: _WideLevel,
+    vals: np.ndarray,
+    x: np.ndarray,
+) -> None:
+    """Recompute ``left[k]`` of every row of ``step`` that holds a
+    flipped add: the row's chain of products from ``0.0``, each flipped
+    add through :func:`~repro.resilience.faults.flip_mantissa_bit`."""
+    indptr, cols = step.indptr, step.cols
+    flipped = dict(zip(step.flip_at.tolist(), step.flip_bit.tolist()))
+    rows = np.searchsorted(indptr, step.flip_at, side="right") - 1
+    for k in np.unique(rows).tolist():
+        lo, hi = int(indptr[k]), int(indptr[k + 1])
+        s = 0.0
+        for at, v in enumerate((vals[lo:hi] * x[cols[lo:hi]]).tolist(), lo):
+            if at in flipped:
+                v = flip_mantissa_bit(v, flipped[at])
+            s += v
+        left[k] = s
 
 
 def replay_array(
@@ -1438,7 +1458,11 @@ def replay_array(
     events)`` — with ``x`` bit-identical and the observables copied from
     the record (a fresh :class:`~repro.engine.trace.Trace` each call).
     Each component's partial sum runs the drain's chain of binary64 adds
-    in the drain's order, then the same subtract and divide.  A replay
+    in the drain's order, then the same subtract and divide: a wide
+    level as one compiled CSR matvec of its skeleton filled with
+    ``data[edges]`` (:func:`_csr_matvec` sums each row from ``0.0`` in
+    chain order; rows holding a flipped add are refolded in a scalar
+    loop), a narrow run as one scalar loop.  A replay
     reads ``lower`` (the matrix the drain solved) and the record, never
     the drain's :class:`ArrayProgram`; the first one builds the record's
     plan (:func:`_replay_plan`).  A replay polls no watchdog: it has no
@@ -1452,13 +1476,15 @@ def replay_array(
     x = np.zeros(lower.shape[0])
     for step in plan:
         if isinstance(step, _WideLevel):
-            nodes, edges, cols, slot, diag, f_at, f_bit = step
-            contrib = data[edges] * x[cols]
-            if len(f_at):
-                _flip_bits(contrib, f_at, f_bit)
-            # Each node's adds from 0.0 in input (chain) order.
-            left = np.bincount(slot, weights=contrib, minlength=len(nodes))
-            x[nodes] = (b[nodes] - left) / data[diag]
+            nodes, indptr, cols, edges, diag = step[:5]
+            r = b[nodes]
+            if len(edges):
+                vals = data[edges]
+                left = _csr_matvec(indptr, cols, vals, x)
+                if len(step.flip_at):
+                    _refold_flipped(left, step, vals, x)
+                r -= left
+            x[nodes] = r / data[diag]
             continue
         nodes, ext, ops, vals, f_at, f_bit = step
         ne = len(ext)

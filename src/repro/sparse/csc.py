@@ -37,6 +37,12 @@ class CscMatrix:
         Value of each stored entry.
     shape:
         ``(n_rows, n_cols)``.
+
+    A matrix keeps three derived views once built, none of them pickled:
+    the column of every entry (:meth:`entry_cols`) and two scipy
+    ``csc_array`` operators for compiled matvecs, one sharing the arrays
+    above (:meth:`operator`, used by :meth:`matvec` and the certificate)
+    and one over ``|data|`` (:meth:`abs_operator`).
     """
 
     indptr: np.ndarray
@@ -92,20 +98,39 @@ class CscMatrix:
             self._entry_cols = cols
         return cols
 
-    def row_sums(self, weights: np.ndarray) -> np.ndarray:
-        """Sum one weight per stored entry into its row, shape ``(n_rows,)``.
+    def operator(self):
+        """This matrix as a :class:`scipy.sparse.csc_array`, built once.
 
-        Each row adds its weights from ``0.0`` in entry order (ascending
-        column), as ``np.add.at`` would, in one ``np.bincount`` pass.
+        The view shares ``data``, ``indices`` and ``indptr`` (no copy, the
+        indices stay int64), so ``operator() @ x`` runs scipy's compiled
+        ``csc_matvec``: each row adds its products from ``0.0`` in entry
+        order (ascending column), as ``np.add.at`` would.  Kept on the
+        matrix like :meth:`entry_cols`; a pickle leaves it out.
         """
-        out = np.bincount(
-            self.indices, weights=weights, minlength=self.shape[0]
-        )
-        return out.astype(np.float64, copy=False)  # int zeros when nnz == 0
+        op = self.__dict__.get("_operator")
+        if op is None:
+            op = self._operator = self._csc_array(self.data)
+        return op
+
+    def abs_operator(self):
+        """``|A|`` as a :class:`scipy.sparse.csc_array`: :meth:`operator`
+        with its own ``np.abs(data)``, built once and left out of a
+        pickle.  The values are read once: a matrix's entries are not
+        changed in place after its first certificate."""
+        op = self.__dict__.get("_abs_operator")
+        if op is None:
+            op = self._abs_operator = self._csc_array(np.abs(self.data))
+        return op
+
+    def _csc_array(self, data: np.ndarray):
+        from scipy.sparse import csc_array
+
+        return csc_array((data, self.indices, self.indptr), shape=self.shape)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_entry_cols", None)
+        for cached in ("_entry_cols", "_operator", "_abs_operator"):
+            state.pop(cached, None)
         return state
 
     def iter_cols(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -173,13 +198,13 @@ class CscMatrix:
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` as one scatter-add of the scaled entries (:meth:`row_sums`)."""
+        """``A @ x`` through :meth:`operator` (rows summed in entry order)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ShapeError(
                 f"matvec operand has shape {x.shape}, expected ({self.shape[1]},)"
             )
-        return self.row_sums(self.data * x[self.entry_cols()])
+        return self.operator() @ x
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal as a dense vector (missing entries are 0)."""

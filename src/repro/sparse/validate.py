@@ -30,9 +30,13 @@ def backward_errors(
     """Componentwise backward error of every row: ``|L x - b|`` over
     ``|L| |x| + |b|`` (a zero scale counts as 1).
 
-    One pass over the stored entries: ``prod = data * x[col]`` is
-    summed into ``L x`` and, as ``|prod| == |data| |x[col]|`` exactly,
-    into ``|L| |x|`` (:meth:`CscMatrix.row_sums`).
+    Two compiled matvecs: ``L x`` through :meth:`CscMatrix.operator`
+    and ``|L| |x|`` through :meth:`CscMatrix.abs_operator`, both views
+    built once per matrix.  Each row adds its products from ``0.0`` in
+    entry order, as ``np.add.at`` would, and ``|a| |b| == |a b|``
+    exactly, so the bytes equal the ``np.add.at`` matvecs as long as
+    scipy's loop does not fuse a multiply and an add into one FMA
+    (``tests/test_sparse_kernels.py`` pins this).
     """
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -40,10 +44,9 @@ def backward_errors(
         raise ShapeError(
             f"x has shape {x.shape}, expected ({lower.shape[1]},)"
         )
-    prod = lower.data * x[lower.entry_cols()]
-    r = lower.row_sums(prod) - b
-    np.abs(prod, out=prod)
-    scale = lower.row_sums(prod)
+    r = lower.operator() @ x
+    r -= b
+    scale = lower.abs_operator() @ np.abs(x)
     scale += np.abs(b)
     scale[scale == 0.0] = 1.0
     return np.abs(r) / scale

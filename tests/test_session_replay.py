@@ -19,7 +19,9 @@ same for any ``b``.  These tests hold the replay to that:
   two when the stale-sync pass or the residual repair replays rows.
 
 Each case runs with the replay plan forced all-scalar, all-vectorised
-and mixed, so both step kinds face every fault kind.
+and mixed, so both step kinds face every fault kind.  Whatever the
+kind, a level with no adds is one vector step, and a vector step is a
+value-free CSR skeleton of whole chains in node-major order.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import pytest
 
 from repro.engine.protocol import ALL_TRACE_KINDS
 from repro.errors import DeadlockError, ReproError, SimulationError
+from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
 from repro.resilience import recovery
@@ -55,8 +58,8 @@ from repro.verify.registry import default_registry
 from repro.workloads.generators import banded_lower, dag_profile_matrix
 
 #: ``_REPLAY_VECTOR_MIN`` per plan kind.  "mixed" vectorises the middle
-#: levels of :func:`_matrix` and plays its first and last levels as
-#: scalar runs.
+#: levels of :func:`_matrix` and plays its last levels as a scalar run;
+#: its first level, which has no adds, is a vector step under every kind.
 PLAN_KINDS = {"scalar": 10**9, "vector": 1, "mixed": 120}
 
 
@@ -229,7 +232,8 @@ def test_extra_config_replays_bitwise(name, plan_kind):
     if name.startswith("bitflip"):
         assert record.flips  # the corrupted adds are replayed, flipped
     if name == "bitflip-wide":
-        # A wide level's adds are reordered: its flips must follow them.
+        # A CSR level refolds its flipped chains after the matvec: its
+        # flips must follow the node-major order of its adds.
         wide = [
             len(step.flip_at) for step in record.plan
             if isinstance(step, des_array._WideLevel)
@@ -239,6 +243,35 @@ def test_extra_config_replays_bitwise(name, plan_kind):
         assert record.page_faults > 0
     if name == "stale_sync":
         assert record.trace.count("stale_launch") > 0
+
+
+def test_plan_is_node_major_and_value_free(plan_kind):
+    lower = _matrix()
+    session = SolverSession(RunConfig(trace_enabled=False))
+    for k in range(3):  # drain, record, replay (builds the plan)
+        session.solve(lower, _rhs(k, 600), with_report=False)
+    plan = session._record.plan
+    level_of = get_artefacts(lower).levels.level_of
+    first = plan[0]
+    # Level 0 has no adds: one vector step, whatever the threshold.
+    assert isinstance(first, des_array._WideLevel)
+    assert len(first.edges) == 0 and not first.indptr.any()
+    assert np.array_equal(first.nodes, np.flatnonzero(level_of == 0))
+    kinds = [type(step) for step in plan]
+    if plan_kind == "scalar":
+        assert kinds == [des_array._WideLevel, des_array._NarrowRun]
+    if plan_kind == "vector":
+        assert set(kinds) == {des_array._WideLevel}
+    for step in plan:
+        assert all(a.dtype.kind == "i" for a in step)  # no matrix value
+        if isinstance(step, des_array._WideLevel):
+            # Row k of the skeleton is node k's chain of adds into it.
+            chains = np.diff(step.indptr)
+            assert step.indptr[0] == 0 and step.indptr[-1] == len(step.edges)
+            dst = lower.indices[step.edges]
+            assert np.array_equal(dst, np.repeat(step.nodes, chains))
+            assert np.array_equal(step.cols, lower.entry_cols()[step.edges])
+            assert np.array_equal(step.diag, lower.indptr[step.nodes])
 
 
 def test_deep_chains_replay_bitwise(plan_kind):

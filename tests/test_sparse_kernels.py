@@ -1,12 +1,18 @@
-"""Whole-array sparse kernels on the solve path, held bitwise to the
+"""Compiled sparse kernels on the solve path, held bitwise to the
 ``np.add.at`` loops they replace.
 
 * :meth:`CscMatrix.matvec` and :func:`backward_errors` (whose max is
-  :func:`residual_norm`) sum every row with one ``np.bincount`` in entry
-  order; the references below scatter with ``np.add.at``.  Both add a
-  row's terms from ``0.0`` in ascending column order, so every byte
-  agrees, ``-0.0`` terms, empty columns and ``nnz == 0`` included.
-* The column-of-entry index is built once per matrix and never pickled.
+  :func:`residual_norm`) run scipy's ``csc_matvec`` through the matrix's
+  cached operators, and a wide replay level runs ``csr_matvec``
+  (:func:`repro.solvers.des_array._csr_matvec`); the references below
+  scatter with ``np.add.at``.  All add a row's terms from ``0.0`` in
+  ascending column order, so every byte agrees, ``-0.0`` terms, empty
+  columns and ``nnz == 0`` included.  On an input where a fused
+  multiply-add rounds differently, a scipy build whose loops contract
+  into FMA instructions fails here instead of moving the digests.
+* The column-of-entry index and the two operators are built once per
+  matrix and never pickled; the ``L`` operator shares the matrix's
+  arrays.
 * The forward-closure replay of :func:`residual_repair` and
   :func:`stale_validate` equals its per-column loop (kept below as the
   oracle) on the serve-mix structures and on a silent bit-flip.
@@ -15,6 +21,7 @@
 from __future__ import annotations
 
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +34,7 @@ from repro.resilience.recovery import RecoveryPolicy
 from repro.runtime.config import RunConfig
 from repro.runtime.session import SolverSession
 from repro.serve.request import build_workload
+from repro.solvers.des_array import _csr_matvec
 from repro.sparse.csc import CscMatrix
 from repro.sparse.validate import backward_errors, residual_norm
 from repro.workloads.generators import dag_profile_matrix
@@ -98,10 +106,53 @@ def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
+def _fma_sensitive() -> tuple[CscMatrix, np.ndarray]:
+    """Rows of ``A x`` whose last product is inexact: with the product
+    rounded before the add, row 0 is ``-(1 + 2**-29) + (1 + 2**-30)**2
+    == 0.0`` and row 1 is ``1 - (1 + 2**-30)**2 == -2**-29``; a fused
+    add keeps the product's ``2**-60`` in both."""
+    u = 1.0 + 2.0**-30
+    a = CscMatrix(
+        np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+        np.array([-(1.0 + 2.0**-29), 1.0, u, -u]), (2, 2),
+    ).validated()
+    return a, np.array([1.0, u])
+
+
+def _fused_row_sums(a: CscMatrix, x: np.ndarray) -> np.ndarray:
+    """What an FMA-contracted row loop computes: each add rounds
+    ``s + a*x`` once (``float(Fraction)`` rounds correctly)."""
+    out = [0.0] * a.n_rows
+    for j, rows, vals in a.iter_cols():
+        for i, v in zip(rows.tolist(), vals.tolist()):
+            out[i] = float(Fraction(v) * Fraction(float(x[j])) + Fraction(out[i]))
+    return np.array(out)
+
+
 # --------------------------------------------------------------- kernels
 def test_matvec_matches_add_at_bitwise(matrix):
     x = _operand(matrix.n_cols, 1)
     _same_bytes(matrix.matvec(x), _matvec_ref(matrix, x))
+
+
+def test_kernels_do_not_fuse_multiply_add():
+    a, x = _fma_sensitive()
+    want = _matvec_ref(a, x)
+    assert want.tolist() == [0.0, -(2.0**-29)]
+    assert (_fused_row_sums(a, x) != want).all()  # the input tells them apart
+    _same_bytes(a.matvec(x), want)
+    csr = a.to_csr()  # row by row, columns ascending
+    _same_bytes(_csr_matvec(csr.indptr, csr.indices, csr.data, x), want)
+    b = np.array([0.0, -(2.0**-29)])
+    _same_bytes(backward_errors(a, x, b), _backward_errors_ref(a, x, b))
+    assert residual_norm(a, x, b) == 0.0
+
+
+def test_replay_level_matvec_matches_add_at_bitwise(matrix):
+    x = _operand(matrix.n_cols, 5)
+    csr = matrix.to_csr()
+    got = _csr_matvec(csr.indptr, csr.indices, csr.data, x)
+    _same_bytes(got, _matvec_ref(matrix, x))
 
 
 def test_backward_errors_match_add_at_bitwise(matrix):
@@ -126,7 +177,7 @@ def test_residual_norm_builds_no_artefacts():
     assert id(a) not in artefacts._CACHE
 
 
-# ---------------------------------------------------- column-of-entry index
+# ------------------------------------------------- cached per-matrix views
 def test_entry_cols_is_built_once_and_read_only(matrix):
     cols = matrix.entry_cols()
     assert cols is matrix.entry_cols()
@@ -136,12 +187,36 @@ def test_entry_cols_is_built_once_and_read_only(matrix):
 
 
 def test_pickle_leaves_the_entry_cols_out(matrix):
-    x = _operand(matrix.n_cols, 4)
-    matrix.matvec(x)
+    matrix.entry_cols()
     assert "_entry_cols" in vars(matrix)
     clone = pickle.loads(pickle.dumps(matrix))
     assert "_entry_cols" not in vars(clone)
     assert clone == matrix
+    assert np.array_equal(clone.entry_cols(), matrix.entry_cols())
+
+
+def test_operators_are_built_once_and_share_the_arrays(matrix):
+    op, abs_op = matrix.operator(), matrix.abs_operator()
+    assert op is matrix.operator() and abs_op is matrix.abs_operator()
+    nnz = matrix.nnz  # empty arrays share no memory
+    for view in (op, abs_op):
+        assert view.shape == matrix.shape and view.format == "csc"
+        assert view.indices.dtype == np.int64
+        assert np.shares_memory(view.indptr, matrix.indptr)
+        assert np.shares_memory(view.indices, matrix.indices) == bool(nnz)
+    assert np.shares_memory(op.data, matrix.data) == bool(nnz)
+    assert abs_op.data.tobytes() == np.abs(matrix.data).tobytes()
+
+
+def test_pickle_leaves_the_operators_out(matrix):
+    x = _operand(matrix.n_cols, 4)
+    b = _operand(matrix.n_rows, 6)
+    want = backward_errors(matrix, x, b)
+    assert {"_operator", "_abs_operator"} <= set(vars(matrix))
+    clone = pickle.loads(pickle.dumps(matrix))
+    assert not {"_operator", "_abs_operator"} & set(vars(clone))
+    assert clone == matrix
+    _same_bytes(backward_errors(clone, x, b), want)
     _same_bytes(clone.matvec(x), _matvec_ref(matrix, x))
 
 
