@@ -189,8 +189,11 @@ class SolverSession:
     keeps the record and drops the program; every later :meth:`solve`
     replays the record for its ``b``
     (:func:`~repro.solvers.des_array.replay_array`, whose first call
-    builds the record's plan from the matrix) instead of re-simulating
-    events whose order no value can change.  The
+    builds the record's plan from the matrix and gathers the matrix's
+    values in plan order) instead of re-simulating events whose order
+    no value can change.  The values are gathered once, so the bound
+    matrix's entries must not change in place (the contract
+    :class:`~repro.sparse.csc.CscMatrix` states).  The
     stale-sync pass, the residual check and repair, and the residual
     norm run after every replay as after a drain, and the result is
     bit-identical to a drain's.  A solve that raises keeps nothing;
@@ -198,8 +201,9 @@ class SolverSession:
     replay polls no watchdog (see ``RunConfig.watchdog_wall_limit``).
 
     A warm session therefore holds the artefact bundle, the record
-    (8 bytes per nonzero and per row, plus the drain's trace copy) and
-    its plan, never both a record and a program: replays read no
+    (8 bytes per nonzero and per row, plus the drain's trace copy), its
+    plan and the gathered values (8 bytes per kept add and per row),
+    never both a record and a program: replays read no
     program table, and the program's boxed per-edge lists would
     otherwise stay alive for every full garbage collection to walk.
     :meth:`execute` always drains; after the session has recorded it

@@ -245,11 +245,14 @@ class DrainRecord:
 
     None of this depends on ``b`` or on the matrix values, so
     :func:`replay_array` turns the record into the solution for any
-    other ``b``.  The replay plan is built from the record and the
-    matrix on the first replay and kept in ``plan``.  Neither reads the
-    :class:`ArrayProgram` that drained, so a
-    :class:`~repro.runtime.session.SolverSession` keeps the record and
-    drops the program once it has recorded.
+    other ``b``, and for any matrix with the drained one's pattern.  The
+    first replay builds the record's plan (:func:`_replay_plan`, indices
+    only) and keeps it in ``plan``; the first replay of each matrix
+    object gathers its values in plan order, 8 bytes per kept add and
+    per row, and keeps them in ``fill`` as ``(matrix, values)``
+    (:func:`_replay_values`).  Neither reads the :class:`ArrayProgram`
+    that drained, so a :class:`~repro.runtime.session.SolverSession`
+    keeps the record and drops the program once it has recorded.
     """
 
     ops: array = field(default_factory=lambda: array("q"))
@@ -259,6 +262,7 @@ class DrainRecord:
     events: int = 0
     trace: Trace | None = None
     plan: tuple | None = None
+    fill: tuple | None = None
 
 
 #: Once fewer columns than this are still long enough, the fan-out pass
@@ -1260,61 +1264,83 @@ def check_record_order(record: DrainRecord, lower: CscMatrix, stale) -> None:
 _REPLAY_VECTOR_MIN = 32
 
 
-class _WideLevel(NamedTuple):
-    """A level replayed as one CSR matvec of its adds.
+class _MatvecLevel(NamedTuple):
+    """A level replayed as one CSR matvec: plan slots ``lo:hi``.
 
-    ``nodes`` are the level's solved components.  Row ``k`` of the
-    level's CSR skeleton is node ``nodes[k]``'s partial-sum chain in
-    chain order: entries ``indptr[k]:indptr[k + 1]`` of ``cols`` (each
-    add's source column) and ``edges`` (its matrix entry).  The skeleton
-    holds indices only; a replay fills it with ``data[edges]``.  ``diag``
-    indexes each node's diagonal, and the adds at ``flip_at`` land with
-    bit ``flip_bit`` flipped.  A level with no adds has an empty
-    skeleton.
+    ``refolds`` holds ``(slot, a, z, flips)`` for each of its rows that
+    holds a flipped add: the row's adds are plan positions ``a:z`` and
+    ``flips`` pairs each flipped add's offset from ``a`` with its bit.
     """
 
-    nodes: np.ndarray
-    indptr: np.ndarray
-    cols: np.ndarray
-    edges: np.ndarray
-    diag: np.ndarray
-    flip_at: np.ndarray
-    flip_bit: np.ndarray
+    lo: int
+    hi: int
+    refolds: tuple
 
 
 class _NarrowRun(NamedTuple):
-    """Consecutive narrow levels replayed as one scalar loop.
+    """Consecutive narrow levels, plan slots ``lo:hi``, replayed as one
+    scalar loop.
 
-    ``xs`` holds ``x[ext]`` (the columns solved before the run) and
-    then one slot per node of the run, seeded with its ``b``.  Entry
-    ``k`` of ``ops`` with ``c = ops[k] >= 0`` adds ``data[vals[k]] *
-    xs[c]`` to the running partial sum; ``c < 0`` solves slot ``~c``
-    with diagonal ``data[vals[k]]`` and starts the next node's sum.
-    The entries at ``flip_at`` land with bit ``flip_bit`` flipped.
+    ``xs`` holds the solved slots ``ext`` the run reads and then one
+    entry per slot of the run, seeded with its ``b``.  Entry ``k`` of
+    ``ops`` with ``c = ops[k] >= 0`` adds ``values[vals[k]] * xs[c]`` to
+    the running partial sum; ``c < 0`` solves entry ``~c`` with diagonal
+    ``values[vals[k]]`` and starts the next node's sum.  ``flips`` maps
+    the ``k`` of each flipped add to its bit.
     """
 
-    nodes: np.ndarray
+    lo: int
+    hi: int
     ext: np.ndarray
     ops: np.ndarray
     vals: np.ndarray
-    flip_at: np.ndarray
-    flip_bit: np.ndarray
+    flips: dict
 
 
-def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
-    """Group a drain record by level and node.
+class _ReplayPlan(NamedTuple):
+    """A record's kept adds as one CSR matrix over solve slots.
+
+    Slot ``k`` is the ``k``-th solved component in (level, index) order,
+    ``perm[k]``.  Row ``k`` is its partial-sum chain in record order:
+    entries ``indptr[k]:indptr[k + 1]`` of ``cols`` (each add's source
+    column, as a slot) and ``edges`` (its matrix entry).  ``steps``
+    replays the slots in level order: a :class:`_MatvecLevel` per level
+    with no adds or at least :data:`_REPLAY_VECTOR_MIN` of them, and a
+    :class:`_NarrowRun` per run of the other levels.
+    """
+
+    perm: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    edges: np.ndarray
+    steps: tuple
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int keys in ``[0, 2**32)``,
+    as stable sorts of 16-bit digits, which numpy radix-sorts: at 400k
+    slot keys in record order, 6–15 ms against 40–60 ms for its timsort
+    of the int64 keys."""
+    if not len(keys) or keys.max() < 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (keys[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]
+
+
+def _replay_plan(lower: CscMatrix, record: DrainRecord) -> _ReplayPlan:
+    """Group a drain record by level and node, in slot space.
 
     A component's value needs only its own adds in record order (its
     partial-sum chain) and the values of their source columns, which sit
-    on lower levels of the DAG.  Adds that landed after their
-    destination's solve (late stale-sync deliveries) no longer change
-    ``x`` and are dropped.  The kept adds are sorted node-major (by node
-    slot: level, then index; then by chain position), so each level's
-    adds are one contiguous block of whole chains.  The plan is a tuple
-    of steps in level order: a :class:`_WideLevel` (a CSR skeleton) per
-    level with no adds or at least :data:`_REPLAY_VECTOR_MIN` of them,
-    and a :class:`_NarrowRun` per run of the other levels.  Every array
-    is an int array: the plan holds no matrix value.
+    on lower levels of the DAG, so at lower slots.  Adds that landed
+    after their destination's solve (late stale-sync deliveries) no
+    longer change ``x`` and are dropped.  A stable sort on the
+    destination's slot lays the kept adds out slot-major, so each
+    level's adds are one contiguous block of whole chains, and every
+    step of the plan is a slot range of its arrays.  Every array is an
+    int array: the plan holds no matrix value, so it replays any matrix
+    with ``lower``'s pattern.
     """
     n = lower.shape[0]
     solved, solve_pos, add_at, edges = _split_record(record, n)
@@ -1331,121 +1357,142 @@ def _replay_plan(lower: CscMatrix, record: DrainRecord) -> tuple:
 
     level_of = get_artefacts(lower).levels.level_of
     n_levels = int(level_of.max(initial=-1)) + 1
-    # Nodes by level, then index; ``ni`` is each node's slot.
-    nodes = solved[np.argsort(level_of[solved] * n + solved)]
-    node_cut = np.searchsorted(level_of[nodes], np.arange(n_levels + 1))
-    ni = np.empty(n, dtype=np.int64)
-    ni[nodes] = np.arange(len(nodes))
+    # Solved components by index, then stably by level: slot order.
+    is_solved = np.zeros(n, dtype=bool)
+    is_solved[solved] = True
+    perm = np.flatnonzero(is_solved)
+    perm = perm[np.argsort(level_of[perm], kind="stable")]
+    cut = np.searchsorted(level_of[perm], np.arange(n_levels + 1))
+    slot = np.empty(n, dtype=np.int64)
+    slot[perm] = np.arange(len(perm))
     # A stable sort keeps each chain in record order.
-    order = np.argsort(ni[dst], kind="stable")
+    order = _stable_order(slot[dst])
     chain = np.bincount(dst, minlength=n)
     del dst
     edges = edges[order]
+    flip_at = np.empty(0, dtype=np.int64)
     if flip is not None:
         flip = flip[order]
+        flip_at = np.flatnonzero(flip >= 0)
     del order
-    src = lower.entry_cols()[edges]
-    # ``ptr[k]`` is where node slot ``k``'s chain starts.
-    ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(chain[nodes], out=ptr[1:])
-    lev_adds = np.diff(ptr[node_cut])
+    cols = slot[lower.entry_cols()[edges]]
+    del slot
+    indptr = np.zeros(len(perm) + 1, dtype=np.int64)
+    np.cumsum(chain[perm], out=indptr[1:])
+    m = len(edges)
+    lev_adds = np.diff(indptr[cut])
     wide = (lev_adds >= _REPLAY_VECTOR_MIN) | (lev_adds == 0)
 
-    # Level boundaries in the sorted streams; a run of narrow levels is
-    # one step, each wide level another.
-    node_cut = node_cut.tolist()
-    wide_l = wide.tolist()
-    no_flips = np.empty(0, dtype=np.int64)
-    slot = np.empty(n, dtype=np.int64)
+    # Each wide level is one step, and so is each run of narrow levels:
+    # a step starts at level 0 and at every level that is wide or
+    # follows a wide one.
+    starts = np.ones(n_levels, dtype=bool)
+    starts[1:] = wide[1:] | wide[:-1]
+    starts = np.flatnonzero(starts)
+    bounds = cut[np.append(starts, n_levels)].tolist()
     steps = []
-    lv = 0
-    while lv < n_levels:
-        hi = lv + 1
-        if not wide_l[lv]:
-            while hi < n_levels and not wide_l[hi]:
-                hi += 1
-        n0, n1 = node_cut[lv], node_cut[hi]
-        a0, a1 = int(ptr[n0]), int(ptr[n1])
-        f_at = f_bit = no_flips
-        if flip is not None:
-            f_at = np.flatnonzero(flip[a0:a1] >= 0)
-            f_bit = flip[a0:a1][f_at]
-        run_nodes = nodes[n0:n1]
-        if wide_l[lv]:
-            steps.append(_WideLevel(
-                run_nodes,
-                ptr[n0 : n1 + 1] - a0,
-                src[a0:a1],
-                edges[a0:a1],
-                lower.indptr[run_nodes],
-                f_at,
-                f_bit,
-            ))
+    for n0, n1, is_wide in zip(bounds, bounds[1:], wide[starts].tolist()):
+        a0, a1 = int(indptr[n0]), int(indptr[n1])
+        f_at = flip_at
+        if len(flip_at):
+            f_at = flip_at[slice(*np.searchsorted(flip_at, (a0, a1)))]
+        if is_wide:
+            refolds = []
+            if len(f_at):
+                rows = np.searchsorted(indptr, f_at, side="right") - 1
+                for k in np.unique(rows).tolist():
+                    a, z = int(indptr[k]), int(indptr[k + 1])
+                    at = f_at[rows == k]
+                    flips = zip((at - a).tolist(), flip[at].tolist())
+                    refolds.append((k, a, z, tuple(flips)))
+            steps.append(_MatvecLevel(n0, n1, tuple(refolds)))
         else:
-            # One entry per add (its source's slot) and, after each
-            # node's chain, one for its solve (``~slot``).
-            run_src = src[a0:a1]
-            inner = ni[run_src] >= n0
-            ext = np.unique(run_src[~inner])
-            slot[ext] = np.arange(len(ext))
-            slot[run_nodes] = len(ext) + np.arange(len(run_nodes))
-            at_solve = ptr[n0 + 1 : n1 + 1] - a0 + np.arange(n1 - n0)
+            # One entry per add (its source's place in ``xs``) and,
+            # after each node's chain, one for its solve (``~place``).
+            run_cols = cols[a0:a1]
+            inner = run_cols >= n0
+            ext, ext_at = np.unique(run_cols[~inner], return_inverse=True)
+            src = np.empty(a1 - a0, dtype=np.int64)
+            src[~inner] = ext_at
+            src[inner] = run_cols[inner] - n0 + len(ext)
+            at_solve = indptr[n0 + 1 : n1 + 1] - a0 + np.arange(n1 - n0)
             is_solve = np.zeros(a1 - a0 + n1 - n0, dtype=bool)
             is_solve[at_solve] = True
             run_ops = np.empty(len(is_solve), dtype=np.int64)
-            run_ops[is_solve] = ~slot[run_nodes]
-            run_ops[~is_solve] = slot[run_src]
+            run_ops[is_solve] = ~(len(ext) + np.arange(n1 - n0))
+            run_ops[~is_solve] = src
             vals = np.empty(len(is_solve), dtype=np.int64)
-            vals[is_solve] = lower.indptr[run_nodes]
-            vals[~is_solve] = edges[a0:a1]
-            steps.append(_NarrowRun(
-                run_nodes,
-                ext,
-                run_ops,
-                vals,
-                np.flatnonzero(~is_solve)[f_at],
-                f_bit,
-            ))
-        lv = hi
-    return tuple(steps)
+            vals[is_solve] = m + np.arange(n0, n1)
+            vals[~is_solve] = np.arange(a0, a1)
+            flips = {}
+            if len(f_at):
+                at = np.flatnonzero(~is_solve)[f_at - a0]
+                flips = dict(zip(at.tolist(), flip[f_at].tolist()))
+            steps.append(_NarrowRun(n0, n1, ext, run_ops, vals, flips))
+    return _ReplayPlan(perm, indptr, cols, edges, tuple(steps))
+
+
+def _replay_values(
+    lower: CscMatrix, record: DrainRecord
+) -> tuple[_ReplayPlan, np.ndarray]:
+    """The record's plan and ``lower``'s values in plan order.
+
+    The values are ``data[edges]`` (one per kept add, in plan order)
+    followed by each slot's diagonal ``data[indptr[perm]]``.  The plan
+    is built once per record; the values are gathered once per record
+    and matrix object and kept in ``record.fill`` beside the matrix they
+    came from, so a replay on another matrix of the same pattern
+    gathers its own.  A matrix's values are read once (the values
+    contract of :class:`~repro.sparse.csc.CscMatrix`).
+    """
+    plan = record.plan
+    if plan is None:
+        plan = record.plan = _replay_plan(lower, record)
+    fill = record.fill
+    if fill is None or fill[0] is not lower:
+        m = len(plan.edges)
+        values = np.empty(m + len(plan.perm))
+        np.take(lower.data, plan.edges, out=values[:m])
+        np.take(lower.data, lower.indptr[plan.perm], out=values[m:])
+        fill = record.fill = (lower, values)
+    return plan, fill[1]
 
 
 def _csr_matvec(
-    indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray
+    indptr: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``M @ x`` for the CSR matrix ``(vals, cols, indptr)`` with
-    ``len(x)`` columns: scipy's compiled ``csr_matvec``, which sums each
-    row from ``0.0`` in storage order.  Called directly, not through a
-    ``csr_array``: building one per level made a 50k replay 40–70%
-    slower (EXPERIMENTS.md, "Replay and certify through sparse
-    matvecs")."""
+    """``out + M @ x`` into ``out`` (zeros when not given) for the CSR
+    matrix ``(vals, cols, indptr)`` with ``len(x)`` columns: scipy's
+    compiled ``csr_matvec``, which adds each row's products to
+    ``out[k]`` in storage order.  ``indptr`` may be any slice of a
+    larger row pointer: it indexes ``cols`` and ``vals`` directly.
+    Called directly, not through a ``csr_array``: building one per level
+    made a 50k replay 40–70% slower (EXPERIMENTS.md, "Replay and certify
+    through sparse matvecs")."""
     from scipy.sparse import _sparsetools
 
-    out = np.zeros(len(indptr) - 1)
+    if out is None:
+        out = np.zeros(len(indptr) - 1)
     _sparsetools.csr_matvec(len(out), len(x), indptr, cols, vals, x, out)
     return out
 
 
-def _refold_flipped(
-    left: np.ndarray,
-    step: _WideLevel,
-    vals: np.ndarray,
-    x: np.ndarray,
-) -> None:
-    """Recompute ``left[k]`` of every row of ``step`` that holds a
-    flipped add: the row's chain of products from ``0.0``, each flipped
-    add through :func:`~repro.resilience.faults.flip_mantissa_bit`."""
-    indptr, cols = step.indptr, step.cols
-    flipped = dict(zip(step.flip_at.tolist(), step.flip_bit.tolist()))
-    rows = np.searchsorted(indptr, step.flip_at, side="right") - 1
-    for k in np.unique(rows).tolist():
-        lo, hi = int(indptr[k]), int(indptr[k + 1])
-        s = 0.0
-        for at, v in enumerate((vals[lo:hi] * x[cols[lo:hi]]).tolist(), lo):
-            if at in flipped:
-                v = flip_mantissa_bit(v, flipped[at])
-            s += v
-        left[k] = s
+def _refold_flipped(prods: np.ndarray, flips: tuple) -> float:
+    """A row's left sum from its products in chain order, added one at
+    a time from ``0.0``; the product at each ``(offset, bit)`` of
+    ``flips`` goes through
+    :func:`~repro.resilience.faults.flip_mantissa_bit` first."""
+    prods = prods.tolist()
+    for at, bit in flips:
+        prods[at] = flip_mantissa_bit(prods[at], bit)
+    s = 0.0
+    for v in prods:
+        s += v
+    return s
 
 
 def replay_array(
@@ -1458,41 +1505,44 @@ def replay_array(
     events)`` — with ``x`` bit-identical and the observables copied from
     the record (a fresh :class:`~repro.engine.trace.Trace` each call).
     Each component's partial sum runs the drain's chain of binary64 adds
-    in the drain's order, then the same subtract and divide: a wide
-    level as one compiled CSR matvec of its skeleton filled with
-    ``data[edges]`` (:func:`_csr_matvec` sums each row from ``0.0`` in
-    chain order; rows holding a flipped add are refolded in a scalar
-    loop), a narrow run as one scalar loop.  A replay
-    reads ``lower`` (the matrix the drain solved) and the record, never
-    the drain's :class:`ArrayProgram`; the first one builds the record's
-    plan (:func:`_replay_plan`).  A replay polls no watchdog: it has no
-    clock to advance and always finishes.
+    in the drain's order, then the same subtract and divide.  The replay
+    works in slot space (:func:`_replay_plan`): it permutes ``b`` once,
+    solves each wide level as one compiled CSR matvec
+    (:func:`_csr_matvec`, each row summed from ``0.0`` in chain order;
+    rows holding a flipped add are refolded in a scalar loop) written
+    into a contiguous slice of the slot-ordered solution, then one
+    subtract and one divide, and each narrow run as one scalar loop; it
+    scatters the solution back to component order once.  The matrix
+    values come from ``record.fill`` (:func:`_replay_values`), gathered
+    on the first replay of each matrix object (the values contract of
+    :class:`~repro.sparse.csc.CscMatrix`).  A replay reads ``lower`` and
+    the record, never the drain's :class:`ArrayProgram`, and polls no
+    watchdog: it has no clock to advance and always finishes.
     """
-    plan = record.plan
-    if plan is None:
-        plan = record.plan = _replay_plan(lower, record)
-    data = lower.data
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(lower.shape[0])
-    for step in plan:
-        if isinstance(step, _WideLevel):
-            nodes, indptr, cols, edges, diag = step[:5]
-            r = b[nodes]
-            if len(edges):
-                vals = data[edges]
-                left = _csr_matvec(indptr, cols, vals, x)
-                if len(step.flip_at):
-                    _refold_flipped(left, step, vals, x)
-                r -= left
-            x[nodes] = r / data[diag]
+    plan, values = _replay_values(lower, record)
+    indptr, cols = plan.indptr, plan.cols
+    m = len(cols)
+    vals, dvals = values[:m], values[m:]
+    bp = np.asarray(b, dtype=np.float64)[plan.perm]
+    # Slots are written level by level; a matvec reads only lower ones.
+    xp = np.zeros(len(plan.perm))
+    for step in plan.steps:
+        lo, hi = step.lo, step.hi
+        if type(step) is _MatvecLevel:
+            out, r = xp[lo:hi], bp[lo:hi]
+            if indptr[lo] != indptr[hi]:
+                _csr_matvec(indptr[lo : hi + 1], cols, vals, xp, out)
+                for k, a, z, flips in step.refolds:
+                    xp[k] = _refold_flipped(vals[a:z] * xp[cols[a:z]], flips)
+                r = np.subtract(r, out, out=out)
+            np.divide(r, dvals[lo:hi], out=out)
             continue
-        nodes, ext, ops, vals, f_at, f_bit = step
-        ne = len(ext)
-        xs = x[ext].tolist()
-        xs += b[nodes].tolist()  # a node's slot holds b until it solves
+        ext, ops, flips = step.ext, step.ops, step.flips
+        xs = xp[ext].tolist()
+        xs += bp[lo:hi].tolist()  # a node's entry holds b until it solves
         s = 0.0
-        if not len(f_at):
-            for c, d in zip(ops.tolist(), data[vals].tolist()):
+        if not flips:
+            for c, d in zip(ops.tolist(), values[step.vals].tolist()):
                 if c >= 0:
                     s += d * xs[c]
                 else:
@@ -1500,18 +1550,21 @@ def replay_array(
                     xs[c] = (xs[c] - s) / d
                     s = 0.0
         else:
-            flipped = dict(zip(f_at.tolist(), f_bit.tolist()))
-            for k, (c, d) in enumerate(zip(ops.tolist(), data[vals].tolist())):
+            for k, (c, d) in enumerate(
+                zip(ops.tolist(), values[step.vals].tolist())
+            ):
                 if c >= 0:
                     v = d * xs[c]
-                    if k in flipped:
-                        v = flip_mantissa_bit(v, flipped[k])
+                    if k in flips:
+                        v = flip_mantissa_bit(v, flips[k])
                     s += v
                 else:
                     c = ~c
                     xs[c] = (xs[c] - s) / d
                     s = 0.0
-        x[nodes] = xs[ne:]
+        xp[lo:hi] = xs[len(ext):]
+    x = np.zeros(lower.shape[0])
+    x[plan.perm] = xp
     return (
         x,
         record.total_time,

@@ -583,9 +583,11 @@ def replay_execute(
     plan, recovery policy and stale policy;
     :func:`~repro.solvers.des_array.replay_array` recomputes ``x`` from
     it and the stale-sync pass runs on the result as after a drain.
-    Bit-identical to that drain for any ``b``.  No
+    Bit-identical to that drain for any ``b``, and for any ``lower``
+    with the drained matrix's pattern.  No
     :class:`~repro.solvers.des_array.ArrayProgram` is read: the record,
-    its plan and the matrix are all a replay needs.
+    its plan and the matrix's values, gathered on its first replay,
+    are all a replay needs.
     """
     from repro.solvers.des_array import replay_array
 

@@ -43,6 +43,12 @@ class CscMatrix:
     ``csc_array`` operators for compiled matvecs, one sharing the arrays
     above (:meth:`operator`, used by :meth:`matvec` and the certificate)
     and one over ``|data|`` (:meth:`abs_operator`).
+
+    Values contract: a matrix's entries are not changed in place after
+    its first certificate or replay.  Copies of the values are read
+    once and kept (:meth:`abs_operator`, and a drain record's gathered
+    values, see :func:`~repro.solvers.des_array.replay_array`); to
+    solve with other values, build a new matrix.
     """
 
     indptr: np.ndarray
@@ -115,8 +121,8 @@ class CscMatrix:
     def abs_operator(self):
         """``|A|`` as a :class:`scipy.sparse.csc_array`: :meth:`operator`
         with its own ``np.abs(data)``, built once and left out of a
-        pickle.  The values are read once: a matrix's entries are not
-        changed in place after its first certificate."""
+        pickle.  The values are read once (see the values contract
+        above)."""
         op = self.__dict__.get("_abs_operator")
         if op is None:
             op = self._abs_operator = self._csc_array(np.abs(self.data))

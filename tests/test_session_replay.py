@@ -20,8 +20,10 @@ same for any ``b``.  These tests hold the replay to that:
 
 Each case runs with the replay plan forced all-scalar, all-vectorised
 and mixed, so both step kinds face every fault kind.  Whatever the
-kind, a level with no adds is one vector step, and a vector step is a
-value-free CSR skeleton of whole chains in node-major order.
+kind, a level with no adds is one vector step, and the plan is one
+value-free CSR matrix of whole chains over solve slots, in node-major
+order.  A record replays any matrix with the drained one's pattern,
+gathering each matrix's values once.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.solvers.des_array import (
 )
 from repro.serve.request import build_workload
 from repro.sparse import validate
+from repro.sparse.csc import CscMatrix
 from repro.sparse.validate import residual_norm
 from repro.verify.registry import default_registry
 from repro.workloads.generators import banded_lower, dag_profile_matrix
@@ -232,11 +235,13 @@ def test_extra_config_replays_bitwise(name, plan_kind):
     if name.startswith("bitflip"):
         assert record.flips  # the corrupted adds are replayed, flipped
     if name == "bitflip-wide":
-        # A CSR level refolds its flipped chains after the matvec: its
-        # flips must follow the node-major order of its adds.
+        # A matvec level refolds its flipped chains after the matvec: its
+        # flips must follow the slot-major order of its adds.
         wide = [
-            len(step.flip_at) for step in record.plan
-            if isinstance(step, des_array._WideLevel)
+            len(flips)
+            for step in record.plan.steps
+            if isinstance(step, des_array._MatvecLevel)
+            for *_, flips in step.refolds
         ]
         assert (sum(wide) > 0) == (plan_kind != "scalar")
     if name == "unified":
@@ -250,28 +255,99 @@ def test_plan_is_node_major_and_value_free(plan_kind):
     session = SolverSession(RunConfig(trace_enabled=False))
     for k in range(3):  # drain, record, replay (builds the plan)
         session.solve(lower, _rhs(k, 600), with_report=False)
-    plan = session._record.plan
+    record = session._record
+    plan = record.plan
     level_of = get_artefacts(lower).levels.level_of
-    first = plan[0]
+    arrays = [plan.perm, plan.indptr, plan.cols, plan.edges]
+    for step in plan.steps:
+        arrays += [a for a in step if isinstance(a, np.ndarray)]
+    assert all(a.dtype.kind == "i" for a in arrays)  # no matrix value
+    # Slots are components in (level, index) order; the steps tile them.
+    assert (np.diff(level_of[plan.perm] * 600 + plan.perm) > 0).all()
+    assert [s.lo for s in plan.steps][1:] == [s.hi for s in plan.steps][:-1]
+    assert plan.steps[0].lo == 0 and plan.steps[-1].hi == len(plan.perm)
+    first = plan.steps[0]
     # Level 0 has no adds: one vector step, whatever the threshold.
-    assert isinstance(first, des_array._WideLevel)
-    assert len(first.edges) == 0 and not first.indptr.any()
-    assert np.array_equal(first.nodes, np.flatnonzero(level_of == 0))
-    kinds = [type(step) for step in plan]
+    assert isinstance(first, des_array._MatvecLevel)
+    assert plan.indptr[first.hi] == 0
+    assert np.array_equal(
+        plan.perm[first.lo : first.hi], np.flatnonzero(level_of == 0)
+    )
+    kinds = [type(step) for step in plan.steps]
     if plan_kind == "scalar":
-        assert kinds == [des_array._WideLevel, des_array._NarrowRun]
+        assert kinds == [des_array._MatvecLevel, des_array._NarrowRun]
     if plan_kind == "vector":
-        assert set(kinds) == {des_array._WideLevel}
-    for step in plan:
-        assert all(a.dtype.kind == "i" for a in step)  # no matrix value
-        if isinstance(step, des_array._WideLevel):
-            # Row k of the skeleton is node k's chain of adds into it.
-            chains = np.diff(step.indptr)
-            assert step.indptr[0] == 0 and step.indptr[-1] == len(step.edges)
-            dst = lower.indices[step.edges]
-            assert np.array_equal(dst, np.repeat(step.nodes, chains))
-            assert np.array_equal(step.cols, lower.entry_cols()[step.edges])
-            assert np.array_equal(step.diag, lower.indptr[step.nodes])
+        assert set(kinds) == {des_array._MatvecLevel}
+    # Row k of the CSR is slot k's chain of adds into it, in record
+    # order, and each add's column is its source's slot.
+    chains = np.diff(plan.indptr)
+    assert plan.indptr[0] == 0 and plan.indptr[-1] == len(plan.edges)
+    assert np.array_equal(
+        lower.indices[plan.edges], np.repeat(plan.perm, chains)
+    )
+    assert np.array_equal(
+        plan.perm[plan.cols], lower.entry_cols()[plan.edges]
+    )
+    ops = np.frombuffer(record.ops, dtype=np.int64)
+    position = np.empty(lower.nnz, dtype=np.int64)
+    position[ops[ops >= 0]] = np.flatnonzero(ops >= 0)
+    row = np.repeat(np.arange(len(plan.perm)), chains)
+    later = np.diff(position[plan.edges]) > 0
+    assert later[row[1:] == row[:-1]].all()
+    # The values are the adds' entries, then each slot's diagonal.
+    matrix, values = record.fill
+    assert matrix is lower
+    m = len(plan.edges)
+    assert np.array_equal(values[:m], lower.data[plan.edges])
+    assert np.array_equal(
+        values[m:], lower.data[lower.indptr[plan.perm]]
+    )
+
+
+@pytest.mark.parametrize("name", ("default", "bitflip-wide"))
+def test_one_record_replays_two_matrices_of_one_pattern(name, plan_kind):
+    """A record holds no value: replayed on a matrix with the drained
+    one's pattern and other values, it equals a fresh drain of that
+    matrix.  Each matrix's values are gathered once, on its first
+    replay, and gathered again when the matrix object changes."""
+    first = _matrix()
+    scale = np.random.default_rng(21).uniform(0.5, 2.0, size=first.nnz)
+    second = CscMatrix(
+        first.indptr, first.indices, first.data * scale, first.shape
+    )
+    config = RunConfig() if name == "default" else _extra_config(name, first)
+    session = SolverSession(config)
+    for k in range(2):  # drain, then record
+        session.solve(first, _rhs(k, 600), with_report=False)
+    record = session._record
+    dist, machine = session._dist, session.machine
+
+    def replay(lower, k):
+        return resilient_run(
+            lower, _rhs(k, 600), dist, machine, config.design,
+            plan=config.plan,
+            recovery=config.recovery,
+            watchdog=config.build_watchdog(),
+            trace_enabled=config.trace_enabled,
+            stale=config.build_stale_policy(),
+            replay=record,
+        )
+
+    fills, plans = [], []
+    for lower in (first, first, second, second, first):
+        k = 2 + len(fills)
+        drained = SolverSession(config).solve(
+            lower, _rhs(k, 600), with_report=False
+        )
+        assert_same_result(replay(lower, k), drained)
+        assert record.fill[0] is lower
+        fills.append(record.fill[1])
+        plans.append(record.plan)
+    assert all(plan is plans[0] for plan in plans)  # one plan, one pattern
+    assert fills[1] is fills[0] and fills[3] is fills[2]
+    assert fills[2] is not fills[1] and fills[4] is not fills[3]
+    assert np.array_equal(fills[4], fills[0])
+    assert not np.array_equal(fills[2], fills[0])
 
 
 def test_deep_chains_replay_bitwise(plan_kind):

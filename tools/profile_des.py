@@ -14,14 +14,15 @@ through a chosen engine and reports
   engine has neither compile nor the phases below), ``record_drain_s``
   (the same drain writing a :class:`~repro.solvers.des_array.DrainRecord`,
   a warm session's second solve; ``record_overhead`` is its cost over
-  ``drain_s``), ``replay_first_s`` (the first replay of that record,
-  which builds its plan), ``replay_s`` (each later solve of a warm
-  session) and ``residual_s`` (the backward-error certificate of the
-  replayed ``x``, the rest of that solve), and ``gc_warm_s`` (one full
-  ``gc.collect()`` while the process holds only the replay state: the
-  matrix, its artefacts, the record and its plan, as a warm session
-  does) beside ``gc_program_s`` (the same with the compiled program
-  still alive),
+  ``drain_s``), ``plan_s`` (building that record's replay plan and
+  gathering the matrix's values in plan order, paid once per record),
+  ``replay_first_s`` (the first replay after that), ``replay_s`` (each
+  later solve of a warm session) and ``residual_s`` (the backward-error
+  certificate of the replayed ``x``, the rest of that solve), and
+  ``gc_warm_s`` (one full ``gc.collect()`` while the process holds only
+  the replay state: the matrix, its artefacts, the record, its plan and
+  values, as a warm session does) beside ``gc_program_s`` (the same
+  with the compiled program still alive),
 * the top-``--top`` cProfile rows of one full compile + drain, ranked by
   tottime (self time), and
 * the same table as JSON (``--json``) for trend tooling.
@@ -57,7 +58,11 @@ from repro.bench.dessweep import DES_CASES  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.exec_model.artefacts import get_artefacts  # noqa: E402
 from repro.runtime import RunConfig, load_run_config  # noqa: E402
-from repro.solvers.des_array import DrainRecord, compile_program  # noqa: E402
+from repro.solvers.des_array import (  # noqa: E402
+    DrainRecord,
+    _replay_values,
+    compile_program,
+)
 from repro.solvers.des_solver import des_execute, replay_execute  # noqa: E402
 from repro.sparse.validate import residual_norm  # noqa: E402
 from repro.workloads.generators import dag_profile_matrix  # noqa: E402
@@ -139,7 +144,7 @@ def profile_run(
     compile_s = min(compile_times) if engine == "array" else None
     drain_s = min(drain_times)
     best = (compile_s or 0.0) + drain_s
-    record_s = replay_first_s = replay_s = residual_s = None
+    record_s = plan_s = replay_first_s = replay_s = residual_s = None
     gc_program_s = gc_warm_s = None
     if engine == "array":
         record_times, replay_times, residual_times = [], [], []
@@ -148,6 +153,9 @@ def profile_run(
             t0 = time.perf_counter()
             drain(program, record)
             record_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        _replay_values(lower, record)
+        plan_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         replay(record)
         replay_first_s = time.perf_counter() - t0
@@ -199,6 +207,7 @@ def profile_run(
         "record_overhead": (
             None if record_s is None else record_s / drain_s - 1.0
         ),
+        "plan_s": plan_s,
         "replay_first_s": replay_first_s,
         "replay_s": replay_s,
         "residual_s": residual_s,
@@ -231,6 +240,7 @@ def render(report: dict) -> str:
         out.write(
             f" recorded={report['record_drain_s']:.4f}s"
             f" ({100.0 * report['record_overhead']:+.1f}%)"
+            f" plan={report['plan_s']:.4f}s"
             f" replay={report['replay_s']:.4f}s"
             f" (first {report['replay_first_s']:.4f}s)"
             f" residual={report['residual_s']:.4f}s"
