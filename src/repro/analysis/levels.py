@@ -118,8 +118,13 @@ def compute_levels(
             targets = out_idx[rep_starts + within]
             dec = np.bincount(targets, minlength=n)
             remaining -= dec
-            candidates = np.unique(targets)
-            frontier = candidates[remaining[candidates] == 0]
+            # The next frontier: each target that reached zero, once, in
+            # ascending order.  A sort plus a neighbour mask, not
+            # ``np.unique``, which costs about 20x a sort per level.
+            ready = np.sort(targets[remaining[targets] == 0])
+            first = np.ones(len(ready), dtype=bool)
+            first[1:] = ready[1:] != ready[:-1]
+            frontier = ready[first]
         else:
             frontier = np.zeros(0, dtype=np.int64)
         level += 1

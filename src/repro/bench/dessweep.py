@@ -17,7 +17,8 @@ compiles its :class:`~repro.solvers.des_array.ArrayProgram` once
 (``compile_first_s``, with the resident-set growth it costs as
 ``program_rss_mb``), then times warm recompiles (``compile_s``) and
 drains of that one program (``drain_s``, ``drain_events_per_sec``)
-separately.  ``t_array`` is their sum, the combined compile+drain
+separately; each array run is a value-free drain plus the replay of its
+record that computes ``x``.  ``t_array`` is their sum, the combined compile+drain
 figure the speedup and ``events_per_sec_array`` are computed from.
 
 Noise handling follows :mod:`repro.bench.fastmodel`: every engine's
@@ -39,10 +40,10 @@ entirely: replaying tens of millions of events through generators (and
 holding their trace records) is what this sweep exists to avoid.  Those
 rows are marked ``verified: "repeat"``: the array engine's counters
 (solution bits, simulated clock, event and trace counters) must agree
-between the verification run and the last timed run, and the
-verification run records its arithmetic, which must follow the
-dependency order (:func:`~repro.solvers.des_array.check_record_order`
-raises on a violation).  Cross-engine
+between the verification run and the last timed run, and the record of
+the verification drain must follow the dependency order
+(:func:`~repro.solvers.des_array.check_record_order` raises on a
+violation).  Cross-engine
 equality is covered by the smaller cases, the scale-out rows, and the
 test batteries.  The scale-1M throughput row is recorded, met or not,
 under ``throughput_target``.
@@ -50,6 +51,7 @@ under ``throughput_target``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -66,11 +68,7 @@ from repro.engine.protocol import coerce_design
 from repro.exec_model.artefacts import load_artefacts, spill_artefacts
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
-from repro.solvers.des_array import (
-    DrainRecord,
-    check_record_order,
-    compile_program,
-)
+from repro.solvers.des_array import check_record_order, compile_program
 from repro.solvers.des_solver import des_execute
 from repro.tasks.schedule import block_distribution
 from repro.workloads.generators import dag_profile_matrix
@@ -329,11 +327,10 @@ def measure_des_case(
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
 
-    def run(engine: str, trace: bool, program=None, record=None):
+    def run(engine: str, trace: bool, program=None):
         return des_execute(
             lower, b, dist, machine, design,
             engine=engine, trace_enabled=trace, program=program,
-            record=record,
         )
 
     def compile_():
@@ -347,12 +344,12 @@ def measure_des_case(
 
     skip_reference = n >= SKIP_REFERENCE_N
     if skip_reference:
-        record = DrainRecord()
-        base = run("array", False, program, record)
+        base = run("array", False, program)
         check_record_order(
-            record, lower, coerce_design(design) is Design.STALE_SYNC
+            base.record, lower, coerce_design(design) is Design.STALE_SYNC
         )
-        del record  # 8 bytes per add and solve: freed before the timed drains
+        # The record and its replay plan, freed before the timed drains.
+        base = dataclasses.replace(base, record=None)
         verified = "repeat"
     else:
         base = run("reference", True)

@@ -118,13 +118,13 @@ class RunConfig:
         :class:`~repro.resilience.watchdog.Watchdog` with these bounds
         (a watchdog is single-run state, so the config stores the knobs,
         not the instance).  The watchdog guards event drains only.  From
-        its third :meth:`~repro.runtime.session.SolverSession.solve` of
-        a matrix on, a session replays its recorded drain instead of
-        draining, and a replay polls no watchdog: it advances no clock
-        and always finishes in one pass over the record.  So a wall
-        limit can end a session's first two solves of a matrix (and any
-        ``execute``), never a replay, and the stall horizon, which the
-        recorded drain already passed, would pass again.
+        its second :meth:`~repro.runtime.session.SolverSession.solve` of
+        a matrix on, a session replays its first solve's drain record
+        instead of draining, and a replay polls no watchdog: it advances
+        no clock and always finishes in one pass over the record.  So a
+        wall limit can end a session's first solve of a matrix (and any
+        ``execute``), never a later one, and the stall horizon, which
+        the recorded drain already passed, would pass again.
     trace_enabled:
         Record the full DES trace stream (disable for throughput runs).
         No solve observable depends on it.  The solve service drops

@@ -22,7 +22,7 @@ makes this testable.
 
 :func:`resilient_run` is the DES-and-repair stage of that pipeline,
 written once: :meth:`SolverSession.solve` calls it with the session's
-compiled array program (or, once it has recorded, its drain record),
+compiled array program (or, once it has solved, its drain record),
 the chaos harness calls it with its own distributions, and
 :class:`~repro.solvers.des_solver.DesSolver` solves through a session
 — so the path production and the benchmark run is the path the
@@ -83,7 +83,6 @@ def resilient_run(
     trace_enabled: bool = True,
     stale=None,
     program=None,
-    record=None,
     replay=None,
 ) -> SessionResult:
     """Run one faulted, recovered, residual-checked DES solve.
@@ -103,15 +102,16 @@ def resilient_run(
     hangs (watchdog) and never returns silently corrupted data (residual
     check).
 
-    ``record`` (an empty :class:`~repro.solvers.des_array.DrainRecord`)
-    has the array drain write down its arithmetic; ``replay`` (a record
-    filled by an array drain of this system with the same ``plan``,
-    ``recovery`` and ``stale``) skips the drain and recomputes its
-    solution for this ``b`` instead
-    (:func:`~repro.solvers.des_solver.replay_execute`).  A replay reads
-    no ``program`` (pass none), builds no injector and polls no
-    ``watchdog``.  Everything after the drain (stale-sync pass, residual
-    check and repair) runs on either.
+    An array-engine run's ``execution.record`` is the
+    :class:`~repro.solvers.des_array.DrainRecord` its ``x`` was replayed
+    from.  ``replay`` (such a record, from an array drain of this system
+    with the same ``plan``, ``recovery`` and ``stale``) skips the drain
+    and replays the record for this ``b``
+    (:func:`~repro.solvers.des_solver.replay_execute`), which is what
+    an array-engine run does after its drain.  A replay reads no
+    ``program`` (pass none), builds no injector and polls no
+    ``watchdog``.  Everything after it (stale-sync pass, residual check
+    and repair) runs as after any run.
 
     Each solution is certified once: the backward error the stale-sync
     pass or :func:`~repro.resilience.recovery.residual_repair` computed
@@ -147,7 +147,6 @@ def resilient_run(
             watchdog=watchdog,
             stale=stale,
             program=program,
-            record=record,
         )
     x = ex.x
     residual = ex.residual
@@ -182,21 +181,21 @@ class SolverSession:
     first :meth:`solve` / :meth:`execute` also compiles the matrix's
     :class:`~repro.solvers.des_array.ArrayProgram`.
 
-    Drain once, record on the second drain, replay after that: the
-    first :meth:`solve` of a matrix drains the program; the second
-    drains it again with a :class:`~repro.solvers.des_array.DrainRecord`
-    attached (so a one-shot session never pays the recording hook),
-    keeps the record and drops the program; every later :meth:`solve`
-    replays the record for its ``b``
+    Record on the first solve, replay from the second: the first
+    :meth:`solve` of a matrix drains the program, which is value-free
+    and returns its :class:`~repro.solvers.des_array.DrainRecord`, and
+    replays that record for its ``b``
     (:func:`~repro.solvers.des_array.replay_array`, whose first call
     builds the record's plan from the matrix and gathers the matrix's
-    values in plan order) instead of re-simulating events whose order
-    no value can change.  The values are gathered once, so the bound
+    values in plan order); the session keeps the record and drops the
+    program.  Every later :meth:`solve` replays the record for its
+    ``b`` instead of re-simulating events whose order no value can
+    change.  The values are gathered once, so the bound
     matrix's entries must not change in place (the contract
     :class:`~repro.sparse.csc.CscMatrix` states).  The
     stale-sync pass, the residual check and repair, and the residual
-    norm run after every replay as after a drain, and the result is
-    bit-identical to a drain's.  A solve that raises keeps nothing;
+    norm run after every replay, and the result is bit-identical to a
+    fresh session's first solve.  A solve that raises keeps no record;
     binding a new matrix drops the program and its record together.  A
     replay polls no watchdog (see ``RunConfig.watchdog_wall_limit``).
 
@@ -206,8 +205,9 @@ class SolverSession:
     never both a record and a program: replays read no
     program table, and the program's boxed per-edge lists would
     otherwise stay alive for every full garbage collection to walk.
-    :meth:`execute` always drains; after the session has recorded it
-    compiles a transient program for each call and keeps none.
+    :meth:`execute` always drains (and replays that drain's own record);
+    once the session holds a record it compiles a transient program for
+    each call and keeps none.
     """
 
     def __init__(self, config: RunConfig | None = None, **overrides):
@@ -221,7 +221,6 @@ class SolverSession:
         self._artefacts = None
         self._dist = None
         self._program = None
-        self._drained = False
         self._record = None
 
     @property
@@ -249,15 +248,14 @@ class SolverSession:
                 lower.shape[0], machine.n_gpus, lower=lower
             )
             self._program = None
-            self._drained = False
             self._record = None
 
     def _array_program(self, lower):
         """The bound matrix's array-engine program, compiled on first use.
 
-        Kept until the session records a drain; after that every call
-        compiles a transient program (a session holding a record holds
-        no program).
+        Kept until the session's first solve records a drain; after that
+        every call compiles a transient program (a session holding a
+        record holds no program).
         """
         program = self._program
         if program is None:
@@ -299,23 +297,18 @@ class SolverSession:
         """Run the full configured pipeline on one system.
 
         Plays the system out at event granularity with the configured
-        fault plan / recovery policy / watchdog (or, from the third solve
-        of a matrix on, replays the recorded second drain), residual-checks
+        fault plan / recovery policy / watchdog (or, from the second solve
+        of a matrix on, replays the first solve's record), residual-checks
         (and selectively repairs) the solution per the policy — all
         through :func:`resilient_run`, fed the session's compiled array
         program or its record — and, when ``with_report``, re-prices the
         execution through the fast model for a comparable
-        :class:`ExecutionReport`.  The recording solve drops the
-        program once it holds the record.
+        :class:`ExecutionReport`.  The first solve keeps its drain's
+        record and drops the program.
         """
         cfg = self.config
         self._bind(lower)
         replay = self._record
-        record = None
-        if replay is None and self._drained:
-            from repro.solvers.des_array import DrainRecord
-
-            record = DrainRecord()
         res = resilient_run(
             lower,
             b,
@@ -328,12 +321,10 @@ class SolverSession:
             trace_enabled=cfg.trace_enabled,
             stale=cfg.build_stale_policy(),
             program=self._array_program(lower) if replay is None else None,
-            record=record,
             replay=replay,
         )
-        self._drained = True
-        if record is not None:
-            self._record = record
+        if replay is None:
+            self._record = res.execution.record
             self._program = None
         if not with_report:
             return res

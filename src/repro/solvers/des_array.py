@@ -4,7 +4,7 @@ This module compiles the shared execution protocol of
 :mod:`repro.engine.protocol`: :func:`compile_program` turns its state
 constants, token layout and timing rules into flat integer/float arrays
 once per structure, and :func:`execute_array` drains them with a branchy
-hot loop once per right-hand side — the same components, notifiers,
+hot loop — the same components, notifiers,
 warp slots, link channels, and unified-memory page table as the
 reference engine (:func:`repro.solvers.des_solver.des_execute` with
 ``engine="reference"``, which plays the same state machine with
@@ -15,9 +15,8 @@ generator per process:
   everything that depends only on the structure, placement, machine and
   design (index and ownership lists, per-warp and per-edge cost tables,
   resource rows, the sorted dispatch-front calendar seed, and each
-  edge's fan-out delay); a drain builds only what depends on ``b`` and
-  on the run itself.  A :class:`~repro.runtime.session.SolverSession`
-  keeps one program across its drains;
+  edge's fan-out delay); a drain builds only what depends on the run
+  itself;
 * **exact-time event calendar** — pending events live in FIFO buckets
   keyed by timestamp, inlined into the hot loop's locals: a dict maps
   each distinct time to a list of integer tokens and a small heap
@@ -41,16 +40,16 @@ generator per process:
   queue) built per drain from the program's ``bank_rows``; the hot loop
   runs :class:`~repro.engine.resources.Resource`'s grant/hand-over rule
   inline on them;
-* **drain once, replay per right-hand side** — a drain never branches
-  on a value: ``b`` and the matrix values enter only the two arithmetic
-  lines (a delivery adds ``data[e] * x[col[e]]`` into its destination's
-  partial sum, a solve sets ``x[i] = (b[i] - left_sum[i]) / diag``).
-  A drain given a :class:`DrainRecord` writes that arithmetic down in
-  order, and :func:`replay_array` recomputes ``x`` for a new ``b`` from
-  the record and the matrix alone, level by level, with the same
-  binary64 operations per component (``tests/test_session_replay.py``).
-  A replay reads no program table, so a session that has recorded
-  keeps its record and drops its program.
+* **a value-free drain, one numeric path** — no event depends on ``b``
+  or on a matrix value, so a drain reads neither: it writes the order of
+  the arithmetic down in a :class:`DrainRecord` (a delivery adds
+  ``data[e] * x[col[e]]`` into its destination's partial sum, a solve
+  sets ``x[i] = (b[i] - left_sum[i]) / diag``), and :func:`replay_array`
+  is the one place an array-engine ``x`` is computed, for any ``b``,
+  from the record and the matrix alone, with those binary64 operations
+  in that order per component (``tests/test_session_replay.py``).  A
+  replay reads no program table, so a session keeps the record of its
+  first solve, drops its program and replays every later solve.
 
 Bit-equality contract
 ---------------------
@@ -69,11 +68,13 @@ counts.  Two invariants carry the proof:
    number than every token already in it: insertion order within an
    exact timestamp *is* the reference heap's pop order, so the calendar
    never materialises a sequence number or an entry tuple.
-2. *Identical IEEE-754 operation chains.*  Every event time and value
-   is produced by the same sequence of binary64 operations the
-   reference generators execute (NumPy float64 and Python floats share
-   binary64 semantics), so times collide exactly where the reference
-   ties and differ exactly where it doesn't.  Compiling a fan-out's
+2. *Identical IEEE-754 operation chains.*  Every event time is
+   produced by the same sequence of binary64 operations the reference
+   generators execute (NumPy float64 and Python floats share binary64
+   semantics), so times collide exactly where the reference ties and
+   differ exactly where it doesn't; the replay runs each component's
+   value chain in the order the drain recorded, which is the
+   reference's delivery order.  Compiling a fan-out's
    delays ahead of the solve keeps the chain: the same sequential
    ``uc += inc; delay = uc + notify`` adds per column, only run
    earlier (and for many columns at once).  Sharing one boxed object
@@ -179,8 +180,9 @@ class ArrayProgram:
     a page-table design, whose update costs depend on the run.
 
     Entries of equal value share one boxed Python object: the float
-    tables hold one object per distinct value, and ``idx_l``/``col_l``
-    hold the int objects of one ``range(n)`` pool.  The per-edge update
+    tables hold one object per distinct value, and ``idx_l`` holds the
+    int objects of one ``range(n)`` pool.  No table holds a matrix
+    value: a drain reads none.  The per-edge update
     increments and notify delays the fan-out is built from are not
     kept; a remap derives them for the edges it rewrites.
     """
@@ -202,7 +204,6 @@ class ArrayProgram:
     rel: list | None
     # Per edge.
     idx_l: list
-    col_l: list
     srcg_l: list
     dstg_l: list
     e_delay: list | None
@@ -234,18 +235,19 @@ class ArrayProgram:
 class DrainRecord:
     """One drain's arithmetic, and the observables no value changes.
 
-    :func:`execute_array` given a record appends to ``ops`` in event
-    order: ``e`` for "add edge ``e``'s contribution to its destination's
-    partial sum" and ``-1 - i`` for "solve component ``i``".  ``flips``
-    holds ``(position, bit)`` for each add whose contribution landed
-    bit-flipped (a corrupted delivery with no checksum).  At the end of
-    the drain it stores the run's ``total_time``, ``page_faults``,
-    ``events`` and a copy of its ``trace``, all taken before any
-    stale-sync validation pass.
+    :func:`execute_array` fills and returns one per drain.  ``ops``
+    lists the arithmetic in event order: ``e`` for "add edge ``e``'s
+    contribution to its destination's partial sum" and ``-1 - i`` for
+    "solve component ``i``".  ``flips`` holds ``(position, bit)`` for
+    each add whose contribution lands bit-flipped (a corrupted delivery
+    with no checksum).  ``total_time``, ``page_faults``, ``events`` and
+    the drain's own ``trace`` are the run's observables, all taken
+    before any stale-sync validation pass; a replay hands out a copy of
+    the trace, never the record's.
 
     None of this depends on ``b`` or on the matrix values, so
     :func:`replay_array` turns the record into the solution for any
-    other ``b``, and for any matrix with the drained one's pattern.  The
+    ``b``, and for any matrix with the drained one's pattern.  The
     first replay builds the record's plan (:func:`_replay_plan`, indices
     only) and keeps it in ``plan``; the first replay of each matrix
     object gathers its values in plan order, 8 bytes per kept add and
@@ -443,8 +445,8 @@ def compile_program(
         pair_wire[p] = wire_time(topo, ga, gb)
     # Equal values share one boxed object: the link and wire lists index
     # pools keyed by PE pair (a last slot for local edges: no link, no
-    # wire), the gather list a pool keyed by in-count, and both index
-    # lists one ``range(n)`` int pool.
+    # wire), the gather list a pool keyed by in-count, and the index
+    # list one ``range(n)`` int pool.
     pair_key = np.where(
         local_e, n_gpus * n_gpus, src_g_e * n_gpus + dst_g_e
     )
@@ -481,7 +483,6 @@ def compile_program(
         ),
         rel=rel,
         idx_l=ints[lower.indices].tolist(),
-        col_l=ints[col_of].tolist(),
         srcg_l=src_g_e.tolist(),
         dstg_l=dst_g_e.tolist(),
         e_delay=e_delay,
@@ -502,7 +503,6 @@ def compile_program(
 
 def execute_array(
     program: ArrayProgram,
-    b: np.ndarray,
     *,
     trace_enabled: bool = True,
     max_events: int = 50_000_000,
@@ -510,25 +510,20 @@ def execute_array(
     recovery=None,
     watchdog=None,
     stale=None,
-    record: DrainRecord | None = None,
-) -> tuple[np.ndarray, float, Trace, int, int]:
+) -> DrainRecord:
     """Drain one event-granular SpTRSV of a compiled program.
 
-    Returns ``(x, total_time, trace, page_faults, events)`` — the exact
-    fields of :class:`~repro.solvers.des_solver.DesExecution`, produced
-    bit-identically to the reference engine.
+    The drain is value-free: it reads no right-hand side and no matrix
+    value, and returns the filled :class:`DrainRecord` — the order of
+    the run's arithmetic plus its ``total_time``, ``trace``,
+    ``page_faults`` and ``events``, bit-identical to the reference
+    engine's.  :func:`replay_array` computes ``x`` from it (through
+    :func:`~repro.solvers.des_solver.des_execute`, which runs both).
 
     ``injector``/``recovery``/``watchdog`` mirror the reference engine's
     resilience hooks (see :func:`repro.solvers.des_solver.des_execute`);
     with a null/absent plan every instrumented branch is dead and the
     playout is bit-identical to the un-instrumented engine.
-
-    ``record``, an empty :class:`DrainRecord`, makes the drain write its
-    arithmetic and observables down for :func:`replay_array`.  The hook
-    costs a few percent of a drain, so a
-    :class:`~repro.runtime.session.SolverSession` passes one only on its
-    second solve of a program; every other drain runs without it.  A
-    drain that raises leaves the record incomplete.
     """
     from repro.solvers.des_solver import MESSAGES_IN_FLIGHT_PER_LINK
 
@@ -557,7 +552,6 @@ def execute_array(
     # ----------------------------------------------------------------
     indptr_l = program.indptr_l
     idx_l = program.idx_l
-    col_l = program.col_l
     g_l = program.g_l
     in_counts_l = program.in_counts_l
     gather_l = program.gather_l
@@ -580,10 +574,6 @@ def execute_array(
     m8 = program.layout.xfer_base
     f8 = program.layout.failure_base
 
-    # Per-solve values: a delivery's contribution is computed when it
-    # lands, ``data[e] * x[col[e]]``, from the solved ``x``.
-    data_l = lower.data.tolist()
-    b_l = np.asarray(b, dtype=np.float64).tolist()
     remaining = program.in_degree_l.copy()
     # Page-table designs pay run-dependent update costs, so their
     # fan-out delays are written at solve time.
@@ -653,12 +643,13 @@ def execute_array(
     # Flat process state.
     # ----------------------------------------------------------------
     parked_ready = [False] * n
-    x_l = [0.0] * n
-    left_sum = [0.0] * n
 
     trace = Trace(enabled=trace_enabled)
     emit = trace.append if trace_enabled else None
-    rec = record.ops.append if record is not None else None
+    record = DrainRecord(trace=trace)
+    ops = record.ops
+    flips = record.flips
+    rec = ops.append
     c_dispatch = c_solve = c_release = c_fault = c_xb = c_xe = 0
     c_inject = c_retry = c_recov = c_lost = c_gfail = c_remap = 0
     c_stale = 0
@@ -698,7 +689,6 @@ def execute_array(
                 if code < 0:
                     # -------------------- update delivery (hottest)
                     e = -1 - code
-                    contrib = data_l[e] * x_l[col_l[e]]
                     if delivery_faulty:
                         att = e_attempt[e]
                         fate = injector.delivery_fate(e, att)
@@ -730,10 +720,9 @@ def execute_array(
                                     cur.append(code)
                                 continue
                             if verdict == ACT_CORRUPT:
-                                # No checksum: flipped value lands below.
-                                contrib = flip_mantissa_bit(contrib, arg)
-                                if rec is not None:
-                                    record.flips.append((len(record.ops), arg))
+                                # No checksum: the add below lands with
+                                # its contribution's bit ``arg`` flipped.
+                                flips.append((len(ops), arg))
                                 e_attempt[e] = att + 1
                             elif verdict == ACT_STARVE:
                                 if emit is not None:
@@ -780,10 +769,8 @@ def execute_array(
                                 )
                             else:
                                 c_recov += 1
-                    if rec is not None:
-                        rec(e)
+                    rec(e)
                     dst = idx_l[e]
-                    left_sum[dst] += contrib
                     rem = remaining[dst] - 1
                     remaining[dst] = rem
                     # The countdown crosses the wake threshold (0, or
@@ -1076,9 +1063,7 @@ def execute_array(
                 if st == COMP_POST:
                     lo = indptr_l[i]
                     hi = indptr_l[i + 1]
-                    x_l[i] = (b_l[i] - left_sum[i]) / data_l[lo]
-                    if rec is not None:
-                        rec(-1 - i)
+                    rec(-1 - i)
                     done_l[i] = True
                     g = g_l[i]
                     if emit is not None:
@@ -1195,14 +1180,10 @@ def execute_array(
         trace.bulk_count(TRACE_REMAP, c_remap)
         trace.bulk_count(TRACE_STALE_LAUNCH, c_stale)
 
-    page_faults = um.fault_count if um is not None else 0
-    if record is not None:
-        record.total_time = now
-        record.page_faults = page_faults
-        record.events = nevents
-        record.trace = trace.copy()
-    x = np.asarray(x_l, dtype=np.float64)
-    return x, now, trace, page_faults, nevents
+    record.total_time = now
+    record.page_faults = um.fault_count if um is not None else 0
+    record.events = nevents
+    return record
 
 
 def _split_record(record: DrainRecord, n: int) -> tuple:
@@ -1498,12 +1479,13 @@ def _refold_flipped(prods: np.ndarray, flips: tuple) -> float:
 def replay_array(
     lower: CscMatrix, record: DrainRecord, b: np.ndarray
 ) -> tuple[np.ndarray, float, Trace, int, int]:
-    """Recompute a recorded drain for a new right-hand side ``b``.
+    """Compute a recorded drain's solution for a right-hand side ``b``.
 
-    Returns what :func:`execute_array` returns for ``b`` under the drain
-    that filled ``record`` — ``(x, total_time, trace, page_faults,
-    events)`` — with ``x`` bit-identical and the observables copied from
-    the record (a fresh :class:`~repro.engine.trace.Trace` each call).
+    Returns ``(x, total_time, trace, page_faults, events)`` for ``b``
+    under the drain that filled ``record``: ``x`` is the one array-engine
+    solution (a drain computes none) and the observables are the
+    record's (a fresh copy of its :class:`~repro.engine.trace.Trace`
+    each call).
     Each component's partial sum runs the drain's chain of binary64 adds
     in the drain's order, then the same subtract and divide.  The replay
     works in slot space (:func:`_replay_plan`): it permutes ``b`` once,

@@ -11,7 +11,8 @@ counts, exact ownership churn).
 :func:`des_execute` is the one entry point.  By default it drains the
 array engine (:mod:`repro.solvers.des_array`), which compiles the
 shared execution protocol of :mod:`repro.engine.protocol` to integer
-tokens; every production path runs that engine.  Its generator body,
+tokens, and replays the drain's record for ``b``; every production path
+runs that engine.  Its generator body,
 run with ``engine="reference"``, plays the same state machine as one
 :class:`~repro.engine.des.Simulator` process per component and per
 update message, and stays only as the bit-identity oracle the array
@@ -92,7 +93,9 @@ class DesExecution:
 
     ``residual`` is the componentwise backward error of ``x`` when the
     stale-sync pass certified it, and ``None`` after a run without that
-    pass.
+    pass.  ``record`` is the
+    :class:`~repro.solvers.des_array.DrainRecord` an array-engine ``x``
+    was replayed from, and ``None`` from the reference engine.
     """
 
     x: np.ndarray
@@ -101,6 +104,7 @@ class DesExecution:
     page_faults: int
     events: int
     residual: float | None = None
+    record: object | None = None
 
     def solve_order(self) -> list[int]:
         return self.trace.solve_order()
@@ -120,7 +124,6 @@ def des_execute(
     watchdog=None,
     stale: StalePolicy | None = None,
     program=None,
-    record=None,
 ) -> DesExecution:
     """Play out a multi-GPU SpTRSV at event granularity.
 
@@ -135,7 +138,10 @@ def des_execute(
 
     ``engine`` selects the playout implementation: ``"array"`` (the
     default, and the only one production code runs: the flat state
-    machine in :mod:`repro.solvers.des_array`) or ``"reference"`` (one
+    machine in :mod:`repro.solvers.des_array`, whose value-free drain
+    fills a :class:`~repro.solvers.des_array.DrainRecord` that
+    :func:`replay_execute` then turns into ``x``; the result carries the
+    record) or ``"reference"`` (one
     generator per process, kept as the bit-identity oracle for tests,
     the chaos matrix's full mode, the DES sweep and
     ``tools/profile_des.py``).  Both engines are bit-identical in every
@@ -146,13 +152,7 @@ def des_execute(
     compiled for exactly this ``(lower, dist, machine, design)``: the
     array engine then drains it instead of compiling one for this call
     (a :class:`~repro.runtime.session.SolverSession` passes the one it
-    keeps across solves).  The reference engine ignores it.
-
-    ``record`` is an empty :class:`~repro.solvers.des_array.DrainRecord`
-    the array engine fills with the drain's arithmetic and observables
-    (taken before the stale-sync pass) for
-    :func:`~repro.solvers.des_array.replay_array`; the reference engine
-    rejects it with :class:`~repro.errors.ConfigurationError`.
+    keeps until its first solve).  The reference engine ignores it.
 
     Resilience hooks (all optional, all bit-transparent when absent):
 
@@ -185,12 +185,6 @@ def des_execute(
             value=engine,
             choices=VALID_ENGINES,
         )
-    if record is not None and engine != "array":
-        raise ConfigurationError(
-            f"only the array engine records a drain, not {engine!r}",
-            parameter="engine",
-            value=engine,
-        )
     design = coerce_design(design)
     stale = resolve_stale_policy(design, stale)
     wake_at = wake_threshold(stale)
@@ -218,17 +212,17 @@ def des_execute(
             raise SolverError(
                 "array program was compiled for a different system"
             )
-        run = execute_array(
+        record = execute_array(
             program,
-            b,
             trace_enabled=trace_enabled,
             injector=injector,
             recovery=recovery,
             watchdog=watchdog,
             stale=stale,
-            record=record,
         )
-        return _finish_execution(lower, b, machine, stale, *run)
+        return replay_execute(
+            lower, b, machine, design, stale=stale, record=record
+        )
     n_gpus = machine.n_gpus
     gpu_spec = machine.gpu
 
@@ -542,14 +536,15 @@ def _finish_execution(
     trace: Trace,
     page_faults: int,
     events: int,
+    record=None,
 ) -> DesExecution:
-    """The step after every drain or replay: the stale-sync pass.
+    """The step after every reference run or replay: the stale-sync pass.
 
     ``stale`` is the run's resolved policy (``None`` off ``stale_sync``).
     The pass is a pure function of the finished run's observables, so
     the repaired solution, the appended trace records and the extended
-    wall clock stay bit-identical across the reference engine, the array
-    engine and a replay of a recorded array drain.
+    wall clock stay bit-identical across the reference engine and every
+    replay of a recorded array drain.
     """
     residual = None
     if stale is not None:
@@ -564,6 +559,7 @@ def _finish_execution(
         page_faults=page_faults,
         events=events,
         residual=residual,
+        record=record,
     )
 
 
@@ -576,15 +572,16 @@ def replay_execute(
     stale: StalePolicy | None = None,
     record,
 ) -> DesExecution:
-    """:func:`des_execute` for a new ``b`` from a recorded array drain.
+    """:func:`des_execute` for ``b`` from a recorded array drain.
 
-    ``record`` is a :class:`~repro.solvers.des_array.DrainRecord` filled
-    by an array drain of ``lower`` under the same machine, design, fault
-    plan, recovery policy and stale policy;
-    :func:`~repro.solvers.des_array.replay_array` recomputes ``x`` from
-    it and the stale-sync pass runs on the result as after a drain.
-    Bit-identical to that drain for any ``b``, and for any ``lower``
-    with the drained matrix's pattern.  No
+    ``record`` is the :class:`~repro.solvers.des_array.DrainRecord` an
+    array drain of ``lower`` returned under the same machine, design,
+    fault plan, recovery policy and stale policy;
+    :func:`~repro.solvers.des_array.replay_array` computes ``x`` from
+    it and the stale-sync pass runs on the result.  This is the second
+    half of every array-engine :func:`des_execute`, so it equals a fresh
+    array run for any ``b``, and for any ``lower`` with the drained
+    matrix's pattern; the result carries ``record``.  No
     :class:`~repro.solvers.des_array.ArrayProgram` is read: the record,
     its plan and the matrix's values, gathered on its first replay,
     are all a replay needs.
@@ -593,7 +590,8 @@ def replay_execute(
 
     stale = resolve_stale_policy(coerce_design(design), stale)
     return _finish_execution(
-        lower, b, machine, stale, *replay_array(lower, record, b)
+        lower, b, machine, stale, *replay_array(lower, record, b),
+        record=record,
     )
 
 

@@ -124,9 +124,10 @@ class TestEngineSelection:
 
 
 # ---------------------------------------------------------------------------
-# One production engine: every session solve runs the array engine (a
-# drain, or from the third solve of a matrix a replay of one), down to
-# one-row systems, and stays bit-identical to the reference oracle.
+# One production engine: every session solve runs the array engine (the
+# first a drain plus a replay of its record, later ones replays of that
+# record), down to one-row systems, and stays bit-identical to the
+# reference oracle.
 # ---------------------------------------------------------------------------
 SMALL_NS = (1, 2, 3, 5, 8, 40)
 
@@ -147,7 +148,7 @@ class TestProductionEngine:
             distribution=distribution,
         )
         res = session.solve(lower, b, with_report=False)
-        assert session._program is not None  # drained the array engine
+        assert session._record is not None  # drained the array engine
         _assert_bit_identical(
             _fresh_reference(session, lower, b), res.execution
         )

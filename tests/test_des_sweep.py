@@ -114,11 +114,10 @@ class TestMeasureCase:
         monkeypatch.setattr(dessweep, "SKIP_REFERENCE_N", 100)
         real = des_array.execute_array
 
-        def reversed_record(*args, record=None, **kwargs):
-            run = real(*args, record=record, **kwargs)
-            if record is not None:
-                record.ops.reverse()  # every add before its source solves
-            return run
+        def reversed_record(*args, **kwargs):
+            record = real(*args, **kwargs)
+            record.ops.reverse()  # every add before its source solves
+            return record
 
         monkeypatch.setattr(des_array, "execute_array", reversed_record)
         path = spill_artefacts(_tiny_matrix(5), tmp_path / "case.pkl")

@@ -91,7 +91,6 @@ def _plain_tables(lower, dist, machine, design):
             machine.gpu.t_per_nnz, col_nnz, in_counts
         ).tolist(),
         "idx_l": lower.indices.tolist(),
-        "col_l": col_of.tolist(),
         "srcg_l": src.tolist(),
         "dstg_l": dst.tolist(),
         "spawn_code_l": TokenLayout.for_system(n, int(indptr[-1]))
@@ -196,7 +195,7 @@ class TestSharing:
     def test_indices_share_one_int_pool(self, program):
         n = program.layout.n
         pool = {}
-        for v in program.idx_l + program.col_l:
+        for v in program.idx_l:
             assert pool.setdefault(v, v) is v
         assert len(pool) <= n
 

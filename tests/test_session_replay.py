@@ -1,20 +1,24 @@
 """Drain once, replay per right-hand side.
 
-An array drain never branches on a value, so its record (the order of
-its partial-sum adds and solves) and every observable but ``x`` are the
-same for any ``b``.  These tests hold the replay to that:
+An array drain never branches on a value, so it reads none: its record
+(the order of its partial-sum adds and solves) and every observable but
+``x`` are the same for any ``b``, and every array-engine ``x`` is a
+replay of a record.  These tests hold the replay to that:
 
-* two drains with different ``b`` give equal records, counters and trace
-  rows, and the record follows the dependency order;
-* a replay for a third ``b`` equals a fresh drain of it: ``x`` bytes,
-  ``events``, ``total_time``, ``page_faults``, trace rows after the
-  stale-sync pass, and the residual repair;
+* two sessions' first solves with different ``b`` give equal records,
+  counters and trace rows, and the record follows the dependency order;
+* a replay for a third ``b`` equals a fresh session's first solve of it
+  and the reference engine's run of it, the value oracle independent of
+  any record: ``x`` bytes, ``events``, ``total_time``, ``page_faults``,
+  trace rows after the stale-sync pass, and the residual repair;
+* a drain reads no value: matrices of one pattern, one with every
+  off-diagonal value NaN, drain to equal records;
 * a config whose drain raises raises the same typed error on every
-  solve, and its session keeps nothing;
-* a session drains, records on its second solve and replays after that;
-  the recording solve builds the replay plan and releases the compiled
-  program (nothing the session keeps or returns reaches it), and
-  ``execute`` after that drains a transient program;
+  solve, and its session keeps no record;
+* a session drains once, on its first solve, keeps that drain's record
+  and replays it after that; the first solve builds the replay plan and
+  releases the compiled program (nothing the session keeps or returns
+  reaches it), and ``execute`` after that drains a transient program;
 * each solution is certified once: one backward-error pass per solve,
   two when the stale-sync pass or the residual repair replays rows.
 
@@ -36,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.engine.protocol import ALL_TRACE_KINDS
+from repro.engine.protocol import ALL_TRACE_KINDS, resolve_stale_policy
 from repro.errors import DeadlockError, ReproError, SimulationError
 from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
@@ -120,11 +124,26 @@ def assert_raises_every_solve(config: RunConfig, lower, error) -> None:
         with pytest.raises(error):
             session.solve(lower, _rhs(k, lower.shape[0]), with_report=False)
         assert session._record is None
-        assert not session._drained
+
+
+def reference_result(config: RunConfig, lower, b):
+    """The reference engine's run of one session solve: the value oracle,
+    which computes ``x`` from no record."""
+    session = SolverSession(config)
+    session._bind(lower)
+    return resilient_run(
+        lower, b, session._dist, session.machine, config.design,
+        plan=config.plan,
+        recovery=config.recovery,
+        watchdog=config.build_watchdog(),
+        engine="reference",
+        trace_enabled=config.trace_enabled,
+        stale=config.build_stale_policy(),
+    )
 
 
 def check_session_replays(config: RunConfig, lower) -> DrainRecord | None:
-    """Record on two ``b`` in two sessions, then replay a third ``b``.
+    """Record on two ``b`` in two sessions, then replay more ``b``.
 
     Returns the record for case-specific checks, or ``None`` when the
     config's drain raises (checked with :func:`assert_raises_every_solve`).
@@ -133,16 +152,16 @@ def check_session_replays(config: RunConfig, lower) -> DrainRecord | None:
     b = [_rhs(k, n) for k in range(4)]
     s1 = SolverSession(config)
     try:
-        s1.solve(lower, b[0], with_report=False)
+        first = s1.solve(lower, b[0], with_report=False)
     except ReproError as err:
         assert_raises_every_solve(config, lower, type(err))
         return None
-    assert s1._record is None  # the first drain records nothing
+    assert s1._record is not None  # the first solve records its drain
+    assert first.execution.record is s1._record
     s1.solve(lower, b[1], with_report=False)
     s2 = SolverSession(config)
-    s2.solve(lower, b[3], with_report=False)
     s2.solve(lower, b[2], with_report=False)
-    assert s1._record is not None and s2._record is not None
+    s2.solve(lower, b[3], with_report=False)
     assert_same_record(s1._record, s2._record)
     check_record_order(
         s1._record, lower, config.design is Design.STALE_SYNC
@@ -150,6 +169,7 @@ def check_session_replays(config: RunConfig, lower) -> DrainRecord | None:
     replayed = s1.solve(lower, b[3], with_report=False)
     drained = SolverSession(config).solve(lower, b[3], with_report=False)
     assert_same_result(replayed, drained)
+    assert_same_result(replayed, reference_result(config, lower, b[3]))
     # A replay hands out a fresh trace: the next one starts from the
     # record's rows again, whatever the stale pass appended.
     again = s1.solve(lower, b[3], with_report=False)
@@ -253,7 +273,7 @@ def test_extra_config_replays_bitwise(name, plan_kind):
 def test_plan_is_node_major_and_value_free(plan_kind):
     lower = _matrix()
     session = SolverSession(RunConfig(trace_enabled=False))
-    for k in range(3):  # drain, record, replay (builds the plan)
+    for k in range(3):  # record (its replay builds the plan), replay
         session.solve(lower, _rhs(k, 600), with_report=False)
     record = session._record
     plan = record.plan
@@ -317,7 +337,7 @@ def test_one_record_replays_two_matrices_of_one_pattern(name, plan_kind):
     )
     config = RunConfig() if name == "default" else _extra_config(name, first)
     session = SolverSession(config)
-    for k in range(2):  # drain, then record
+    for k in range(2):  # record, then replay
         session.solve(first, _rhs(k, 600), with_report=False)
     record = session._record
     dist, machine = session._dist, session.machine
@@ -339,7 +359,11 @@ def test_one_record_replays_two_matrices_of_one_pattern(name, plan_kind):
         drained = SolverSession(config).solve(
             lower, _rhs(k, 600), with_report=False
         )
-        assert_same_result(replay(lower, k), drained)
+        replayed = replay(lower, k)
+        assert_same_result(replayed, drained)
+        assert_same_result(
+            replayed, reference_result(config, lower, _rhs(k, 600))
+        )
         assert record.fill[0] is lower
         fills.append(record.fill[1])
         plans.append(record.plan)
@@ -348,6 +372,46 @@ def test_one_record_replays_two_matrices_of_one_pattern(name, plan_kind):
     assert fills[2] is not fills[1] and fills[4] is not fills[3]
     assert np.array_equal(fills[4], fills[0])
     assert not np.array_equal(fills[2], fills[0])
+
+
+@pytest.mark.parametrize(
+    "name", ("default", "unified", "stale_sync", "bitflip-no-checksum")
+)
+def test_drain_reads_no_value(name):
+    """Matrices of one pattern drain to equal records under one
+    distribution, whatever their values: one scaled by U(0.5, 2), one
+    with every off-diagonal value NaN."""
+    lower = _matrix()
+    scale = np.random.default_rng(22).uniform(0.5, 2.0, size=lower.nnz)
+    scaled = CscMatrix(
+        lower.indptr, lower.indices, lower.data * scale, lower.shape
+    )
+    diag = lower.indptr[:-1]
+    nan_data = np.full(lower.nnz, np.nan)
+    nan_data[diag] = lower.data[diag]
+    nans = CscMatrix(lower.indptr, lower.indices, nan_data, lower.shape)
+    config = RunConfig() if name == "default" else _extra_config(name, lower)
+    machine = config.resolve_machine()
+    dist = config.build_distribution(600, machine.n_gpus, lower=scaled)
+    stale = resolve_stale_policy(config.design, config.build_stale_policy())
+    plan = config.plan
+
+    def drain(matrix):
+        return des_array.execute_array(
+            compile_program(matrix, dist, machine, config.design),
+            injector=None if plan is None else plan.build(matrix, dist),
+            recovery=config.recovery,
+            stale=stale,
+        )
+
+    record = drain(scaled)
+    assert_same_record(record, drain(nans))
+    if name == "unified":
+        assert record.page_faults > 0
+    if name == "stale_sync":
+        assert record.trace.count("stale_launch") > 0
+    if name.startswith("bitflip"):
+        assert record.flips
 
 
 def test_deep_chains_replay_bitwise(plan_kind):
@@ -405,45 +469,48 @@ def test_chaos_quick_cell_replays_bitwise(
     T = makespan[design_name, dist_name]
     program = compile_program(lower, dist, machine, design)
 
-    def run(k, record=None, replay=None):
+    def run(k, replay=None, engine="array"):
         return resilient_run(
             lower, _rhs(k, 40), dist, machine, design,
             plan=scenario.plan_of(T),
             recovery=scenario.recovery,
             watchdog=Watchdog(stall_horizon=max(50.0 * T, 1.0)),
+            engine=engine,
             trace_enabled=True,
             program=program if replay is None else None,
-            record=record,
             replay=replay,
         )
 
-    r1 = DrainRecord()
     try:
-        run(1, record=r1)
+        r1 = run(1).execution.record
     except ReproError as err:
         # A raising cell raises the same typed error for every b.
         for k in (2, 3):
             with pytest.raises(type(err)):
-                run(k, record=DrainRecord())
+                run(k)
         return
-    r2 = DrainRecord()
-    run(2, record=r2)
+    r2 = run(2).execution.record
     assert_same_record(r1, r2)
     check_record_order(r1, lower, design is Design.STALE_SYNC)
-    assert_same_result(run(3, replay=r1), run(3))
+    replayed = run(3, replay=r1)
+    assert_same_result(replayed, run(3))
+    assert_same_result(replayed, run(3, engine="reference"))
 
 
 # -------------------------------------------------------- session lifecycle
 class _DrainSpy:
-    """Counts array drains and whether each carried a record."""
+    """Counts array drains and keeps the record each one returns."""
 
     def __init__(self, monkeypatch):
-        self.calls: list[bool] = []
+        self.calls = 0
+        self.records: list[DrainRecord] = []
         real = des_array.execute_array
 
-        def spy(*args, record=None, **kwargs):
-            self.calls.append(record is not None)
-            return real(*args, record=record, **kwargs)
+        def spy(*args, **kwargs):
+            self.calls += 1
+            record = real(*args, **kwargs)
+            self.records.append(record)
+            return record
 
         monkeypatch.setattr(des_array, "execute_array", spy)
 
@@ -454,17 +521,20 @@ def test_session_drains_then_records_then_replays(monkeypatch):
     session = SolverSession(RunConfig(trace_enabled=False))
     for k in range(5):
         session.solve(lower, _rhs(k, 600), with_report=False)
-    # Drain, recorded drain, then three replays.
-    assert spy.calls == [False, True]
-    # execute() stays a real drain and never records.
-    session.execute(lower, _rhs(5, 600))
-    assert spy.calls == [False, True, False]
+    # One drain, whose record the session keeps, then four replays.
+    assert spy.records == [session._record]
+    # execute() stays a real drain; its record is not the session's.
+    ex = session.execute(lower, _rhs(5, 600))
+    assert spy.records == [session._record, ex.record]
+    assert ex.record is not session._record
 
 
-def test_one_shot_session_never_records(monkeypatch):
+def test_one_shot_session_drains_once(monkeypatch):
     spy = _DrainSpy(monkeypatch)
-    SolverSession(RunConfig()).solve(_matrix(), _rhs(0, 600))
-    assert spy.calls == [False]
+    session = SolverSession(RunConfig())
+    result = session.solve(_matrix(), _rhs(0, 600))
+    assert spy.records == [session._record]
+    assert result.execution.record is session._record
 
 
 def test_new_matrix_drops_the_record(monkeypatch):
@@ -473,10 +543,12 @@ def test_new_matrix_drops_the_record(monkeypatch):
     first, second = _matrix(), _matrix()
     for k in range(3):
         session.solve(first, _rhs(k, 600), with_report=False)
-    assert session._record is not None
+    old = session._record
+    assert old is not None
     result = session.solve(second, _rhs(3, 600), with_report=False)
-    assert session._record is None and session._program is not None
-    assert spy.calls == [False, True, False]
+    assert session._record is not old and session._program is None
+    assert session._record.fill[0] is second
+    assert spy.records == [old, session._record]
     fresh = SolverSession(RunConfig(trace_enabled=False)).solve(
         second, _rhs(3, 600), with_report=False
     )
@@ -501,16 +573,19 @@ def test_recording_solve_releases_the_program(name):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        results = [session.solve(lower, _rhs(0, 600), with_report=False)]
-        program = weakref.ref(session._program)
+        session._bind(lower)
+        # The program the first solve drains, compiled ahead of it.
+        program = weakref.ref(session._array_program(lower))
         assert session._record is None
-        results.append(session.solve(lower, _rhs(1, 600), with_report=False))
+        results = [session.solve(lower, _rhs(0, 600), with_report=False)]
         assert program() is None
         assert session._program is None
         assert session._record is not None
+        assert session._record.plan is not None  # built by its replay
+        results.append(session.solve(lower, _rhs(1, 600), with_report=False))
+        assert session._program is None
         results.append(session.solve(lower, _rhs(2, 600), with_report=False))
         assert session._program is None
-        assert session._record.plan is not None  # built by the replay
     finally:
         if enabled:
             gc.enable()
@@ -521,7 +596,7 @@ def test_execute_after_recording_drains_a_transient_program(compiles):
     lower = _matrix()
     config = RunConfig()
     session = SolverSession(config)
-    for k in range(4):  # drain, record, two replays
+    for k in range(4):  # record, three replays
         session.solve(lower, _rhs(k, 600), with_report=False)
     assert len(compiles) == 1
     got = session.execute(lower, _rhs(4, 600))
@@ -587,7 +662,7 @@ def test_each_solution_is_certified_once(name, certificates):
     lower = make_matrix()
     n = lower.shape[0]
     session = SolverSession(make_config())
-    for k in range(3):  # drain, recorded drain, replay
+    for k in range(3):  # record, two replays
         certificates.clear()
         b = _rhs(k, n)
         res = session.solve(lower, b, with_report=False)
@@ -600,18 +675,19 @@ def test_each_solution_is_certified_once(name, certificates):
     assert session._record is not None
 
 
-def test_raising_config_raises_every_solve_and_keeps_nothing():
+def test_raising_config_raises_every_solve_and_keeps_nothing(monkeypatch):
     config = RunConfig(
         plan=FaultPlan.single("msg_drop", rate=1.0, seed=15),
         recovery=RecoveryPolicy(retry=False),
     )
+    spy = _DrainSpy(monkeypatch)
     session = SolverSession(config)
     lower = _matrix()
     for k in range(3):
         with pytest.raises(DeadlockError):
             session.solve(lower, _rhs(k, 600), with_report=False)
         assert session._record is None
-        assert not session._drained
+        assert spy.calls == k + 1 and spy.records == []  # drains again
 
 
 def test_replay_ignores_the_wall_limit(monkeypatch):

@@ -10,21 +10,21 @@ through a chosen engine and reports
 * a wall-clock summary (``perf_counter`` best-of-``--repeats``, events/s),
   split into the array engine's phases: ``compile_s`` (building the
   solve-invariant :class:`~repro.solvers.des_array.ArrayProgram`, paid
-  once per structure), ``drain_s`` (one solve of it; the reference
-  engine has neither compile nor the phases below), ``record_drain_s``
-  (the same drain writing a :class:`~repro.solvers.des_array.DrainRecord`,
-  a warm session's second solve; ``record_overhead`` is its cost over
-  ``drain_s``), ``plan_s`` (building that record's replay plan and
-  gathering the matrix's values in plan order, paid once per record),
-  ``replay_first_s`` (the first replay after that), ``replay_s`` (each
-  later solve of a warm session) and ``residual_s`` (the backward-error
+  once per structure), ``drain_s`` (one value-free drain of it, which
+  fills a :class:`~repro.solvers.des_array.DrainRecord`; the reference
+  engine has no compile phase and ``drain_s`` is its whole run, with
+  none of the phases below), ``plan_s`` (building that record's replay
+  plan and gathering the matrix's values in plan order, paid once per
+  record), ``replay_first_s`` (the first replay after that, which
+  computes a first solve's ``x``), ``replay_s`` (each later solve of a
+  warm session) and ``residual_s`` (the backward-error
   certificate of the replayed ``x``, the rest of that solve), and
   ``gc_warm_s`` (one full ``gc.collect()`` while the process holds only
   the replay state: the matrix, its artefacts, the record, its plan and
   values, as a warm session does) beside ``gc_program_s`` (the same
   with the compiled program still alive),
-* the top-``--top`` cProfile rows of one full compile + drain, ranked by
-  tottime (self time), and
+* the top-``--top`` cProfile rows of one compile + drain (a whole run
+  for the reference engine), ranked by tottime (self time), and
 * the same table as JSON (``--json``) for trend tooling.
 
     python tools/profile_des.py --engine array --case des-medium-8k
@@ -58,10 +58,11 @@ from repro.bench.dessweep import DES_CASES  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.exec_model.artefacts import get_artefacts  # noqa: E402
 from repro.runtime import RunConfig, load_run_config  # noqa: E402
+from repro.engine.protocol import resolve_stale_policy  # noqa: E402
 from repro.solvers.des_array import (  # noqa: E402
-    DrainRecord,
     _replay_values,
     compile_program,
+    execute_array,
 )
 from repro.solvers.des_solver import des_execute, replay_execute  # noqa: E402
 from repro.sparse.validate import residual_norm  # noqa: E402
@@ -101,24 +102,25 @@ def profile_run(
     dist = cfg.build_distribution(n, machine.n_gpus, lower=lower)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
+    stale = resolve_stale_policy(cfg.design, cfg.build_stale_policy())
 
     def compile_():
         if engine != "array":
             return None
         return compile_program(lower, dist, machine, cfg.design)
 
-    def drain(program, record=None):
+    def drain(program):
+        """The array engine's drain (its record), or a reference run."""
+        if engine == "array":
+            return execute_array(program, trace_enabled=trace, stale=stale)
         return des_execute(
             lower, b, dist, machine, cfg.design,
-            engine=engine,
-            trace_enabled=trace, stale=cfg.build_stale_policy(),
-            program=program, record=record,
+            engine=engine, trace_enabled=trace, stale=stale,
         )
 
     def replay(record):
         return replay_execute(
-            lower, b, machine, cfg.design,
-            stale=cfg.build_stale_policy(), record=record,
+            lower, b, machine, cfg.design, stale=stale, record=record
         )
 
     def full_collection():
@@ -137,22 +139,17 @@ def profile_run(
         t0 = time.perf_counter()
         program = compile_()
         t1 = time.perf_counter()
-        drain(program)
+        record = drain(program)
         t2 = time.perf_counter()
         compile_times.append(t1 - t0)
         drain_times.append(t2 - t1)
     compile_s = min(compile_times) if engine == "array" else None
     drain_s = min(drain_times)
     best = (compile_s or 0.0) + drain_s
-    record_s = plan_s = replay_first_s = replay_s = residual_s = None
+    plan_s = replay_first_s = replay_s = residual_s = None
     gc_program_s = gc_warm_s = None
     if engine == "array":
-        record_times, replay_times, residual_times = [], [], []
-        for _ in range(max(repeats, 1)):
-            record = DrainRecord()
-            t0 = time.perf_counter()
-            drain(program, record)
-            record_times.append(time.perf_counter() - t0)
+        replay_times, residual_times = [], []
         t0 = time.perf_counter()
         _replay_values(lower, record)
         plan_s = time.perf_counter() - t0
@@ -166,7 +163,6 @@ def profile_run(
             residual_norm(lower, x, b)
             replay_times.append(t1 - t0)
             residual_times.append(time.perf_counter() - t1)
-        record_s = min(record_times)
         replay_s = min(replay_times)
         residual_s = min(residual_times)
         gc_program_s = full_collection()
@@ -203,10 +199,6 @@ def profile_run(
         "total_time_simulated": result.total_time,
         "compile_s": compile_s,
         "drain_s": drain_s,
-        "record_drain_s": record_s,
-        "record_overhead": (
-            None if record_s is None else record_s / drain_s - 1.0
-        ),
         "plan_s": plan_s,
         "replay_first_s": replay_first_s,
         "replay_s": replay_s,
@@ -238,8 +230,6 @@ def render(report: dict) -> str:
     )
     if report["replay_s"] is not None:
         out.write(
-            f" recorded={report['record_drain_s']:.4f}s"
-            f" ({100.0 * report['record_overhead']:+.1f}%)"
             f" plan={report['plan_s']:.4f}s"
             f" replay={report['replay_s']:.4f}s"
             f" (first {report['replay_first_s']:.4f}s)"
