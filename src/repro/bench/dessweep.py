@@ -64,12 +64,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.protocol import coerce_design
+from repro.engine.protocol import coerce_design, resolve_stale_policy
 from repro.exec_model.artefacts import load_artefacts, spill_artefacts
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
-from repro.solvers.des_array import check_record_order, compile_program
-from repro.solvers.des_solver import des_execute
+from repro.solvers.des_array import (
+    check_record_order,
+    compile_program,
+    execute_array,
+)
+from repro.solvers.des_solver import des_execute, replay_execute
 from repro.tasks.schedule import block_distribution
 from repro.workloads.generators import dag_profile_matrix
 
@@ -284,6 +288,18 @@ def _counters_identical(ea, eb) -> bool:
     )
 
 
+def _array_run(program, b, *, trace_enabled: bool = False):
+    """An array-engine run of a compiled ``program`` for ``b``: its
+    value-free drain, then the replay of the drain's record, which is
+    what :func:`des_execute` does after compiling a program of its own."""
+    stale = resolve_stale_policy(program.design, None)
+    record = execute_array(program, trace_enabled=trace_enabled, stale=stale)
+    return replay_execute(
+        program.lower, b, program.machine, program.design,
+        stale=stale, record=record,
+    )
+
+
 def _rss_mb() -> float | None:
     """Resident set size of this process in MiB (``None`` off Linux)."""
     try:
@@ -328,9 +344,11 @@ def measure_des_case(
     b = rng.standard_normal(n)
 
     def run(engine: str, trace: bool, program=None):
+        if engine == "array":
+            return _array_run(program, b, trace_enabled=trace)
         return des_execute(
             lower, b, dist, machine, design,
-            engine=engine, trace_enabled=trace, program=program,
+            engine=engine, trace_enabled=trace,
         )
 
     def compile_():
@@ -562,10 +580,7 @@ def measure_flatness_pair(
         machine = dgx1(n_gpus)
         program = compile_program(lower, dist, machine, design)
         b = np.random.default_rng(0).standard_normal(n)
-        drain = functools.partial(
-            des_execute, lower, b, dist, machine, design,
-            engine="array", trace_enabled=False, program=program,
-        )
+        drain = functools.partial(_array_run, program, b)
         state[name] = (drain, drain())
     times: dict[str, list[float]] = {name: [] for name in state}
     identical = True

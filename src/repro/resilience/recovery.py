@@ -41,7 +41,6 @@ from repro.sparse.validate import backward_errors, residual_norm
 __all__ = [
     "RecoveryPolicy",
     "residual_repair",
-    "stale_validate",
 ]
 
 
@@ -115,17 +114,36 @@ def residual_repair(
     the repaired system still fails the ceiling (the corruption was not
     of the repairable single-component kind).
     """
+    x, _suspects, replayed, residual = _closure_repair(
+        lower, b, x, ceiling, "selective replay"
+    )
+    return x, replayed, residual
+
+
+def _closure_repair(
+    lower: CscMatrix, b, x: np.ndarray, ceiling: float, what: str
+) -> tuple[np.ndarray, list[int], list[int], float]:
+    """Check ``x`` against ``ceiling`` and replay the suspects' closure.
+
+    The routine behind :func:`residual_repair` and the ``stale_sync``
+    design's post-hoc validation pass: a component that launched on a
+    bounded-stale partial sum and never saw the late contributions land
+    is exactly as inconsistent as a silently corrupted ``left.sum``.
+    Returns ``(x_fixed, suspects, replayed, residual)``, both index
+    lists ascending and ``replayed`` a superset of ``suspects``.  A
+    failing system raises :class:`RecoveryExhaustedError` whose message
+    starts with ``what`` (the chaos report keeps it).
+    """
     b = np.asarray(b, dtype=np.float64)
     errs = backward_errors(lower, x, b)
     suspects = np.nonzero(errs > ceiling)[0]
     if len(suspects) == 0:
-        return x, [], float(np.max(errs))
-
+        return x, [], [], float(np.max(errs))
     x_fixed, replayed = _closure_replay(lower, b, x, suspects)
     final = residual_norm(lower, x_fixed, b)
     if final > ceiling:
         raise RecoveryExhaustedError(
-            f"selective replay of {len(replayed)} components left backward "
+            f"{what} of {len(replayed)} components left backward "
             f"error {final:.3e} above ceiling {ceiling:.1e}",
             context={
                 "suspects": suspects.tolist(),
@@ -133,14 +151,13 @@ def residual_repair(
                 "residual": final,
             },
         )
-    return x_fixed, replayed.tolist(), final
+    return x_fixed, suspects.tolist(), replayed.tolist(), final
 
 
 def _closure_replay(
     lower: CscMatrix, b: np.ndarray, x: np.ndarray, suspects
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-closure selective replay shared by :func:`residual_repair`
-    and :func:`stale_validate`.
+    """Forward-closure selective replay of :func:`_closure_repair`.
 
     Expands ``suspects`` to their forward closure over the dependency
     DAG (CSC column = out-edges), then re-solves the closure by partial
@@ -197,43 +214,3 @@ def _closure_replay(
     replayed = np.flatnonzero(affected)
     x_fixed[replayed] = xs
     return x_fixed, replayed
-
-
-def stale_validate(
-    lower: CscMatrix,
-    b,
-    x: np.ndarray,
-    ceiling: float,
-) -> tuple[np.ndarray, list[int], list[int], float]:
-    """Post-hoc validation pass of the ``stale_sync`` design.
-
-    A component that launched on a bounded-stale partial sum and never
-    saw the late contributions land is exactly as inconsistent as a
-    silently corrupted ``left.sum``: its own row's componentwise
-    backward error equals the missing mass.  Rows above ``ceiling`` are
-    the suspects; their forward closure is replayed from the clean
-    values (:func:`residual_repair` machinery).  Returns
-    ``(x_validated, suspects, replayed, residual)`` — both index lists
-    ascending, ``replayed`` a superset of ``suspects``, ``residual`` the
-    :func:`~repro.sparse.validate.residual_norm` of ``x_validated`` — and
-    raises :class:`RecoveryExhaustedError` when the replayed system
-    still fails the ceiling.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    errs = backward_errors(lower, x, b)
-    suspects = np.nonzero(errs > ceiling)[0]
-    if len(suspects) == 0:
-        return x, [], [], float(np.max(errs))
-    x_fixed, replayed = _closure_replay(lower, b, x, suspects)
-    final = residual_norm(lower, x_fixed, b)
-    if final > ceiling:
-        raise RecoveryExhaustedError(
-            f"stale-read replay of {len(replayed)} components left "
-            f"backward error {final:.3e} above ceiling {ceiling:.1e}",
-            context={
-                "suspects": suspects.tolist(),
-                "replayed": int(len(replayed)),
-                "residual": final,
-            },
-        )
-    return x_fixed, suspects.tolist(), replayed.tolist(), final

@@ -11,7 +11,6 @@ injector/recovery/watchdog threaded through, then
 
 * ``session.solve(lower, b)`` — the full configured pipeline (faults,
   recovery, residual certification, fast-model report);
-* ``session.execute(lower, b)`` — the event-granular playout alone;
 * ``session.simulate(lower)`` — the fast-model pricing alone.
 
 The session pins the matrix's analysis-artefact bundle (DAG, levels,
@@ -21,9 +20,9 @@ same matrix never rebuild the structure — the ``build_counts`` /
 makes this testable.
 
 :func:`resilient_run` is the DES-and-repair stage of that pipeline,
-written once: :meth:`SolverSession.solve` calls it with the session's
-compiled array program (or, once it has solved, its drain record),
-the chaos harness calls it with its own distributions, and
+written once: :meth:`SolverSession.solve` calls it (with the session's
+drain record once it has solved), the chaos harness calls it with its
+own distributions, and
 :class:`~repro.solvers.des_solver.DesSolver` solves through a session
 — so the path production and the benchmark run is the path the
 conformance cases audit.
@@ -82,7 +81,6 @@ def resilient_run(
     engine: str = "array",
     trace_enabled: bool = True,
     stale=None,
-    program=None,
     replay=None,
 ) -> SessionResult:
     """Run one faulted, recovered, residual-checked DES solve.
@@ -93,10 +91,9 @@ def resilient_run(
     ``recovery=None`` means the default
     :class:`~repro.resilience.recovery.RecoveryPolicy` when ``plan``
     injects faults, and no recovery (no residual check) otherwise; pass
-    a policy explicitly to certify a clean run.  ``program`` forwards a
-    compiled array program and ``engine`` the engine name to
-    :func:`~repro.solvers.des_solver.des_execute` (``"reference"`` asks
-    for the oracle).  Any failure surfaces as a typed
+    a policy explicitly to certify a clean run.  ``engine`` names the engine
+    :func:`~repro.solvers.des_solver.des_execute` runs (``"reference"``
+    asks for the oracle).  Any failure surfaces as a typed
     :class:`~repro.errors.ReproError` subclass — this
     function either returns a verified solution or raises; it never
     hangs (watchdog) and never returns silently corrupted data (residual
@@ -108,9 +105,9 @@ def resilient_run(
     with the same ``plan``, ``recovery`` and ``stale``) skips the drain
     and replays the record for this ``b``
     (:func:`~repro.solvers.des_solver.replay_execute`), which is what
-    an array-engine run does after its drain.  A replay reads no
-    ``program`` (pass none), builds no injector and polls no
-    ``watchdog``.  Everything after it (stale-sync pass, residual check
+    an array-engine run does after its drain.  A replay compiles
+    no program, builds no injector and polls no ``watchdog``.
+    Everything after it (stale-sync pass, residual check
     and repair) runs as after any run.
 
     Each solution is certified once: the backward error the stale-sync
@@ -146,7 +143,6 @@ def resilient_run(
             recovery=recovery,
             watchdog=watchdog,
             stale=stale,
-            program=program,
         )
     x = ex.x
     residual = ex.residual
@@ -173,41 +169,39 @@ class SolverSession:
     """One configured execution pipeline with artefact reuse.
 
     Construct with a :class:`~repro.runtime.config.RunConfig` (or field
-    overrides), then call :meth:`solve` / :meth:`execute` /
-    :meth:`simulate` any number of times.  The analysis-artefact bundle
-    of the most recent matrix is held with a strong reference, so
-    repeated calls on the same matrix reuse the DAG, level sets,
-    placement, and comm-cost tables instead of rebuilding them.  The
-    first :meth:`solve` / :meth:`execute` also compiles the matrix's
-    :class:`~repro.solvers.des_array.ArrayProgram`.
+    overrides), then call :meth:`solve` / :meth:`simulate` any number of
+    times.  The session holds only the most recent matrix, its
+    analysis-artefact bundle (a strong reference, so repeated calls
+    reuse the DAG, level sets, placement, and comm-cost tables instead
+    of rebuilding them), its distribution, and the drain record of its
+    first solve.
 
     Record on the first solve, replay from the second: the first
-    :meth:`solve` of a matrix drains the program, which is value-free
-    and returns its :class:`~repro.solvers.des_array.DrainRecord`, and
+    :meth:`solve` of a matrix drains through :func:`resilient_run` and
+    :func:`~repro.solvers.des_solver.des_execute`, which compiles the
+    matrix's :class:`~repro.solvers.des_array.ArrayProgram`, drains it
+    (value-free) into a :class:`~repro.solvers.des_array.DrainRecord`,
     replays that record for its ``b``
     (:func:`~repro.solvers.des_array.replay_array`, whose first call
     builds the record's plan from the matrix and gathers the matrix's
-    values in plan order); the session keeps the record and drops the
-    program.  Every later :meth:`solve` replays the record for its
-    ``b`` instead of re-simulating events whose order no value can
-    change.  The values are gathered once, so the bound
-    matrix's entries must not change in place (the contract
-    :class:`~repro.sparse.csc.CscMatrix` states).  The
-    stale-sync pass, the residual check and repair, and the residual
-    norm run after every replay, and the result is bit-identical to a
-    fresh session's first solve.  A solve that raises keeps no record;
-    binding a new matrix drops the program and its record together.  A
-    replay polls no watchdog (see ``RunConfig.watchdog_wall_limit``).
+    values in plan order) and lets the program go.  The session keeps
+    the record, and every later :meth:`solve` replays it for its ``b``
+    instead of re-simulating events whose order no value can change.
+    The values are gathered once, so the bound matrix's entries must
+    not change in place (the contract
+    :class:`~repro.sparse.csc.CscMatrix` states).  The stale-sync pass,
+    the residual check and repair, and the residual norm run after
+    every replay, and the result is bit-identical to a fresh session's
+    first solve.  A solve that raises keeps no record; binding a new
+    matrix drops the record.  A replay polls no watchdog (see
+    ``RunConfig.watchdog_wall_limit``).
 
     A warm session therefore holds the artefact bundle, the record
     (8 bytes per nonzero and per row, plus the drain's trace copy), its
     plan and the gathered values (8 bytes per kept add and per row),
-    never both a record and a program: replays read no
-    program table, and the program's boxed per-edge lists would
-    otherwise stay alive for every full garbage collection to walk.
-    :meth:`execute` always drains (and replays that drain's own record);
-    once the session holds a record it compiles a transient program for
-    each call and keeps none.
+    and never a program: replays read no program table, and the
+    program's boxed per-edge lists would otherwise stay alive for every
+    full garbage collection to walk.
     """
 
     def __init__(self, config: RunConfig | None = None, **overrides):
@@ -220,7 +214,6 @@ class SolverSession:
         self._matrix = None
         self._artefacts = None
         self._dist = None
-        self._program = None
         self._record = None
 
     @property
@@ -247,42 +240,7 @@ class SolverSession:
             self._dist = self.config.build_distribution(
                 lower.shape[0], machine.n_gpus, lower=lower
             )
-            self._program = None
             self._record = None
-
-    def _array_program(self, lower):
-        """The bound matrix's array-engine program, compiled on first use.
-
-        Kept until the session's first solve records a drain; after that
-        every call compiles a transient program (a session holding a
-        record holds no program).
-        """
-        program = self._program
-        if program is None:
-            from repro.solvers.des_array import compile_program
-
-            program = compile_program(
-                lower, self._dist, self.machine, self.config.design
-            )
-            if self._record is None:
-                self._program = program
-        return program
-
-    def execute(self, lower, b):
-        """Event-granular playout only (no faults, no repair, no report)."""
-        from repro.solvers.des_solver import des_execute
-
-        self._bind(lower)
-        return des_execute(
-            lower,
-            b,
-            self._dist,
-            self.machine,
-            self.config.design,
-            trace_enabled=self.config.trace_enabled,
-            stale=self.config.build_stale_policy(),
-            program=self._array_program(lower),
-        )
 
     def simulate(self, lower):
         """Fast-model pricing only: the analytic ExecutionReport."""
@@ -300,11 +258,10 @@ class SolverSession:
         fault plan / recovery policy / watchdog (or, from the second solve
         of a matrix on, replays the first solve's record), residual-checks
         (and selectively repairs) the solution per the policy — all
-        through :func:`resilient_run`, fed the session's compiled array
-        program or its record — and, when ``with_report``, re-prices the
-        execution through the fast model for a comparable
+        through :func:`resilient_run` — and, when ``with_report``,
+        re-prices the execution through the fast model for a comparable
         :class:`ExecutionReport`.  The first solve keeps its drain's
-        record and drops the program.
+        record.
         """
         cfg = self.config
         self._bind(lower)
@@ -320,12 +277,10 @@ class SolverSession:
             watchdog=cfg.build_watchdog(),
             trace_enabled=cfg.trace_enabled,
             stale=cfg.build_stale_policy(),
-            program=self._array_program(lower) if replay is None else None,
             replay=replay,
         )
         if replay is None:
             self._record = res.execution.record
-            self._program = None
         if not with_report:
             return res
         return replace(res, report=self.simulate(lower))

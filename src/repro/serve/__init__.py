@@ -30,7 +30,6 @@ from repro.serve.request import (
     ServiceResult,
     SolveRequest,
     build_workload,
-    matrix_fingerprint,
 )
 from repro.serve.service import LoopWatchdog, ServiceStats, SolveService
 from repro.serve.tcp import ServiceEndpoint
@@ -48,7 +47,6 @@ __all__ = [
     "ServiceResult",
     "SolveRequest",
     "build_workload",
-    "matrix_fingerprint",
     "LoopWatchdog",
     "ServiceStats",
     "SolveService",

@@ -9,15 +9,14 @@ unknown key raising a typed
 :class:`~repro.errors.ConfigurationError` — same contract as the
 ``RunConfig`` JSON surface it embeds.
 
-:func:`matrix_fingerprint` is the content hash behind cross-tenant
-artefact sharing, worker-side caches, and circuit-breaker keys: two
-requests naming the same structure and values share one spilled
-analysis bundle no matter which tenant sent them first.
+:func:`repro.workloads.cache.fingerprint` is the content hash behind
+cross-tenant artefact sharing, worker-side caches, and circuit-breaker
+keys: two requests naming the same structure and values share one
+spilled analysis bundle no matter which tenant sent them first.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "SolveRequest",
     "ServiceResult",
     "build_workload",
-    "matrix_fingerprint",
 ]
 
 
@@ -94,21 +92,6 @@ def build_workload(spec: dict) -> CscMatrix:
 def workload_key(spec: dict) -> str:
     """Deterministic cache key of a workload spec."""
     return "|".join(f"{k}={spec[k]}" for k in sorted(spec))
-
-
-def matrix_fingerprint(lower: CscMatrix) -> str:
-    """Content hash of a matrix (structure + values + shape).
-
-    The service keys artefact sharing, worker caches, and circuit
-    breakers on this, so it must be a pure function of the operand:
-    equal matrices fingerprint equal across processes and sessions.
-    """
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(lower.indptr).tobytes())
-    h.update(np.ascontiguousarray(lower.indices).tobytes())
-    h.update(np.ascontiguousarray(lower.data).tobytes())
-    h.update(repr(tuple(lower.shape)).encode())
-    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

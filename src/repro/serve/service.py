@@ -64,10 +64,10 @@ from repro.serve.request import (
     ServiceResult,
     SolveRequest,
     build_workload,
-    matrix_fingerprint,
     workload_key,
 )
 from repro.serve.workers import MatrixLru, WorkerPool
+from repro.workloads import cache
 
 __all__ = [
     "ESTIMATE_CACHE_ENTRIES",
@@ -406,7 +406,7 @@ class SolveService:
         deadline = request.deadline or self.default_deadline
 
         matrix = self._resolve_matrix(request)
-        fingerprint = matrix_fingerprint(matrix)
+        fingerprint = cache.fingerprint(matrix)
         key = (fingerprint, request.config.fingerprint())
         estimate = self._estimate(matrix, fingerprint, request.config)
 

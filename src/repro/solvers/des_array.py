@@ -48,8 +48,8 @@ generator per process:
   is the one place an array-engine ``x`` is computed, for any ``b``,
   from the record and the matrix alone, with those binary64 operations
   in that order per component (``tests/test_session_replay.py``).  A
-  replay reads no program table, so a session keeps the record of its
-  first solve, drops its program and replays every later solve.
+  replay reads no program table, so a session keeps only the record of
+  its first solve and replays every later solve.
 
 Bit-equality contract
 ---------------------
@@ -221,15 +221,6 @@ class ArrayProgram:
     seed_times: list
     seed_codes: list
 
-    def compiled_for(self, lower, dist, machine, design) -> bool:
-        """Whether this program was compiled for exactly this system."""
-        return (
-            self.lower is lower
-            and self.dist is dist
-            and self.machine is machine
-            and self.design is coerce_design(design)
-        )
-
 
 @dataclass(eq=False)
 class DrainRecord:
@@ -254,7 +245,7 @@ class DrainRecord:
     per row, and keeps them in ``fill`` as ``(matrix, values)``
     (:func:`_replay_values`).  Neither reads the :class:`ArrayProgram`
     that drained, so a :class:`~repro.runtime.session.SolverSession`
-    keeps the record and drops the program once it has recorded.
+    keeps the record and never the program.
     """
 
     ops: array = field(default_factory=lambda: array("q"))
@@ -1246,16 +1237,10 @@ _REPLAY_VECTOR_MIN = 32
 
 
 class _MatvecLevel(NamedTuple):
-    """A level replayed as one CSR matvec: plan slots ``lo:hi``.
-
-    ``refolds`` holds ``(slot, a, z, flips)`` for each of its rows that
-    holds a flipped add: the row's adds are plan positions ``a:z`` and
-    ``flips`` pairs each flipped add's offset from ``a`` with its bit.
-    """
+    """A level replayed as one CSR matvec: plan slots ``lo:hi``."""
 
     lo: int
     hi: int
-    refolds: tuple
 
 
 class _NarrowRun(NamedTuple):
@@ -1286,8 +1271,8 @@ class _ReplayPlan(NamedTuple):
     entries ``indptr[k]:indptr[k + 1]`` of ``cols`` (each add's source
     column, as a slot) and ``edges`` (its matrix entry).  ``steps``
     replays the slots in level order: a :class:`_MatvecLevel` per level
-    with no adds or at least :data:`_REPLAY_VECTOR_MIN` of them, and a
-    :class:`_NarrowRun` per run of the other levels.
+    with no adds or at least :data:`_REPLAY_VECTOR_MIN` of them and no
+    flipped add, and a :class:`_NarrowRun` per run of the other levels.
     """
 
     perm: np.ndarray
@@ -1363,6 +1348,8 @@ def _replay_plan(lower: CscMatrix, record: DrainRecord) -> _ReplayPlan:
     m = len(edges)
     lev_adds = np.diff(indptr[cut])
     wide = (lev_adds >= _REPLAY_VECTOR_MIN) | (lev_adds == 0)
+    # A flipped add is replayed in one place, the scalar loop.
+    wide[np.searchsorted(indptr[cut], flip_at, side="right") - 1] = False
 
     # Each wide level is one step, and so is each run of narrow levels:
     # a step starts at level 0 and at every level that is wide or
@@ -1373,43 +1360,35 @@ def _replay_plan(lower: CscMatrix, record: DrainRecord) -> _ReplayPlan:
     bounds = cut[np.append(starts, n_levels)].tolist()
     steps = []
     for n0, n1, is_wide in zip(bounds, bounds[1:], wide[starts].tolist()):
+        if is_wide:
+            steps.append(_MatvecLevel(n0, n1))
+            continue
         a0, a1 = int(indptr[n0]), int(indptr[n1])
         f_at = flip_at
         if len(flip_at):
             f_at = flip_at[slice(*np.searchsorted(flip_at, (a0, a1)))]
-        if is_wide:
-            refolds = []
-            if len(f_at):
-                rows = np.searchsorted(indptr, f_at, side="right") - 1
-                for k in np.unique(rows).tolist():
-                    a, z = int(indptr[k]), int(indptr[k + 1])
-                    at = f_at[rows == k]
-                    flips = zip((at - a).tolist(), flip[at].tolist())
-                    refolds.append((k, a, z, tuple(flips)))
-            steps.append(_MatvecLevel(n0, n1, tuple(refolds)))
-        else:
-            # One entry per add (its source's place in ``xs``) and,
-            # after each node's chain, one for its solve (``~place``).
-            run_cols = cols[a0:a1]
-            inner = run_cols >= n0
-            ext, ext_at = np.unique(run_cols[~inner], return_inverse=True)
-            src = np.empty(a1 - a0, dtype=np.int64)
-            src[~inner] = ext_at
-            src[inner] = run_cols[inner] - n0 + len(ext)
-            at_solve = indptr[n0 + 1 : n1 + 1] - a0 + np.arange(n1 - n0)
-            is_solve = np.zeros(a1 - a0 + n1 - n0, dtype=bool)
-            is_solve[at_solve] = True
-            run_ops = np.empty(len(is_solve), dtype=np.int64)
-            run_ops[is_solve] = ~(len(ext) + np.arange(n1 - n0))
-            run_ops[~is_solve] = src
-            vals = np.empty(len(is_solve), dtype=np.int64)
-            vals[is_solve] = m + np.arange(n0, n1)
-            vals[~is_solve] = np.arange(a0, a1)
-            flips = {}
-            if len(f_at):
-                at = np.flatnonzero(~is_solve)[f_at - a0]
-                flips = dict(zip(at.tolist(), flip[f_at].tolist()))
-            steps.append(_NarrowRun(n0, n1, ext, run_ops, vals, flips))
+        # One entry per add (its source's place in ``xs``) and,
+        # after each node's chain, one for its solve (``~place``).
+        run_cols = cols[a0:a1]
+        inner = run_cols >= n0
+        ext, ext_at = np.unique(run_cols[~inner], return_inverse=True)
+        src = np.empty(a1 - a0, dtype=np.int64)
+        src[~inner] = ext_at
+        src[inner] = run_cols[inner] - n0 + len(ext)
+        at_solve = indptr[n0 + 1 : n1 + 1] - a0 + np.arange(n1 - n0)
+        is_solve = np.zeros(a1 - a0 + n1 - n0, dtype=bool)
+        is_solve[at_solve] = True
+        run_ops = np.empty(len(is_solve), dtype=np.int64)
+        run_ops[is_solve] = ~(len(ext) + np.arange(n1 - n0))
+        run_ops[~is_solve] = src
+        vals = np.empty(len(is_solve), dtype=np.int64)
+        vals[is_solve] = m + np.arange(n0, n1)
+        vals[~is_solve] = np.arange(a0, a1)
+        flips = {}
+        if len(f_at):
+            at = np.flatnonzero(~is_solve)[f_at - a0]
+            flips = dict(zip(at.tolist(), flip[f_at].tolist()))
+        steps.append(_NarrowRun(n0, n1, ext, run_ops, vals, flips))
     return _ReplayPlan(perm, indptr, cols, edges, tuple(steps))
 
 
@@ -1462,20 +1441,6 @@ def _csr_matvec(
     return out
 
 
-def _refold_flipped(prods: np.ndarray, flips: tuple) -> float:
-    """A row's left sum from its products in chain order, added one at
-    a time from ``0.0``; the product at each ``(offset, bit)`` of
-    ``flips`` goes through
-    :func:`~repro.resilience.faults.flip_mantissa_bit` first."""
-    prods = prods.tolist()
-    for at, bit in flips:
-        prods[at] = flip_mantissa_bit(prods[at], bit)
-    s = 0.0
-    for v in prods:
-        s += v
-    return s
-
-
 def replay_array(
     lower: CscMatrix, record: DrainRecord, b: np.ndarray
 ) -> tuple[np.ndarray, float, Trace, int, int]:
@@ -1490,9 +1455,8 @@ def replay_array(
     in the drain's order, then the same subtract and divide.  The replay
     works in slot space (:func:`_replay_plan`): it permutes ``b`` once,
     solves each wide level as one compiled CSR matvec
-    (:func:`_csr_matvec`, each row summed from ``0.0`` in chain order;
-    rows holding a flipped add are refolded in a scalar loop) written
-    into a contiguous slice of the slot-ordered solution, then one
+    (:func:`_csr_matvec`, each row summed from ``0.0`` in chain order)
+    written into a contiguous slice of the slot-ordered solution, then one
     subtract and one divide, and each narrow run as one scalar loop; it
     scatters the solution back to component order once.  The matrix
     values come from ``record.fill`` (:func:`_replay_values`), gathered
@@ -1514,8 +1478,6 @@ def replay_array(
             out, r = xp[lo:hi], bp[lo:hi]
             if indptr[lo] != indptr[hi]:
                 _csr_matvec(indptr[lo : hi + 1], cols, vals, xp, out)
-                for k, a, z, flips in step.refolds:
-                    xp[k] = _refold_flipped(vals[a:z] * xp[cols[a:z]], flips)
                 r = np.subtract(r, out, out=out)
             np.divide(r, dvals[lo:hi], out=out)
             continue

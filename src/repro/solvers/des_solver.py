@@ -123,7 +123,6 @@ def des_execute(
     recovery=None,
     watchdog=None,
     stale: StalePolicy | None = None,
-    program=None,
 ) -> DesExecution:
     """Play out a multi-GPU SpTRSV at event granularity.
 
@@ -148,11 +147,9 @@ def des_execute(
     observable (trace, solution, times, fault/event counts); any other
     name raises :class:`~repro.errors.ConfigurationError`.
 
-    ``program`` is a :class:`~repro.solvers.des_array.ArrayProgram`
-    compiled for exactly this ``(lower, dist, machine, design)``: the
-    array engine then drains it instead of compiling one for this call
-    (a :class:`~repro.runtime.session.SolverSession` passes the one it
-    keeps until its first solve).  The reference engine ignores it.
+    The array engine compiles an
+    :class:`~repro.solvers.des_array.ArrayProgram` for each call and
+    keeps none: the program is freed once its drain returns the record.
 
     Resilience hooks (all optional, all bit-transparent when absent):
 
@@ -206,14 +203,8 @@ def des_execute(
     if engine == "array":
         from repro.solvers.des_array import compile_program, execute_array
 
-        if program is None:
-            program = compile_program(lower, dist, machine, design)
-        elif not program.compiled_for(lower, dist, machine, design):
-            raise SolverError(
-                "array program was compiled for a different system"
-            )
         record = execute_array(
-            program,
+            compile_program(lower, dist, machine, design),
             trace_enabled=trace_enabled,
             injector=injector,
             recovery=recovery,
@@ -541,17 +532,37 @@ def _finish_execution(
     """The step after every reference run or replay: the stale-sync pass.
 
     ``stale`` is the run's resolved policy (``None`` off ``stale_sync``).
-    The pass is a pure function of the finished run's observables, so
-    the repaired solution, the appended trace records and the extended
-    wall clock stay bit-identical across the reference engine and every
-    replay of a recorded array drain.
+    The pass detects solved rows whose stale-read error exceeds the
+    policy ceiling, replays their forward closure with the resilience
+    repair machinery, and appends the protocol's ``validate`` /
+    ``replay`` records at the timestamps of
+    :func:`~repro.engine.protocol.stale_validation_times`; the result's
+    ``residual`` is the validated solution's backward error.  It raises
+    :class:`~repro.errors.RecoveryExhaustedError` when replay cannot
+    bring the system under the ceiling.  The pass is a pure function of
+    the finished run's observables, so the repaired solution, the
+    appended trace records and the extended wall clock stay
+    bit-identical across the reference engine and every replay of a
+    recorded array drain.
     """
     residual = None
     if stale is not None:
-        x, total_time, residual = _stale_validation_pass(
-            lower, b, x, stale, trace, total_time,
-            machine.gpu.t_kernel_launch,
+        from repro.resilience.recovery import _closure_repair
+
+        x, suspects, replayed, residual = _closure_repair(
+            lower, b, x, stale.ceiling, "stale-read replay"
         )
+        t_validate, t_replays = stale_validation_times(
+            total_time, len(replayed), machine.gpu.t_kernel_launch
+        )
+        append = trace.append
+        append((
+            t_validate, TRACE_VALIDATE, 0, (len(suspects), len(replayed))
+        ))
+        for t, i in zip(t_replays.tolist(), replayed):
+            append((t, TRACE_REPLAY, 0, i))
+        if len(replayed):
+            total_time = float(t_replays[-1])
     return DesExecution(
         x=x,
         total_time=total_time,
@@ -593,47 +604,6 @@ def replay_execute(
         lower, b, machine, stale, *replay_array(lower, record, b),
         record=record,
     )
-
-
-def _stale_validation_pass(
-    lower: CscMatrix,
-    b: np.ndarray,
-    x: np.ndarray,
-    stale: StalePolicy,
-    trace: Trace,
-    total_time: float,
-    t_kernel_launch: float,
-) -> tuple[np.ndarray, float]:
-    """The stale-sync post-hoc validation/replay step (all engines).
-
-    Detects solved rows whose stale-read error exceeds the policy
-    ceiling, replays their forward closure via the resilience repair
-    machinery, and appends the protocol's ``validate`` / ``replay``
-    records at the timestamps of
-    :func:`~repro.engine.protocol.stale_validation_times`.  Returns the
-    validated solution, the extended wall clock and the solution's
-    backward error.  Raises
-    :class:`~repro.errors.RecoveryExhaustedError` when replay cannot
-    bring the system under the ceiling.
-    """
-    from repro.resilience.recovery import stale_validate
-
-    x_fixed, suspects, replayed, residual = stale_validate(
-        lower, b, x, stale.ceiling
-    )
-    t_validate, t_replays = stale_validation_times(
-        total_time, len(replayed), t_kernel_launch
-    )
-    trace.append((
-        t_validate, TRACE_VALIDATE, 0,
-        (len(suspects), len(replayed)),
-    ))
-    append = trace.append
-    for t, i in zip(t_replays.tolist(), replayed):
-        append((t, TRACE_REPLAY, 0, i))
-    if len(replayed):
-        total_time = float(t_replays[-1])
-    return x_fixed, total_time, residual
 
 
 class DesSolver(TriangularSolver):

@@ -14,7 +14,7 @@ from repro.errors import ConfigurationError, SimulationError, SolverError
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
 from repro.runtime import SolverSession
-from repro.solvers.des_solver import des_execute
+from repro.solvers.des_solver import des_execute, replay_execute
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import block_distribution
 from repro.verify.causality import check_des_trace
@@ -166,7 +166,6 @@ class TestProductionEngine:
         def checked(lower, b, dist, machine, design, **kwargs):
             arr = real(lower, b, dist, machine, design, **kwargs)
             assert kwargs.pop("engine") == "array"
-            kwargs.pop("program")
             ref = real(
                 lower, b, dist, machine, design, engine="reference", **kwargs
             )
@@ -440,7 +439,10 @@ class TestFaultedErrorParity:
 # every solve of it, drained or replayed, must equal a fresh reference run.
 # ---------------------------------------------------------------------------
 
-from repro.solvers.des_array import compile_program  # noqa: E402
+from repro.solvers.des_array import (  # noqa: E402
+    compile_program,
+    execute_array,
+)
 
 REUSE_DESIGNS = (
     Design.SHMEM_READONLY,
@@ -486,11 +488,11 @@ class TestCompiledProgramReuse:
         _, gen = REUSE_GENERATORS[0]
         first, second = gen(3), gen(4)
         session = SolverSession(n_gpus=2)
-        for lower in (first, second, second):
+        for lower in (first, second, second, first):
             b = np.ones(lower.shape[0])
-            ex = session.execute(lower, b)
+            ex = session.solve(lower, b, with_report=False).execution
             _assert_bit_identical(_fresh_reference(session, lower, b), ex)
-        assert compiles == [first, second]
+        assert compiles == [first, second, first]
 
     def test_only_array_drains_compile(self, compiles):
         """Fast-model pricing and reference-oracle runs compile nothing;
@@ -501,21 +503,8 @@ class TestCompiledProgramReuse:
         session.simulate(lower)
         _fresh_reference(session, lower, np.ones(lower.shape[0]))
         assert compiles == []
-        session.execute(lower, np.ones(lower.shape[0]))
+        session.solve(lower, np.ones(lower.shape[0]), with_report=False)
         assert compiles == [lower]
-
-    def test_program_for_another_system_rejected(self):
-        _, gen = REUSE_GENERATORS[0]
-        lower, other = gen(3), gen(4)
-        machine = dgx1(2)
-        dist = block_distribution(lower.shape[0], 2)
-        program = compile_program(lower, dist, machine, Design.SHMEM_READONLY)
-        with pytest.raises(SolverError, match="different system"):
-            des_execute(
-                other, np.ones(other.shape[0]),
-                block_distribution(other.shape[0], 2), machine,
-                engine="array", program=program,
-            )
 
     @pytest.mark.parametrize(
         "design", (Design.SHMEM_READONLY, Design.UNIFIED),
@@ -525,19 +514,24 @@ class TestCompiledProgramReuse:
         "gname,gen", REUSE_GENERATORS, ids=[g[0] for g in REUSE_GENERATORS]
     )
     def test_remap_leaves_the_program_intact(self, gname, gen, design):
-        """A fail-stop remap drains on copies: the next solve is clean."""
+        """A fail-stop remap drains on copies: the next drain of the same
+        program is clean."""
         lower, b, dist, machine, _, T = _remap_fixture(gen, design)
         program = compile_program(lower, dist, machine, design)
         plan = FaultPlan.single(FaultKind.GPU_FAIL, gpu=2, t_start=0.3 * T)
 
         def run(engine, faulted, program=None):
-            return des_execute(
-                lower, b, dist, machine, design,
-                engine=engine,
-                injector=plan.build(lower, dist) if faulted else None,
-                recovery=RecoveryPolicy() if faulted else None,
-                program=program,
+            injector = plan.build(lower, dist) if faulted else None
+            recovery = RecoveryPolicy() if faulted else None
+            if program is None:
+                return des_execute(
+                    lower, b, dist, machine, design,
+                    engine=engine, injector=injector, recovery=recovery,
+                )
+            record = execute_array(
+                program, injector=injector, recovery=recovery
             )
+            return replay_execute(lower, b, machine, design, record=record)
 
         faulted = run("array", True, program)
         assert faulted.trace.count("remap") > 0

@@ -109,17 +109,16 @@ class TestMeasureCase:
         self, tmp_path, monkeypatch
     ):
         from repro.errors import SimulationError
-        from repro.solvers import des_array
 
         monkeypatch.setattr(dessweep, "SKIP_REFERENCE_N", 100)
-        real = des_array.execute_array
+        real = dessweep.execute_array
 
         def reversed_record(*args, **kwargs):
             record = real(*args, **kwargs)
             record.ops.reverse()  # every add before its source solves
             return record
 
-        monkeypatch.setattr(des_array, "execute_array", reversed_record)
+        monkeypatch.setattr(dessweep, "execute_array", reversed_record)
         path = spill_artefacts(_tiny_matrix(5), tmp_path / "case.pkl")
         with pytest.raises(SimulationError, match="dependency order"):
             measure_des_case("tiny", str(path), n_gpus=2, repeats=1)

@@ -33,6 +33,7 @@ from repro.runtime import (
     resilient_run,
 )
 from repro.solvers.backward import anti_transpose
+from repro.solvers.des_solver import des_execute
 from repro.solvers.serial import serial_backward, serial_forward
 from repro.sparse.validate import random_rhs_for_solution, residual_norm
 from repro.verify.registry import default_registry
@@ -95,7 +96,9 @@ def test_repeated_solve_hits_artefact_cache(system):
     assert counts_after_first["dag"] == 1
 
     second = session.solve(lower, b)
-    third = session.execute(lower, b)
+    third = des_execute(
+        lower, b, session._dist, session.machine, session.config.design
+    )
     report = session.simulate(lower)
 
     # No re-derivation of any artefact: the DAG, levels, fronts, edges,

@@ -37,10 +37,10 @@ from repro.serve import (
     SolveService,
     TokenBucket,
     build_workload,
-    matrix_fingerprint,
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.workers import MATRIX_CACHE_ENTRIES, MatrixLru
+from repro.workloads.cache import fingerprint
 from repro.workloads.generators import forest_lower
 
 WORKLOAD = {"generator": "forest", "n": 48, "seed": 3}
@@ -242,14 +242,14 @@ class TestFingerprints:
         b = forest_lower(48, seed=3)
         c = forest_lower(48, seed=4)
         assert a is not b
-        assert matrix_fingerprint(a) == matrix_fingerprint(b)
-        assert matrix_fingerprint(a) != matrix_fingerprint(c)
+        assert fingerprint(a) == fingerprint(b)
+        assert fingerprint(a) != fingerprint(c)
 
     def test_value_change_changes_matrix_fingerprint(self):
         a = forest_lower(48, seed=3)
         b = forest_lower(48, seed=3)
         b.data[0] *= 2.0
-        assert matrix_fingerprint(a) != matrix_fingerprint(b)
+        assert fingerprint(a) != fingerprint(b)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +802,7 @@ class TestMatrixCacheBound:
 
         monkeypatch.setattr(SolverSession, "simulate", counting_simulate)
         lower = forest_lower(48, seed=3)
-        fp = matrix_fingerprint(lower)
+        fp = fingerprint(lower)
         hot = RunConfig()
         svc = SolveService()
         first = svc._estimate(lower, fp, hot)

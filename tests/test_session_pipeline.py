@@ -135,8 +135,8 @@ def test_session_and_resilient_run_share_one_body(engine):
     n = 48
     lower = forest_lower(n, seed=3)
     b = np.random.default_rng(3).uniform(-1.0, 1.0, size=n)
-    probe = SolverSession(n_gpus=4).execute(lower, b)
-    T = float(probe.total_time)
+    probe = SolverSession(n_gpus=4).solve(lower, b, with_report=False)
+    T = float(probe.execution.total_time)
     plan = FaultPlan(
         seed=9,
         specs=(

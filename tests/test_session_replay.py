@@ -17,8 +17,8 @@ replay of a record.  These tests hold the replay to that:
   solve, and its session keeps no record;
 * a session drains once, on its first solve, keeps that drain's record
   and replays it after that; the first solve builds the replay plan and
-  releases the compiled program (nothing the session keeps or returns
-  reaches it), and ``execute`` after that drains a transient program;
+  releases the program it compiled (nothing the session keeps or
+  returns reaches it);
 * each solution is certified once: one backward-error pass per solve,
   two when the stale-sync pass or the residual repair replays rows.
 
@@ -52,6 +52,7 @@ from repro.resilience.watchdog import Watchdog
 from repro.runtime.config import RunConfig
 from repro.runtime.session import SolverSession, resilient_run
 from repro.solvers import des_array
+from repro.solvers.des_solver import des_execute
 from repro.solvers.des_array import (
     DrainRecord,
     check_record_order,
@@ -190,8 +191,10 @@ def test_conformance_case_replays_bitwise(case, plan_kind):
 
 # ------------------------------------------------------------ extra configs
 def _makespan(config: RunConfig, lower) -> float:
-    clean = SolverSession(config).execute(lower, _rhs(0, lower.shape[0]))
-    return float(clean.total_time)
+    clean = SolverSession(config).solve(
+        lower, _rhs(0, lower.shape[0]), with_report=False
+    )
+    return float(clean.execution.total_time)
 
 
 def _extra_config(name: str, lower) -> RunConfig:
@@ -255,15 +258,13 @@ def test_extra_config_replays_bitwise(name, plan_kind):
     if name.startswith("bitflip"):
         assert record.flips  # the corrupted adds are replayed, flipped
     if name == "bitflip-wide":
-        # A matvec level refolds its flipped chains after the matvec: its
-        # flips must follow the slot-major order of its adds.
-        wide = [
-            len(flips)
-            for step in record.plan.steps
-            if isinstance(step, des_array._MatvecLevel)
-            for *_, flips in step.refolds
+        # Every step holding a flip is a scalar run, whatever the kind:
+        # each flipped add is replayed there, and nowhere else.
+        runs = [
+            step for step in record.plan.steps
+            if isinstance(step, des_array._NarrowRun)
         ]
-        assert (sum(wide) > 0) == (plan_kind != "scalar")
+        assert sum(len(step.flips) for step in runs) == len(record.flips)
     if name == "unified":
         assert record.page_faults > 0
     if name == "stale_sync":
@@ -467,7 +468,6 @@ def test_chaos_quick_cell_replays_bitwise(
     dist = dists[dist_name]
     design = _design(design_name)
     T = makespan[design_name, dist_name]
-    program = compile_program(lower, dist, machine, design)
 
     def run(k, replay=None, engine="array"):
         return resilient_run(
@@ -477,7 +477,6 @@ def test_chaos_quick_cell_replays_bitwise(
             watchdog=Watchdog(stall_horizon=max(50.0 * T, 1.0)),
             engine=engine,
             trace_enabled=True,
-            program=program if replay is None else None,
             replay=replay,
         )
 
@@ -515,16 +514,22 @@ class _DrainSpy:
         monkeypatch.setattr(des_array, "execute_array", spy)
 
 
-def test_session_drains_then_records_then_replays(monkeypatch):
+def test_session_drains_then_records_then_replays(monkeypatch, compiles):
     lower = _matrix()
     spy = _DrainSpy(monkeypatch)
     session = SolverSession(RunConfig(trace_enabled=False))
     for k in range(5):
         session.solve(lower, _rhs(k, 600), with_report=False)
-    # One drain, whose record the session keeps, then four replays.
+    # One compile and one drain, whose record the session keeps, then
+    # four replays.
+    assert compiles == [lower]
     assert spy.records == [session._record]
-    # execute() stays a real drain; its record is not the session's.
-    ex = session.execute(lower, _rhs(5, 600))
+    # des_execute() on the session's system stays a real drain; its
+    # record is not the session's.
+    ex = des_execute(
+        lower, _rhs(5, 600), session._dist, session.machine,
+        session.config.design, trace_enabled=False,
+    )
     assert spy.records == [session._record, ex.record]
     assert ex.record is not session._record
 
@@ -546,7 +551,7 @@ def test_new_matrix_drops_the_record(monkeypatch):
     old = session._record
     assert old is not None
     result = session.solve(second, _rhs(3, 600), with_report=False)
-    assert session._record is not old and session._program is None
+    assert session._record is not old
     assert session._record.fill[0] is second
     assert spy.records == [old, session._record]
     fresh = SolverSession(RunConfig(trace_enabled=False)).solve(
@@ -562,56 +567,40 @@ RELEASE_CONFIGS = (
 
 
 @pytest.mark.parametrize("name", RELEASE_CONFIGS)
-def test_recording_solve_releases_the_program(name):
+def test_recording_solve_releases_the_program(name, monkeypatch):
     """Reference counting alone frees the program once the session has
     recorded: no record, plan, trace or result reaches it."""
     lower = _matrix()
     config = (
         RunConfig() if name == "default" else _extra_config(name, lower)
     )
+    programs = []
+    real = des_array.compile_program
+
+    def spy(*args, **kwargs):
+        program = real(*args, **kwargs)
+        programs.append(weakref.ref(program))
+        return program
+
+    monkeypatch.setattr(des_array, "compile_program", spy)
     session = SolverSession(config)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        session._bind(lower)
-        # The program the first solve drains, compiled ahead of it.
-        program = weakref.ref(session._array_program(lower))
-        assert session._record is None
         results = [session.solve(lower, _rhs(0, 600), with_report=False)]
-        assert program() is None
-        assert session._program is None
+        assert len(programs) == 1  # the program the first solve drained
+        assert programs[0]() is None
         assert session._record is not None
         assert session._record.plan is not None  # built by its replay
-        results.append(session.solve(lower, _rhs(1, 600), with_report=False))
-        assert session._program is None
-        results.append(session.solve(lower, _rhs(2, 600), with_report=False))
-        assert session._program is None
+        for k in (1, 2):
+            results.append(
+                session.solve(lower, _rhs(k, 600), with_report=False)
+            )
+        assert len(programs) == 1
     finally:
         if enabled:
             gc.enable()
     assert all(r.execution.trace.rows for r in results)
-
-
-def test_execute_after_recording_drains_a_transient_program(compiles):
-    lower = _matrix()
-    config = RunConfig()
-    session = SolverSession(config)
-    for k in range(4):  # record, three replays
-        session.solve(lower, _rhs(k, 600), with_report=False)
-    assert len(compiles) == 1
-    got = session.execute(lower, _rhs(4, 600))
-    assert len(compiles) == 2  # compiled for this call, not kept
-    assert session._program is None and session._record is not None
-    want = SolverSession(config).execute(lower, _rhs(4, 600))
-    assert got.x.tobytes() == want.x.tobytes()
-    assert got.events == want.events
-    assert got.total_time == want.total_time
-    assert got.page_faults == want.page_faults
-    assert got.trace.rows == want.trace.rows
-    # Solves keep replaying the record and compile nothing.
-    compiles.clear()
-    session.solve(lower, _rhs(5, 600), with_report=False)
-    assert compiles == []
 
 
 # ------------------------------------------------ one certificate per x

@@ -13,9 +13,9 @@
 * The column-of-entry index and the two operators are built once per
   matrix and never pickled; the ``L`` operator shares the matrix's
   arrays.
-* The forward-closure replay of :func:`residual_repair` and
-  :func:`stale_validate` equals its per-column loop (kept below as the
-  oracle) on the serve-mix structures and on a silent bit-flip.
+* The forward-closure replay behind :func:`residual_repair` and the
+  stale-sync validation pass equals its per-column loop (kept below as
+  the oracle) on the serve-mix structures and on a silent bit-flip.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
 from repro.exec_model.timeline import simulate_execution
 from repro.machine.node import dgx1
-from repro.resilience.recovery import stale_validate
+from repro.resilience.recovery import _closure_repair
 from repro.runtime.config import RunConfig
 from repro.runtime.session import SolverSession
 from repro.solvers.des_solver import DesSolver, des_execute
@@ -289,8 +289,8 @@ class TestStaleProperties:
         x = serial_forward(lower, b)
         x_bad = x.copy()
         x_bad[n // 2] += 1.0
-        fixed, suspects, replayed, residual = stale_validate(
-            lower, b, x_bad, 1e-12
+        fixed, suspects, replayed, residual = _closure_repair(
+            lower, b, x_bad, 1e-12, "stale-read replay"
         )
         assert suspects and replayed
         assert fixed.tobytes() == x.tobytes()
@@ -301,7 +301,9 @@ class TestStaleProperties:
         from repro.errors import RecoveryExhaustedError
 
         with pytest.raises(RecoveryExhaustedError):
-            stale_validate(lower, b * (1.0 + 1e-6), x_bad, 1e-300)
+            _closure_repair(
+                lower, b * (1.0 + 1e-6), x_bad, 1e-300, "stale-read replay"
+            )
 
 
 # ======================================================================
