@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.analysis.levels import compute_levels
 from repro.errors import ShapeError
+from repro.sparse.coo import sorted_unique
 from repro.sparse.csc import CscMatrix
 from repro.sparse.triangular import lower_triangle, permute_symmetric
 
@@ -68,7 +69,7 @@ def _symmetric_adjacency(mat: CscMatrix) -> tuple[np.ndarray, np.ndarray]:
     off = coo.row != coo.col
     r = np.concatenate([coo.row[off], coo.col[off]])
     c = np.concatenate([coo.col[off], coo.row[off]])
-    key = np.unique(r * mat.shape[0] + c)
+    key = sorted_unique(r * mat.shape[0] + c)
     r, c = key // mat.shape[0], key % mat.shape[0]
     ptr = np.zeros(mat.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(r, minlength=mat.shape[0]), out=ptr[1:])

@@ -151,6 +151,7 @@ from repro.exec_model.costmodel import CommCosts, Design
 from repro.machine.node import MachineConfig
 from repro.machine.unified import UnifiedMemory
 from repro.resilience.faults import flip_mantissa_bit
+from repro.sparse.coo import sorted_unique
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import Distribution
 
@@ -426,7 +427,9 @@ def compile_program(
     ]
     pair_rid = np.full(n_gpus * n_gpus, -1, dtype=np.int64)
     pair_wire = np.zeros(n_gpus * n_gpus)
-    cross_pairs = np.unique(src_g_e[~local_e] * n_gpus + dst_g_e[~local_e])
+    cross_pairs = sorted_unique(
+        src_g_e[~local_e] * n_gpus + dst_g_e[~local_e]
+    )
     for p in cross_pairs.tolist():
         src_pe, dst_pe = p // n_gpus, p % n_gpus
         ga, gb = int(phys[src_pe]), int(phys[dst_pe])
@@ -862,7 +865,7 @@ def execute_array(
                                 se = gpu_np[col_of[upd]]
                                 de = gpu_np[lower.indices[upd]]
                                 loc = se == de
-                                new_pairs = np.unique(
+                                new_pairs = sorted_unique(
                                     se[~loc] * n_gpus + de[~loc]
                                 )
                                 for p in new_pairs.tolist():

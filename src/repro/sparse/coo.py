@@ -23,6 +23,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["CooMatrix"]
 
 
+def run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a sorted array."""
+    head = np.empty(len(sorted_keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    return head
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int array: ``np.unique`` by sorting.
+
+    On numpy >= 2.3 a plain ``np.unique`` of ints takes a hash path that
+    costs 5-50x a sort plus a neighbour mask, with or without many
+    repeats; every int dedup of the package goes through here instead.
+    """
+    keys = np.sort(np.ravel(values))
+    return keys[run_heads(keys)]
+
+
 @dataclass
 class CooMatrix:
     """Sparse matrix in coordinate (triplet) format.
@@ -145,7 +164,8 @@ class CooMatrix:
         keys = self.row * self.shape[1] + self.col
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        uniq, first = np.unique(keys, return_index=True)
+        first = np.flatnonzero(run_heads(keys))
+        uniq = keys[first]
         data = np.add.reduceat(self.data[order], first)
         out = CooMatrix(uniq // self.shape[1], uniq % self.shape[1], data, self.shape)
         out._canonical = True

@@ -15,12 +15,13 @@ Simpler generators (:func:`tridiagonal_lower`, :func:`banded_lower`,
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Literal
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sparse.coo import CooMatrix
+from repro.sparse.coo import CooMatrix, sorted_unique
 from repro.sparse.csc import CscMatrix
 
 __all__ = [
@@ -194,7 +195,7 @@ def dag_profile_matrix(
 
     # Deduplicate (child, parent) pairs.
     key = children_all * n + parents_all
-    uniq = np.unique(key)
+    uniq = sorted_unique(key)
     child_f = uniq // n
     parent_f = uniq % n
 
@@ -250,35 +251,36 @@ def _random_linear_extension(
     level/index correlation gradient.  Returns ``new_id`` mapping
     provisional (level-major) ids to final indices.
     """
-    import heapq
-
     n_levels = int(level_of.max(initial=0)) + 1
     indeg = np.bincount(child, minlength=n)
-    # Successor lists in provisional-id space.
-    order = np.argsort(parent, kind="stable")
-    sorted_parents = parent[order]
-    sorted_children = child[order]
+    # Successor lists in provisional-id space, children ascending: the
+    # (child, parent) pairs are distinct, so one plain sort of the
+    # (parent, child) keys orders them.
+    sorted_children = np.sort(parent * n + child) % n
     succ_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sorted_parents, minlength=n), out=succ_ptr[1:])
+    np.cumsum(np.bincount(parent, minlength=n), out=succ_ptr[1:])
 
     priority = (1.0 - scatter) * level_of + scatter * rng.random(n) * n_levels
-    heap: list[tuple[float, int]] = [
-        (float(priority[v]), int(v)) for v in np.nonzero(indeg == 0)[0]
-    ]
-    heapq.heapify(heap)
-    new_id = np.empty(n, dtype=np.int64)
-    k = 0
+    # Kahn's loop runs on Python lists: indexing numpy scalars per edge
+    # costs several times the heap operations themselves.
+    prio = priority.tolist()
+    waiting = indeg.tolist()
+    ptr = succ_ptr.tolist()
+    succ = sorted_children.tolist()
+    heap = [(prio[v], v) for v in np.flatnonzero(indeg == 0).tolist()]
+    heapify(heap)
+    numbered: list[int] = []  # numbered[k] = provisional id of index k
     while heap:
-        _, v = heapq.heappop(heap)
-        new_id[v] = k
-        k += 1
-        for e in range(int(succ_ptr[v]), int(succ_ptr[v + 1])):
-            c = int(sorted_children[e])
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, (float(priority[c]), c))
-    if k != n:  # pragma: no cover - DAG by construction
+        _, v = heappop(heap)
+        numbered.append(v)
+        for c in succ[ptr[v] : ptr[v + 1]]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                heappush(heap, (prio[c], c))
+    if len(numbered) != n:  # pragma: no cover - DAG by construction
         raise WorkloadError("cycle detected while numbering the DAG")
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[numbered] = np.arange(n, dtype=np.int64)
     return new_id
 
 
@@ -335,7 +337,7 @@ def random_lower(n: int, avg_nnz_per_row: float = 3.0, seed: int = 0) -> CscMatr
         0, dtype=np.int64
     )
     cols = (rng.random(len(rows)) * rows).astype(np.int64)
-    key = np.unique(rows * n + cols)
+    key = sorted_unique(rows * n + cols)
     rows, cols = key // n, key % n
     vals = rng.uniform(-1.0, 1.0, size=len(rows))
     row_abs = np.zeros(n)

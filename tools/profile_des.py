@@ -8,7 +8,9 @@ case (``--case`` from the sweep table, or explicit generator knobs)
 through a chosen engine and reports
 
 * a wall-clock summary (``perf_counter`` best-of-``--repeats``, events/s),
-  split into the array engine's phases: ``compile_s`` (building the
+  led by the cold path of a new structure: ``gen_s`` (generating the
+  matrix) and ``analysis_s`` (``build_dag``, level sets and dispatch
+  fronts), then split into the array engine's phases: ``compile_s`` (building the
   solve-invariant :class:`~repro.solvers.des_array.ArrayProgram`, paid
   once per structure), ``drain_s`` (one value-free drain of it, which
   fills a :class:`~repro.solvers.des_array.DrainRecord`; the reference
@@ -54,6 +56,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.analysis.dag import build_dag  # noqa: E402
+from repro.analysis.levels import (  # noqa: E402
+    compute_dispatch_fronts,
+    compute_levels,
+)
 from repro.bench.dessweep import DES_CASES  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.exec_model.artefacts import get_artefacts  # noqa: E402
@@ -91,7 +98,16 @@ def profile_run(
     trace: bool = False,
 ) -> dict:
     """Profile one engine on one workload; returns the report payload."""
-    lower = dag_profile_matrix(**knobs)
+    gen_times, analysis_times = [], []
+    for _ in range(max(repeats, 1)):
+        t0 = time.perf_counter()
+        lower = dag_profile_matrix(**knobs)
+        t1 = time.perf_counter()
+        dag = build_dag(lower)
+        compute_levels(dag)
+        compute_dispatch_fronts(dag)
+        gen_times.append(t1 - t0)
+        analysis_times.append(time.perf_counter() - t1)
     n = lower.shape[0]
     # The structure analysis and the matrix's scipy operator (its first
     # build imports scipy.sparse, once per process), outside every
@@ -197,6 +213,8 @@ def profile_run(
         "workload": knobs,
         "events": int(result.events),
         "total_time_simulated": result.total_time,
+        "gen_s": min(gen_times),
+        "analysis_s": min(analysis_times),
         "compile_s": compile_s,
         "drain_s": drain_s,
         "plan_s": plan_s,
@@ -224,6 +242,7 @@ def render(report: dict) -> str:
     )
     compile_s = report["compile_s"]
     out.write(
+        f"gen={report['gen_s']:.4f}s analysis={report['analysis_s']:.4f}s "
         "compile="
         + ("-" if compile_s is None else f"{compile_s:.4f}s")
         + f" drain={report['drain_s']:.4f}s"
