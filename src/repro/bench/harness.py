@@ -92,7 +92,6 @@ def run_cusparse(
         machine = dgx1(1)
     return level_schedule_time(
         ctx.lower,
-        get_artefacts(ctx.lower).levels,
         machine,
         analysis_factor=analysis_factor,
         design="cusparse_csrsv2",

@@ -17,8 +17,8 @@ from repro.solvers.numerics import (
     interleaved_order,
     random_level_order,
 )
-from repro.solvers.mixedprec import MixedPrecisionSolver, float32_forward
-from repro.solvers.multirhs import MultiRhsResult, multi_rhs_forward, solve_multi_rhs
+from repro.solvers.mixedprec import MixedPrecisionSolver
+from repro.solvers.multirhs import solve_multi_rhs
 from repro.solvers.nvshmem import NaiveShmemSolver, ShmemSolver
 from repro.solvers.serial import SerialSolver, serial_backward, serial_forward
 from repro.solvers.syncfree import SyncFreeSolver
@@ -53,11 +53,8 @@ __all__ = [
     "BlockedLower",
     "blocked_forward",
     "detect_supernodes",
-    "MultiRhsResult",
-    "multi_rhs_forward",
     "solve_multi_rhs",
     "MixedPrecisionSolver",
-    "float32_forward",
     "emulate_unified_solve",
     "emulate_shmem_solve",
     "interleaved_order",

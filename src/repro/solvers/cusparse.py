@@ -15,7 +15,7 @@ serial reference like every other solver.
 
 from __future__ import annotations
 
-from repro.exec_model.artefacts import get_artefacts
+from repro.errors import ConfigurationError
 from repro.machine.node import MachineConfig, dgx1
 from repro.solvers.base import SolveResult, TriangularSolver, validate_system
 from repro.solvers.levelset import level_schedule_time, levelset_forward
@@ -47,16 +47,18 @@ class CusparseCsrsv2Solver(TriangularSolver):
     ):
         self.machine = machine if machine is not None else dgx1(1)
         if analysis_factor <= 0:
-            raise ValueError("analysis_factor must be positive")
+            raise ConfigurationError(
+                f"analysis_factor must be positive, got {analysis_factor!r}",
+                parameter="analysis_factor",
+                value=analysis_factor,
+            )
         self.analysis_factor = analysis_factor
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
-        levels = get_artefacts(lower).levels
-        x = levelset_forward(lower, b, levels)
+        x = levelset_forward(lower, b)
         report = level_schedule_time(
             lower,
-            levels,
             self.machine,
             analysis_factor=self.analysis_factor,
             design="cusparse_csrsv2",

@@ -6,14 +6,17 @@ numeric kernel is fully vectorised per level; the timing model charges a
 kernel launch + barrier per level, which is precisely the cost structure
 that makes level scheduling slow on matrices with many levels (and the
 reason the paper's sync-free designs win).
+
+:func:`levelset_forward` is the fast tier's one level-sweep kernel: every
+solver that does not emulate its design takes ``x`` from it, including
+the multi-RHS block solve and the mixed-precision float32 sweeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.levels import LevelSets
-from repro.errors import SingularMatrixError
+from repro.errors import ShapeError, SingularMatrixError
 from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.timeline import ExecutionReport
 from repro.machine.node import MachineConfig, dgx1
@@ -23,18 +26,25 @@ from repro.solvers.base import SolveResult, TriangularSolver, validate_system
 __all__ = ["levelset_forward", "LevelSetSolver", "level_schedule_time"]
 
 
-def levelset_forward(
-    lower: CscMatrix,
-    b: np.ndarray,
-    levels: LevelSets | None = None,
-) -> np.ndarray:
-    """Solve ``Lx = b`` level by level (vectorised within each level)."""
+def levelset_forward(lower: CscMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve ``Lx = b`` level by level (vectorised within each level).
+
+    ``b`` is one right-hand side ``(n,)`` or a block ``(n, k)`` whose
+    columns sweep together (no extra analysis).  The sweep, and ``x``,
+    is float32 when ``b`` is float32 and float64 otherwise.
+    """
     n = lower.shape[0]
-    if levels is None:
-        levels = get_artefacts(lower).levels
-    x = np.zeros(n)
-    left_sum = np.zeros(n)
-    indptr, indices, data = lower.indptr, lower.indices, lower.data
+    levels = get_artefacts(lower).levels
+    b = np.asarray(b)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ShapeError(f"b must have shape ({n},) or ({n}, k), got {b.shape}")
+    b = b.astype(np.float32 if b.dtype == np.float32 else np.float64, copy=False)
+    x = np.zeros_like(b)
+    left_sum = np.zeros_like(b)
+    indptr, indices = lower.indptr, lower.indices
+    data = lower.data.astype(b.dtype, copy=False)
+    if b.ndim == 2:
+        data = data[:, None]  # each value scales a whole row of the block
 
     diag_ptr = indptr[:-1]
     if n and not np.array_equal(indices[diag_ptr], np.arange(n)):
@@ -65,7 +75,6 @@ def levelset_forward(
 
 def level_schedule_time(
     lower: CscMatrix,
-    levels: LevelSets,
     machine: MachineConfig,
     *,
     analysis_factor: float = 1.0,
@@ -79,6 +88,7 @@ def level_schedule_time(
     scaled by ``analysis_factor`` (cuSPARSE's analysis is heavier than a
     plain count — see :mod:`repro.solvers.cusparse`).
     """
+    levels = get_artefacts(lower).levels
     gpu = machine.gpu
     col_nnz = lower.col_nnz().astype(np.float64)
     in_deg = col_nnz - 1.0  # strict-lower entries ~ update work per column
@@ -137,7 +147,6 @@ class LevelSetSolver(TriangularSolver):
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
-        levels = get_artefacts(lower).levels
-        x = levelset_forward(lower, b, levels)
-        report = level_schedule_time(lower, levels, self.machine)
+        x = levelset_forward(lower, b)
+        report = level_schedule_time(lower, self.machine)
         return SolveResult(x=x, report=report, solver=self.name)

@@ -12,9 +12,11 @@ Refinement on a triangular system converges extremely fast (the solve is
 exact up to rounding), so 1-2 sweeps typically reach ~1e-12 relative
 error while every simulated solve enjoys fp32 traffic.
 
-Numerics here are *real*: the low-precision sweeps actually compute in
-``np.float32`` (you can watch the rounding error appear and then get
-refined away), and the report prices fp32 data movement.
+Numerics here are *real*: each low-precision sweep is
+:func:`~repro.solvers.levelset.levelset_forward` on a float32 right-hand
+side, which computes in ``np.float32`` (you can watch the rounding error
+appear and then get refined away), and the report prices fp32 data
+movement.
 """
 
 from __future__ import annotations
@@ -24,51 +26,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import SolverError
-from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design, build_comm_costs
 from repro.exec_model.timeline import ExecutionReport, simulate_execution
 from repro.machine.node import MachineConfig, dgx1
 from repro.solvers.base import SolveResult, TriangularSolver, validate_system
+from repro.solvers.levelset import levelset_forward
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import round_robin_distribution
 
-__all__ = ["float32_forward", "MixedPrecisionSolver"]
-
-
-def float32_forward(lower: CscMatrix, b: np.ndarray) -> np.ndarray:
-    """Level-sweep forward solve computed entirely in float32.
-
-    Returns a float64 array holding the float32-accurate solution (the
-    rounding error is the point — refinement removes it).
-    """
-    levels = get_artefacts(lower).levels
-    n = lower.shape[0]
-    indptr = lower.indptr
-    indices = lower.indices
-    data32 = lower.data.astype(np.float32)
-    b32 = np.asarray(b, dtype=np.float32)
-    diag_ptr = indptr[:-1]
-    diag = data32[diag_ptr]
-    x = np.zeros(n, dtype=np.float32)
-    left = np.zeros(n, dtype=np.float32)
-    for l in range(levels.n_levels):
-        comps = levels.level(l)
-        x[comps] = (b32[comps] - left[comps]) / diag[comps]
-        starts = diag_ptr[comps] + 1
-        stops = indptr[comps + 1]
-        counts = stops - starts
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        rep_starts = np.repeat(starts, counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        eidx = rep_starts + within
-        rows = indices[eidx]
-        src = np.repeat(comps, counts)
-        np.add.at(left, rows, data32[eidx] * x[src])
-    return x.astype(np.float64)
+__all__ = ["MixedPrecisionSolver"]
 
 
 @dataclass(frozen=True)
@@ -111,7 +77,7 @@ class MixedPrecisionSolver(TriangularSolver):
         b = validate_system(lower, b)
         scale = np.maximum(np.abs(b), 1.0)
 
-        x = float32_forward(lower, b)
+        x = levelset_forward(lower, b.astype(np.float32)).astype(np.float64)
         history = []
         sweeps = 1
         while True:
@@ -125,7 +91,7 @@ class MixedPrecisionSolver(TriangularSolver):
                     f"iterative refinement did not reach {self.tol:g} in "
                     f"{self.max_sweeps} sweeps (residual {res:g})"
                 )
-            x = x + float32_forward(lower, r)
+            x = x + levelset_forward(lower, r.astype(np.float32))
             sweeps += 1
         self.last_refinement = _RefinementStats(
             sweeps=sweeps,

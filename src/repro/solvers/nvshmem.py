@@ -21,6 +21,7 @@ from repro.exec_model.costmodel import Design
 from repro.exec_model.timeline import simulate_execution
 from repro.machine.node import MachineConfig, dgx1
 from repro.solvers.base import SolveResult, TriangularSolver, validate_system
+from repro.solvers.levelset import levelset_forward
 from repro.solvers.numerics import emulate_shmem_solve
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import Distribution, block_distribution
@@ -65,21 +66,17 @@ class ShmemSolver(TriangularSolver):
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
         dist = self.distribution(lower.shape[0])
-        art = get_artefacts(lower)
         if self.emulate:
             x, _heap = emulate_shmem_solve(
                 lower,
                 b,
                 dist,
                 self.machine,
-                art.levels,
                 use_shortcircuit=self.shortcircuit,
             )
         else:
-            from repro.solvers.levelset import levelset_forward
-
-            x = levelset_forward(lower, b, art.levels)
-        costs = art.comm_costs(
+            x = levelset_forward(lower, b)
+        costs = get_artefacts(lower).comm_costs(
             self.machine,
             self.design,
             warp_reduce=self.warp_reduce,
@@ -94,27 +91,15 @@ class ShmemSolver(TriangularSolver):
 class NaiveShmemSolver(ShmemSolver):
     """Ablation: Get-Update-Put with fence/quiet per remote update.
 
-    Numerically identical to the read-only design (updates commute);
-    the cost model charges the serialised round trips.
+    Numerically identical to the read-only design (updates commute) and
+    solved by its ``solve``; the emulation polls every PE (no
+    short-circuit) and the cost model charges the serialised round trips.
     """
 
     name = "multi-gpu-shmem-naive"
     design = Design.SHMEM_NAIVE
 
     def __init__(self, machine: MachineConfig | None = None, emulate: bool = True):
-        super().__init__(machine=machine, emulate=emulate)
-
-    def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
-        b = validate_system(lower, b)
-        dist = self.distribution(lower.shape[0])
-        levels = get_artefacts(lower).levels
-        if self.emulate:
-            x, _heap = emulate_shmem_solve(
-                lower, b, dist, self.machine, levels, use_shortcircuit=False
-            )
-        else:
-            from repro.solvers.levelset import levelset_forward
-
-            x = levelset_forward(lower, b, levels)
-        report = simulate_execution(lower, dist, self.machine, self.design)
-        return SolveResult(x=x, report=report, solver=self.name)
+        # Every remote update round-trips, so no poll is skipped; the
+        # naive cost table reads neither ablation knob.
+        super().__init__(machine=machine, emulate=emulate, shortcircuit=False)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exec_model.artefacts import get_artefacts
+from repro.errors import ConfigurationError
 from repro.exec_model.costmodel import Design
 from repro.exec_model.timeline import simulate_execution
 from repro.machine.node import MachineConfig, dgx1
@@ -36,18 +36,19 @@ class SyncFreeSolver(TriangularSolver):
         if machine is None:
             machine = dgx1(1)
         if machine.n_gpus != 1:
-            raise ValueError(
+            raise ConfigurationError(
                 "SyncFreeSolver is the single-GPU baseline; use "
-                "ShmemSolver/ZeroCopySolver for multi-GPU runs"
+                "ShmemSolver/ZeroCopySolver for multi-GPU runs",
+                parameter="n_gpus",
+                value=machine.n_gpus,
             )
         self.machine = machine
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:
         b = validate_system(lower, b)
-        levels = get_artefacts(lower).levels
         # Numerics: the sync-free update order is a topological order;
         # the level sweep computes the identical fixed point.
-        x = levelset_forward(lower, b, levels)
+        x = levelset_forward(lower, b)
         dist = block_distribution(lower.shape[0], 1)
         report = simulate_execution(
             lower, dist, self.machine, Design.SHMEM_READONLY

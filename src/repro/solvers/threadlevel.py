@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.timeline import ExecutionReport
 from repro.machine.gpu import WarpScheduler
@@ -132,7 +133,11 @@ class ThreadLevelSolver(TriangularSolver):
         if machine is None:
             machine = dgx1(1)
         if machine.n_gpus != 1:
-            raise ValueError("ThreadLevelSolver is a single-GPU baseline")
+            raise ConfigurationError(
+                "ThreadLevelSolver is a single-GPU baseline",
+                parameter="n_gpus",
+                value=machine.n_gpus,
+            )
         self.machine = machine
 
     def solve(self, lower: CscMatrix, b: np.ndarray) -> SolveResult:

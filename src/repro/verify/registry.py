@@ -54,7 +54,8 @@ FORWARD_RELATIONS: tuple[str, ...] = (
 )
 
 #: Backward cases skip relations that presuppose a lower-triangular
-#: input (topological permutation, the multi-RHS forward kernel).
+#: input (topological permutation, and ``solve_multi_rhs``, whose block
+#: sweep is the forward ``levelset_forward``).
 BACKWARD_RELATIONS: tuple[str, ...] = (
     "differential",
     "row_scaling",

@@ -4,8 +4,9 @@ artefact cache.
 The structure analysis is paid once per matrix in
 :mod:`repro.exec_model.artefacts`; everything else reads the bundle.  A
 static guard keeps new ``build_dag`` / ``compute_levels`` calls out of
-the consumer layers, and a counting patch shows that repeating a solve
-or a bench scenario on the same matrix re-derives nothing.
+the consumer layers, a second keeps ``levels`` / ``dag`` parameters out
+of the solvers, and a counting patch shows that repeating a solve or a
+bench scenario on the same matrix re-derives nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ ANALYSIS_CALLS = {"build_dag", "compute_levels"}
 #: Where the analysis may run: the layer that defines it, the cache that
 #: owns it, and the oracles that re-derive it independently on purpose.
 ALLOWED = ("analysis/", "exec_model/artefacts.py", "verify/")
+#: Parameter names that would hand a solver an analysis product.
+ANALYSIS_PARAMS = {"levels", "dag"}
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -59,6 +62,31 @@ def test_consumers_never_run_the_analysis_themselves():
                     for alias in node.names
                     if alias.name in ANALYSIS_CALLS and alias.asname
                 )
+    assert offenders == [], (
+        "take the DAG / level sets from get_artefacts(lower) instead: "
+        + ", ".join(offenders)
+    )
+
+
+def test_solvers_take_no_analysis_products():
+    """Only the numeric emulations accept level sets: tests feed them
+    forged ones to show that the counter protocol rejects a premature
+    schedule.  Every other solver function reads the bundle."""
+    offenders = []
+    for path in sorted((SRC / "solvers").glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            offenders.extend(
+                f"repro/solvers/{path.name}:{node.lineno} ({name})"
+                for name in names
+                if name in ANALYSIS_PARAMS
+            )
     assert offenders == [], (
         "take the DAG / level sets from get_artefacts(lower) instead: "
         + ", ".join(offenders)

@@ -6,7 +6,8 @@ import pytest
 from repro.errors import NotTriangularError, ShapeError
 from repro.machine.node import dgx1
 from repro.solvers.backward import BackwardSolver, anti_transpose
-from repro.solvers.multirhs import multi_rhs_forward, solve_multi_rhs
+from repro.solvers.levelset import levelset_forward
+from repro.solvers.multirhs import solve_multi_rhs
 from repro.solvers.serial import SerialSolver, serial_backward, serial_forward
 from repro.solvers.zerocopy import ZeroCopySolver
 from repro.sparse.coo import CooMatrix
@@ -92,7 +93,7 @@ class TestMultiRhs:
     def test_matches_column_by_column(self, small_lower, rng):
         k = 5
         b_block = rng.uniform(-1, 1, size=(small_lower.shape[0], k))
-        x_block = multi_rhs_forward(small_lower, b_block)
+        x_block = levelset_forward(small_lower, b_block)
         for j in range(k):
             np.testing.assert_allclose(
                 x_block[:, j],
@@ -102,16 +103,27 @@ class TestMultiRhs:
 
     def test_single_column(self, small_lower, rng):
         b = rng.uniform(-1, 1, size=(small_lower.shape[0], 1))
-        x = multi_rhs_forward(small_lower, b)
+        x = levelset_forward(small_lower, b)
         np.testing.assert_allclose(
             x[:, 0], serial_forward(small_lower, b[:, 0]), rtol=1e-10
         )
 
     def test_shape_checked(self, small_lower):
         with pytest.raises(ShapeError):
-            multi_rhs_forward(small_lower, np.ones(small_lower.shape[0]))
+            solve_multi_rhs(small_lower, np.ones(small_lower.shape[0]))
         with pytest.raises(ShapeError):
-            multi_rhs_forward(small_lower, np.ones((3, 2)))
+            levelset_forward(small_lower, np.ones((3, 2)))
+
+    @pytest.mark.parametrize(
+        "shape", [(None,), (None, 0), (3, 2)], ids=["1-d", "k=0", "rows"]
+    )
+    def test_solve_multi_rhs_names_the_block_shape(self, small_lower, shape):
+        n = small_lower.shape[0]
+        block = np.ones(tuple(n if d is None else d for d in shape))
+        with pytest.raises(ShapeError) as err:
+            solve_multi_rhs(small_lower, block, machine=dgx1(2))
+        assert f"({n}, k) with k >= 1" in str(err.value)
+        assert str(block.shape) in str(err.value)
 
     def test_solve_multi_rhs_end_to_end(self, scattered_lower, rng):
         k = 4
@@ -121,7 +133,7 @@ class TestMultiRhs:
         )
         res = solve_multi_rhs(scattered_lower, b_block, machine=dgx1(4))
         np.testing.assert_allclose(res.x, x_true, rtol=1e-8)
-        assert res.n_rhs == k
+        assert res.x.shape == b_block.shape
         assert "multi-rhs[4]" == res.solver
 
     def test_time_sublinear_in_rhs_count(self, scattered_lower, rng):

@@ -6,7 +6,8 @@ import pytest
 from repro.analysis.metrics import profile_matrix
 from repro.errors import SolverError, WorkloadError
 from repro.machine.node import dgx1
-from repro.solvers.mixedprec import MixedPrecisionSolver, float32_forward
+from repro.solvers.levelset import levelset_forward
+from repro.solvers.mixedprec import MixedPrecisionSolver
 from repro.solvers.serial import serial_forward
 from repro.sparse.triangular import is_lower_triangular
 from repro.sparse.validate import (
@@ -24,14 +25,16 @@ from repro.workloads.factors import (
 class TestFloat32Forward:
     def test_roughly_correct(self, small_lower):
         b, x_true = random_rhs_for_solution(small_lower, seed=1)
-        x32 = float32_forward(small_lower, b)
+        x32 = levelset_forward(small_lower, b.astype(np.float32))
+        assert x32.dtype == np.float32
         assert relative_error(x32, x_true) < 1e-4
 
     def test_visibly_less_accurate_than_fp64(self, scattered_lower):
         """The fp32 sweep must actually round — otherwise the refinement
         test below proves nothing."""
         b, x_true = random_rhs_for_solution(scattered_lower, seed=2)
-        err32 = relative_error(float32_forward(scattered_lower, b), x_true)
+        x32 = levelset_forward(scattered_lower, b.astype(np.float32))
+        err32 = relative_error(x32, x_true)
         err64 = relative_error(serial_forward(scattered_lower, b), x_true)
         assert err32 > 10 * max(err64, 1e-16)
         assert err32 > 1e-9  # genuine single precision

@@ -8,12 +8,14 @@ but the solution must be identical (to rounding) on every matrix family.
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.machine.node import dgx1, dgx2
 from repro.solvers.cusparse import CusparseCsrsv2Solver
 from repro.solvers.levelset import LevelSetSolver
 from repro.solvers.nvshmem import NaiveShmemSolver, ShmemSolver
 from repro.solvers.serial import SerialSolver, serial_backward, serial_forward
 from repro.solvers.syncfree import SyncFreeSolver
+from repro.solvers.threadlevel import ThreadLevelSolver
 from repro.solvers.unified import UnifiedMemorySolver
 from repro.solvers.zerocopy import ZeroCopySolver
 from repro.sparse.validate import (
@@ -125,6 +127,22 @@ def test_syncfree_rejects_multi_gpu_machine():
 def test_cusparse_rejects_bad_factor():
     with pytest.raises(ValueError):
         CusparseCsrsv2Solver(analysis_factor=-1.0)
+
+
+@pytest.mark.parametrize(
+    "make, parameter, value",
+    [
+        (lambda: SyncFreeSolver(machine=dgx1(4)), "n_gpus", 4),
+        (lambda: ThreadLevelSolver(machine=dgx1(2)), "n_gpus", 2),
+        (lambda: CusparseCsrsv2Solver(analysis_factor=0.0), "analysis_factor", 0.0),
+    ],
+    ids=["syncfree", "threadlevel", "cusparse"],
+)
+def test_constructor_rejects_bad_knob_with_typed_error(make, parameter, value):
+    with pytest.raises(ConfigurationError) as err:
+        make()
+    assert err.value.parameter == parameter
+    assert err.value.value == value
 
 
 def test_solvers_without_emulation_match(scattered_lower):
