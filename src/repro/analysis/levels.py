@@ -31,6 +31,8 @@ __all__ = [
     "compute_levels",
     "DispatchFronts",
     "compute_dispatch_fronts",
+    "FrontRouting",
+    "compute_front_routing",
 ]
 
 
@@ -198,11 +200,12 @@ class DispatchFronts:
 
     Front ``f`` is the component range ``[front_ptr[f], front_ptr[f+1])``:
     a maximal run of consecutive indices none of which depends on another
-    member of the run.  Fronts are the batching unit of the vectorised
-    fast-model scheduling pass: the hardware dispatches components in
-    ascending index order, and within a front every readiness, slot-pool,
-    and finish-time decision can be resolved with one array operation
-    because no member waits on another.
+    member of the run.  Fronts are the routing unit of the fast model's
+    scheduling pass (:class:`FrontRouting`): the hardware dispatches
+    components in ascending index order, and within a front every
+    readiness, slot-pool, and finish-time decision can be resolved with
+    one array operation because no member waits on another.  That pays
+    off only on wide fronts; runs of narrow ones go to a scalar loop.
 
     When the component numbering is level-major (each level set occupies
     a contiguous index range, e.g. ``dag_profile_matrix`` with
@@ -274,3 +277,117 @@ def compute_dispatch_fronts(dag: DependencyDag) -> DispatchFronts:
         bounds.append(e)
         s = e
     return DispatchFronts(front_ptr=np.asarray(bounds, dtype=np.int64))
+
+
+#: Fronts at least this wide are resolved with array operations by the
+#: fast model's scheduling pass; narrower ones run in its scalar loop.
+WIDE_FRONT = 32
+#: Runs of narrow fronts are cut into chunks of at most this many
+#: components.
+CHUNK = 128
+#: A chunk reduces its far in-edges (predecessor before the chunk start)
+#: in one array call when it has at least this many of them; below,
+#: the call costs more than the scalar loop over those edges saves.
+REDUCE_MIN_FAR = 128
+
+#: :attr:`FrontRouting.seg_mode` values.
+SEG_WIDE, SEG_REDUCE, SEG_SCALAR = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class FrontRouting:
+    """Segmentation of the dispatch order for the fast model's pass.
+
+    Segment ``s`` is the component range ``[seg_ptr[s], seg_ptr[s+1])``
+    and its :attr:`seg_mode` says how the pass resolves it:
+
+    * ``SEG_WIDE`` - one dispatch front of at least :data:`WIDE_FRONT`
+      components: readiness and slot pools in array operations;
+    * ``SEG_REDUCE`` - a chunk of at most :data:`CHUNK` components from
+      a run of narrow fronts whose far in-edges (predecessor before the
+      chunk start) are reduced in one array call; a scalar loop walks
+      the near in-edges and the slot pools;
+    * ``SEG_SCALAR`` - consecutive chunks with fewer than
+      :data:`REDUCE_MIN_FAR` far in-edges each: the scalar loop walks
+      every in-edge, so chunk bounds do not matter and they merge.
+
+    Everything depends on the structure only, so the bundle builds it
+    once per matrix.  ``red_off``/``red_comp`` list, per array-reduced
+    segment (range ``red_ptr[s]:red_ptr[s+1]``), each member with
+    in-edges: its first in-edge offset from the segment's first and its
+    offset from the segment start.  ``loop_pos[loop_ptr[i]:loop_ptr[i+1]]``
+    are the in-edge positions the scalar loop walks for component ``i``.
+    """
+
+    seg_ptr: np.ndarray
+    seg_mode: np.ndarray
+    red_ptr: np.ndarray
+    red_off: np.ndarray
+    red_comp: np.ndarray
+    loop_ptr: np.ndarray
+    loop_pos: np.ndarray
+
+    @property
+    def n_segments(self) -> int:
+        return int(len(self.seg_ptr) - 1)
+
+
+def compute_front_routing(
+    dag: DependencyDag, fronts: DispatchFronts
+) -> FrontRouting:
+    """Route wide fronts to array operations, cut narrow runs in chunks."""
+    n = dag.n
+    in_ptr, in_idx = dag.in_ptr, dag.in_idx
+    front_ptr = fronts.front_ptr
+    wide = np.diff(front_ptr) >= WIDE_FRONT
+    # Narrow runs: maximal sequences of narrow fronts, cut every CHUNK.
+    edge = np.diff(np.concatenate([[True], wide, [True]]).astype(np.int8))
+    run_s = front_ptr[:-1][edge[:-1] == -1]
+    run_e = front_ptr[1:][edge[1:] == 1]
+    n_chunks = -(-(run_e - run_s) // CHUNK)
+    first = np.cumsum(n_chunks) - n_chunks
+    chunk_s = np.repeat(run_s, n_chunks) + CHUNK * (
+        np.arange(int(n_chunks.sum())) - np.repeat(first, n_chunks)
+    )
+    starts = np.concatenate([front_ptr[:-1][wide], chunk_s])
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    is_chunk = order >= int(wide.sum())
+
+    in_counts = np.diff(in_ptr)
+    seg_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+    consumer_seg = np.repeat(seg_of, in_counts)
+    far = in_idx < starts[consumer_seg]
+    n_far = np.bincount(consumer_seg[far], minlength=len(starts))
+    mode = np.where(
+        is_chunk,
+        np.where(n_far >= REDUCE_MIN_FAR, SEG_REDUCE, SEG_SCALAR),
+        SEG_WIDE,
+    ).astype(np.int8)
+    scalar = mode == SEG_SCALAR
+    walked = is_chunk[consumer_seg] & (scalar[consumer_seg] | ~far)
+    reduced = ~scalar[seg_of] & (in_counts > 0)
+    keep = np.ones(len(starts), dtype=bool)
+    keep[1:] = ~(scalar[1:] & scalar[:-1])
+    seg_ptr = np.append(starts[keep], n).astype(np.int64)
+    seg_of = np.cumsum(keep)[seg_of] - 1
+
+    itype = np.int32 if max(n, len(in_idx)) < 2**31 else np.int64
+    loop_ptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(
+        np.bincount(np.repeat(np.arange(n), in_counts)[walked], minlength=n),
+        out=loop_ptr[1:],
+    )
+    red_of = np.flatnonzero(reduced)
+    red_seg = seg_of[red_of]
+    red_ptr = np.zeros(len(seg_ptr), dtype=itype)
+    np.cumsum(np.bincount(red_seg, minlength=len(seg_ptr) - 1), out=red_ptr[1:])
+    return FrontRouting(
+        seg_ptr=seg_ptr,
+        seg_mode=mode[keep],
+        red_ptr=red_ptr,
+        red_off=(in_ptr[red_of] - in_ptr[seg_ptr[red_seg]]).astype(itype),
+        red_comp=(red_of - seg_ptr[red_seg]).astype(itype),
+        loop_ptr=loop_ptr,
+        loop_pos=np.flatnonzero(walked).astype(itype),
+    )

@@ -1,7 +1,7 @@
-"""Fast-model scheduler microbenchmark: reference loop vs batched pass.
+"""Fast-model scheduler microbenchmark: reference loop vs routed pass.
 
 Times :func:`~repro.exec_model.timeline.simulate_execution` with the
-per-component reference loop against the front-batched vectorised pass
+per-component reference loop against the default front-routed pass
 on the Table I generator suite plus level-major scaling cases, verifying
 bit-identical :class:`~repro.exec_model.timeline.ExecutionReport` fields
 on every comparison.  Both the pytest bench
@@ -11,7 +11,8 @@ produce the same ``BENCH_fastmodel.json`` payload.
 
 Timer noise is detected per case (coefficient of variation across
 repeats); a noisy run reports its numbers but is not held to the
-speedup floor — identity, which is deterministic, is always enforced.
+speedup floor or the no-slower check — identity, which is
+deterministic, is always enforced.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
-from repro.exec_model.timeline import AUTO_WIDTH_THRESHOLD, simulate_execution
+from repro.exec_model.timeline import simulate_execution
 from repro.machine.node import dgx1
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import block_distribution
@@ -43,8 +44,8 @@ __all__ = [
     "run_sweep",
 ]
 
-#: Level-major scaling cases (scatter=0: wide dispatch fronts, the
-#: batched pass's target regime).  ``scale-100k`` is the acceptance
+#: Level-major scaling cases (scatter=0: wide dispatch fronts, resolved
+#: in array operations by the routed pass).  ``scale-100k`` is the acceptance
 #: configuration: n=100k, nnz ~ 1M.
 SCALING_CASES: dict[str, dict[str, Any]] = {
     "scale-50k": dict(
@@ -64,16 +65,17 @@ CI_SUITE_NAMES = ("chipcool0", "dc2", "powersim", "shipsec1")
 #: timer-noisy and exempt from the speedup floor.
 NOISE_CV = 0.2
 
-#: Minimum batched-over-reference speedup enforced for level-major
+#: Minimum routed-over-reference speedup enforced for level-major
 #: scaling cases of at least :data:`FLOOR_N` components.
 SPEEDUP_FLOOR = 3.0
 FLOOR_N = 50_000
 
-#: Committed per-call time of the batched pass on ``scale-100k``, in
+#: Committed per-call time of the wide-front pass on ``scale-100k``, in
 #: seconds: the slower of the two sweeps recorded in EXPERIMENTS.md
 #: ("Fast model on lists"; 41.0 and 51.7 ms, shared 2-core x86 host).
+#: The routed pass resolves that case's fronts the same way.
 BATCHED_100K_S = 0.0517
-#: The scale-100k gate holds the batched pass to this multiple of its
+#: The scale-100k gate holds the routed pass to this multiple of its
 #: committed time.  It replaces a batched-over-reference ratio that
 #: fell whenever the reference loop got faster; 2x keeps the headroom
 #: the ratio gate left against the old loop (565.5 ms / 5 = 113 ms,
@@ -114,46 +116,46 @@ def measure_case(
     dist = block_distribution(n, n_gpus)
     art = get_artefacts(low)
     _ = art.edges
-    _ = art.fronts
+    _ = art.routing
     art.placement(dist)
     art.comm_costs(machine, design)
 
-    def timed(scheduler: str):
-        times = []
-        report = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            report = simulate_execution(
-                low, dist, machine, design, scheduler=scheduler
-            )
-            times.append(time.perf_counter() - t0)
-        return report, times
+    def timed(scheduler: str, times: list[float]):
+        t0 = time.perf_counter()
+        report = simulate_execution(
+            low, dist, machine, design, scheduler=scheduler
+        )
+        times.append(time.perf_counter() - t0)
+        return report
 
-    ref_report, ref_times = timed("reference")
-    bat_report, bat_times = timed("batched")
+    # The two passes alternate, so a burst of host load hits both sides.
+    ref_times: list[float] = []
+    rtd_times: list[float] = []
+    for _ in range(repeats):
+        ref_report = timed("reference", ref_times)
+        rtd_report = timed("routed", rtd_times)
     t_ref = min(ref_times)
-    t_bat = min(bat_times)
-    cv = (
-        statistics.stdev(ref_times) / statistics.mean(ref_times)
-        if repeats > 1
-        else 0.0
-    )
-    width = art.fronts.mean_width
+    t_rtd = min(rtd_times)
+
+    def cv(times):
+        if repeats < 2:
+            return 0.0
+        return statistics.stdev(times) / statistics.mean(times)
+
     return {
         "name": name,
         "n": int(n),
         "nnz": int(low.nnz),
         "n_fronts": art.fronts.n_fronts,
-        "mean_front_width": round(width, 2),
-        "auto_scheduler": (
-            "batched" if width >= AUTO_WIDTH_THRESHOLD else "reference"
-        ),
+        "mean_front_width": round(art.fronts.mean_width, 2),
+        "n_segments": art.routing.n_segments,
         "t_reference": t_ref,
-        "t_batched": t_bat,
-        "speedup": t_ref / t_bat if t_bat > 0 else float("inf"),
-        "identical": _reports_identical(ref_report, bat_report),
-        "cv_reference": cv,
-        "noisy": cv > NOISE_CV,
+        "t_routed": t_rtd,
+        "speedup": t_ref / t_rtd if t_rtd > 0 else float("inf"),
+        "identical": _reports_identical(ref_report, rtd_report),
+        "cv_reference": cv(ref_times),
+        "cv_routed": cv(rtd_times),
+        "noisy": cv(ref_times) > NOISE_CV,
         "enforce_floor": bool(enforce_floor and n >= FLOOR_N),
     }
 
@@ -165,9 +167,9 @@ def run_sweep(
 ) -> dict[str, Any]:
     """Run the full sweep; returns the ``BENCH_fastmodel.json`` payload.
 
-    ``pass`` is False only when a deterministic property fails: a report
-    mismatch anywhere, or a *clean* (non-noisy) scaling case below the
-    speedup floor.
+    ``pass`` is False when a report mismatches anywhere, a *clean*
+    (non-noisy) scaling case is below the speedup floor, or a clean
+    Table I case runs the routed pass slower than the reference loop.
     """
     cases = []
     suite_names = CI_SUITE_NAMES if ci else tuple(SUITE)
@@ -192,6 +194,14 @@ def run_sweep(
         if not c["noisy"] and c["speedup"] < SPEEDUP_FLOOR
     ]
     noisy = any(c["noisy"] for c in enforced)
+    slower = [
+        c["name"]
+        for c in cases
+        if c["name"] in SUITE
+        and not c["noisy"]
+        and c["cv_routed"] <= NOISE_CV
+        and c["speedup"] < 1.0
+    ]
     return {
         "bench": "fastmodel_scheduler",
         "ci": ci,
@@ -203,5 +213,6 @@ def run_sweep(
         "all_identical": all_identical,
         "noisy": noisy,
         "floor_misses": floor_misses,
-        "pass": all_identical and not floor_misses,
+        "slower_than_reference": slower,
+        "pass": all_identical and not floor_misses and not slower,
     }

@@ -10,10 +10,10 @@ re-derive them on purpose) takes its DAG, level sets and default cost
 tables from here, never from ``build_dag``/``compute_levels`` directly.
 
 * :class:`AnalysisArtefacts` bundles everything derivable from one
-  matrix structure — dependency DAG, level sets, dispatch fronts, edge
-  arrays — plus small keyed sub-caches for placement-dependent edge
-  classifications and per-``(machine, design)`` communication cost
-  tables;
+  matrix structure — dependency DAG, level sets, dispatch fronts and
+  their scheduling-pass routing, edge arrays — plus small keyed
+  sub-caches for placement-dependent edge classifications and
+  per-``(machine, design)`` communication cost tables;
 * :func:`get_artefacts` is the process-wide lookup, weakly keyed by the
   matrix object so bundles die with their matrices;
 * :func:`spill_artefacts` / :func:`load_artefacts` move a materialised
@@ -40,8 +40,10 @@ import numpy as np
 from repro.analysis.dag import DependencyDag, build_dag
 from repro.analysis.levels import (
     DispatchFronts,
+    FrontRouting,
     LevelSets,
     compute_dispatch_fronts,
+    compute_front_routing,
     compute_levels,
 )
 from repro.exec_model.costmodel import CommCosts, Design, build_comm_costs
@@ -85,7 +87,7 @@ class PlacementArtefacts:
     in_pair: np.ndarray  # same for in-edges (notify lookup)
     nnz_per_gpu: np.ndarray
     pos_by_gpu: tuple[np.ndarray, ...]  # sorted component ids per GPU
-    front_cuts: tuple[np.ndarray, ...]  # per GPU: front_ptr positions
+    seg_cuts: tuple[np.ndarray, ...]  # per GPU: routing seg_ptr positions
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,7 @@ class AnalysisArtefacts:
         self.dag = dag
         self._levels: LevelSets | None = None
         self._fronts: DispatchFronts | None = None
+        self._routing: FrontRouting | None = None
         self._edges: dict[str, np.ndarray] | None = None
         self._placements: dict[tuple, PlacementArtefacts] = {}
         self._costs: dict[tuple, tuple[MachineConfig, CommCosts]] = {}
@@ -162,6 +165,14 @@ class AnalysisArtefacts:
             self._fronts = compute_dispatch_fronts(self.dag)
             self.build_counts["fronts"] = self.build_counts.get("fronts", 0) + 1
         return self._fronts
+
+    @property
+    def routing(self) -> FrontRouting:
+        """Segmentation of the dispatch order for the fast model's pass."""
+        if self._routing is None:
+            self._routing = compute_front_routing(self.dag, self.fronts)
+            self.build_counts["routing"] = self.build_counts.get("routing", 0) + 1
+        return self._routing
 
     @property
     def edges(self) -> dict[str, np.ndarray]:
@@ -204,13 +215,11 @@ class AnalysisArtefacts:
         in_dst_g = gpu_of[edges["in_dst"]]
         has_remote_pred = np.zeros(self.n, dtype=bool)
         has_remote_pred[edges["in_dst"][in_src_g != in_dst_g]] = True
-        front_ptr = self.fronts.front_ptr
+        seg_ptr = self.routing.seg_ptr
         pos_by_gpu = tuple(
             np.nonzero(gpu_of == g)[0] for g in range(n_gpus)
         )
-        front_cuts = tuple(
-            np.searchsorted(pos, front_ptr) for pos in pos_by_gpu
-        )
+        seg_cuts = tuple(np.searchsorted(pos, seg_ptr) for pos in pos_by_gpu)
         place = PlacementArtefacts(
             gpu_of=gpu_of,
             src_g=src_g,
@@ -224,7 +233,7 @@ class AnalysisArtefacts:
                 gpu_of, weights=self.col_nnz.astype(np.float64), minlength=n_gpus
             ),
             pos_by_gpu=pos_by_gpu,
-            front_cuts=front_cuts,
+            seg_cuts=seg_cuts,
         )
         if len(self._placements) >= _SUBCACHE_CAP:
             self._placements.pop(next(iter(self._placements)))
@@ -290,6 +299,9 @@ class AnalysisArtefacts:
     ) -> CommCosts:
         """Per-``(machine, design)`` cost table (cached by machine identity)."""
         design = Design(design)
+        if design in (Design.UNIFIED, Design.SHMEM_NAIVE):
+            # Their tables read neither ablation knob: one entry serves all.
+            warp_reduce = shortcircuit = True
         key = (id(machine), design, warp_reduce, shortcircuit)
         cached = self._costs.get(key)
         if cached is not None and cached[0] is machine:
@@ -337,11 +349,11 @@ def _register(lower: CscMatrix, bundle: AnalysisArtefacts) -> None:
 def spill_artefacts(lower: CscMatrix, path: str | Path) -> Path:
     """Materialise and pickle one matrix's artefact bundle to ``path``.
 
-    The DAG, level sets, dispatch fronts, and edge arrays are forced
-    before the dump so the loading side inherits them fully built.  The
-    keyed sub-caches are deliberately *not* spilled: placements are
-    cheap to re-derive and cost tables are keyed by machine object
-    identity, which is meaningless in another process.
+    The DAG, level sets, dispatch fronts and their routing, and edge
+    arrays are forced before the dump so the loading side inherits them
+    fully built.  The keyed sub-caches are deliberately *not* spilled:
+    placements are cheap to re-derive and cost tables are keyed by
+    machine object identity, which is meaningless in another process.
     """
     path = Path(path)
     art = get_artefacts(lower)
@@ -350,6 +362,7 @@ def spill_artefacts(lower: CscMatrix, path: str | Path) -> Path:
         "dag": art.dag,
         "levels": art.levels,
         "fronts": art.fronts,
+        "routing": art.routing,
         "edges": art.edges,
     }
     with path.open("wb") as fh:
@@ -463,6 +476,7 @@ def load_artefacts(path: str | Path) -> tuple[CscMatrix, AnalysisArtefacts]:
     bundle = AnalysisArtefacts(lower, dag=payload["dag"])
     bundle._levels = payload["levels"]
     bundle._fronts = payload["fronts"]
+    bundle._routing = payload["routing"]
     bundle._edges = payload["edges"]
     _register(lower, bundle)
     return lower, bundle

@@ -31,55 +31,48 @@ Two interchangeable scheduling passes implement the list scheduling:
   at a time on plain Python lists and floats, with each GPU's warp-slot
   pool inlined as a ``heapq`` list (the
   :class:`~repro.machine.gpu.WarpScheduler` rule) — O(n log W + nnz)
-  with n Python iterations and, on the flat pool, no numpy call per
-  component;
-* the **batched pass** (``scheduler="batched"``) walks
-  :class:`~repro.analysis.levels.DispatchFronts` — maximal
-  index-contiguous antichains — resolving each front's readiness,
-  slot-pool pops, and finish times with array operations via
-  :class:`~repro.machine.gpu.BatchWarpPool`.  It produces bit-identical
-  :class:`ExecutionReport` fields while running the Python-level loop
-  once per front instead of once per component.
+  with n Python iterations and no numpy call per component.  It is the
+  oracle, the only ``sm_granularity`` path, and the bench baseline;
+* the **front-routed pass** (``scheduler="routed"``, the default) walks
+  the segments of :class:`~repro.analysis.levels.FrontRouting`, built
+  once per matrix from the dispatch fronts (maximal index-contiguous
+  antichains).  Each wide front is resolved with array operations —
+  a segment max over its in-edges, then
+  :class:`~repro.machine.gpu.BatchWarpPool` pops and finish times per
+  GPU — and the pools stay sorted arrays across consecutive wide
+  fronts.  Runs of narrow fronts are cut into chunks; a chunk with
+  enough "far" in-edges (predecessor before the chunk start) reduces
+  them in one ``np.maximum.reduceat``, and a scalar loop walks the
+  remaining in-edges and the slot heaps.  On low-degree graphs the
+  reduce would cost what it saves, so there the loop walks every
+  in-edge.  The routing is a per-matrix structure decision, not a
+  global width threshold, and the report is bit-identical to the
+  reference loop's.
 
-The default (``scheduler="auto"``) picks the batched pass whenever the
-mean front width clears :data:`AUTO_WIDTH_THRESHOLD`; for heavily
-scattered component numberings the schedule computation itself has a
-dependency chain as long as the component count (dependency edges plus
-per-GPU pool order), so no exact batching can win there and the
-reference loop is kept.
-
-Structure products (DAG, level sets, fronts, edge arrays, cost tables)
-come from the shared :mod:`~repro.exec_model.artefacts` cache, so
+Structure products (DAG, level sets, fronts and their routing, edge
+arrays, cost tables) come from the shared :mod:`~repro.exec_model.artefacts` cache, so
 sweeping designs and machines over one matrix pays the analysis once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
-from repro.analysis.levels import DispatchFronts, LevelSets
+from repro.analysis.levels import SEG_SCALAR, SEG_WIDE, FrontRouting, LevelSets
 from repro.errors import ConfigurationError, SolverError
 from repro.exec_model.artefacts import PlacementArtefacts, get_artefacts
 from repro.exec_model.costmodel import CommCosts, Design
 from repro.machine.gpu import BatchWarpPool
 from repro.machine.node import MachineConfig
 from repro.machine.specs import GpuSpec
+from repro.sparse.coo import run_heads
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import Distribution
 
 __all__ = ["ExecutionReport", "simulate_execution", "analysis_phase_time"]
-
-#: ``scheduler="auto"`` uses the batched pass when the mean dispatch-front
-#: width reaches this value, the measured crossover against the
-#: list-based reference loop (dag_profile systems with 6 nnz/row: at
-#: n = 20k the loop wins at width 10.5, 43-48 vs 47-72 ms, and ties at
-#: 15.6; at n = 50k it ties at 14.6 and loses at 41, 86-99 vs 43-63 ms).
-#: Above the crossover the batched pass wins roughly linearly with width.
-AUTO_WIDTH_THRESHOLD = 15.0
-
 
 @dataclass(frozen=True)
 class ExecutionReport:
@@ -220,16 +213,21 @@ def _unified_fault_model(
             migrated_bytes=0.0,
         )
 
+    # np.bincount adds its weights in input order starting from 0.0, the
+    # same sums np.add.at would give.
     gg = acc_group * n_gpus + acc_gpu
-    uniq_gg, gg_inv = np.unique(gg, return_inverse=True)
-    cnt_gg = np.zeros(len(uniq_gg))
-    np.add.at(cnt_gg, gg_inv, acc_weight)
-    grp_of_gg = uniq_gg // n_gpus
-    uniq_grp, grp_inv = np.unique(grp_of_gg, return_inverse=True)
-    tot = np.zeros(len(uniq_grp))
-    np.add.at(tot, grp_inv, cnt_gg)
-    sumsq = np.zeros(len(uniq_grp))
-    np.add.at(sumsq, grp_inv, cnt_gg**2)
+    order = np.argsort(gg)
+    head = run_heads(gg[order])
+    uniq_gg = gg[order][head]
+    gg_inv = np.empty(len(gg), dtype=np.int64)
+    gg_inv[order] = np.cumsum(head) - 1
+    cnt_gg = np.bincount(gg_inv, weights=acc_weight, minlength=len(uniq_gg))
+    grp_of_gg = uniq_gg // n_gpus  # sorted, as uniq_gg is
+    head = run_heads(grp_of_gg)
+    uniq_grp = grp_of_gg[head]
+    grp_inv = np.cumsum(head) - 1
+    tot = np.bincount(grp_inv, weights=cnt_gg, minlength=len(uniq_grp))
+    sumsq = np.bincount(grp_inv, weights=cnt_gg**2, minlength=len(uniq_grp))
     mixing_raw = 1.0 - sumsq / (tot * tot)
     mixing = mixing_raw * um.fault_batching
     faults_per_grp = tot * mixing
@@ -250,8 +248,9 @@ def _unified_fault_model(
     # Page-serialisation bound: each page services its faults serially.
     fault_eff = um.fault_cost * (1.0 + um.thrash_coupling * (n_gpus - 1))
     page_of_grp = uniq_grp % n_pages
-    page_time = np.zeros(n_pages)
-    np.add.at(page_time, page_of_grp, faults_per_grp * fault_eff)
+    page_time = np.bincount(
+        page_of_grp, weights=faults_per_grp * fault_eff, minlength=n_pages
+    )
 
     total_faults = 2.0 * float(faults_per_grp.sum())  # twin s-arrays
     # Attribute each group's faults to GPUs proportionally to their share
@@ -368,11 +367,11 @@ def _schedule_reference(
     )
 
 
-def _schedule_batched(
+def _schedule_routed(
     gpu_spec: GpuSpec,
     n_gpus: int,
     place: PlacementArtefacts,
-    fronts: DispatchFronts,
+    routing: FrontRouting,
     comp_not_before: np.ndarray,
     in_ptr: np.ndarray,
     in_idx: np.ndarray,
@@ -384,67 +383,134 @@ def _schedule_batched(
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     np.ndarray,
 ]:
-    """Front-batched vectorised scheduling pass.
+    """Front-routed scheduling pass (the default).
 
-    Walks the dispatch fronts (maximal index-contiguous antichains) and
-    resolves each front with array operations: a segment-max over the
-    front's in-edges for readiness, then one
+    Walks the segments of :class:`~repro.analysis.levels.FrontRouting`
+    in dispatch order.  A wide front is resolved with array operations:
+    a segment max over its in-edges for readiness, then one
     :meth:`~repro.machine.gpu.BatchWarpPool.dispatch_batch` per GPU with
-    members present in the front.  Every intermediate float operation
-    replays the reference loop's exact sequence of IEEE operations, so
-    the returned arrays are bit-identical to :func:`_schedule_reference`.
+    members in it.  A chunk of narrow fronts first reduces its far
+    in-edges in one array call (when it has enough of them), then runs
+    the reference loop's per-component steps over the remaining in-edges
+    and the slot heaps.  Each GPU's pool stays a sorted array across
+    consecutive wide fronts and becomes a heap list at a chunk.
+
+    Every float operation replays the reference loop's, and a max over
+    finite non-negative values does not depend on order, so the
+    returned arrays are bit-identical to :func:`_schedule_reference`.
     """
     n = len(place.gpu_of)
     comm = gather_cost + update_cost
-    finish = np.zeros(n)
-    dispatch_t = np.zeros(n)
-    ready_t = np.zeros(n)
-    pools = [BatchWarpPool(gpu_spec) for _ in range(n_gpus)]
-    front_ptr = fronts.front_ptr
-    pos_by_gpu = place.pos_by_gpu
-    front_cuts = place.front_cuts
-    for f in range(fronts.n_fronts):
-        s = int(front_ptr[f])
-        e = int(front_ptr[f + 1])
-        lo0 = int(in_ptr[s])
-        hi0 = int(in_ptr[e])
-        if hi0 > lo0:
-            # Segment max of finish[pred] + notify over each member's
-            # in-edge run.  reduceat is fed only the non-empty segment
-            # starts: consecutive non-empty offsets then span exactly one
-            # segment each (the empty segments between them contribute no
-            # elements), sidestepping reduceat's empty-slice pitfall.
-            vals = finish[in_idx[lo0:hi0]] + in_notify[lo0:hi0]
-            seg = in_ptr[s:e] - lo0
-            nonempty = in_ptr[s + 1 : e + 1] > in_ptr[s:e]
+    warp_slots = gpu_spec.warp_slots
+    t_warp = gpu_spec.t_warp_dispatch
+    # Not-yet-scheduled entries stay -inf, so a chunk's array reduce over
+    # all its in-edges yields the max over the far ones alone.
+    finish = np.full(n, -np.inf)
+    dispatch_t = np.empty(n)
+    ready_t = np.empty(n)
+    modes = routing.seg_mode.tolist()
+    seg_ptr = routing.seg_ptr.tolist()
+    red_ptr = routing.red_ptr.tolist()
+    red_off, red_comp = routing.red_off, routing.red_comp
+    pos_by_gpu, seg_cuts = place.pos_by_gpu, place.seg_cuts
+    if any(mode != SEG_WIDE for mode in modes):
+        gpu_l = place.gpu_of.tolist()
+        not_before = comp_not_before.tolist()
+        comm_l = comm.tolist()
+        work = solve.tolist()
+        loop_ptr = routing.loop_ptr.tolist()
+        loop_src = in_idx[routing.loop_pos].tolist()
+        loop_notify = in_notify[routing.loop_pos].tolist()
+        fin_l = [0.0] * n
+    heaps = [[-np.inf] * warp_slots for _ in range(n_gpus)]
+    pools: list = [None] * n_gpus
+    # finish (array) and fin_l (list) each hold the finish times below
+    # their mark; the other form is brought up to date before use.
+    arr_upto = list_upto = 0
+    for seg, mode in enumerate(modes):
+        s, e = seg_ptr[seg], seg_ptr[seg + 1]
+        if mode != SEG_SCALAR:
+            if arr_upto < s:
+                finish[arr_upto:s] = fin_l[arr_upto:s]
+            arr_upto = s
+            r0, r1 = red_ptr[seg], red_ptr[seg + 1]
             ready = np.zeros(e - s)
-            ready[nonempty] = np.maximum.reduceat(vals, seg[nonempty])
+            if r1 > r0:
+                lo, hi = int(in_ptr[s]), int(in_ptr[e])
+                # reduceat is fed only the starts of non-empty segments:
+                # consecutive starts then span exactly one segment each.
+                vals = finish[in_idx[lo:hi]] + in_notify[lo:hi]
+                far = np.maximum.reduceat(vals, red_off[r0:r1])
+                ready[red_comp[r0:r1]] = np.maximum(far, 0.0)
+        if mode == SEG_WIDE:
+            for g in range(n_gpus):
+                a, b = seg_cuts[g][seg], seg_cuts[g][seg + 1]
+                if b <= a:
+                    continue
+                pool = pools[g]
+                if pool is None:
+                    pool = pools[g] = BatchWarpPool(gpu_spec, heaps[g])
+                mem = pos_by_gpu[g][a:b]
+                dsp, fin = pool.dispatch_batch(
+                    comp_not_before[mem], ready[mem - s], comm[mem], solve[mem]
+                )
+                dispatch_t[mem] = dsp
+                finish[mem] = fin
             ready_t[s:e] = ready
+            arr_upto = e
+            continue
         for g in range(n_gpus):
-            a, b = front_cuts[g][f], front_cuts[g][f + 1]
-            if b <= a:
-                continue
-            mem = pos_by_gpu[g][a:b]
-            dsp, fin = pools[g].dispatch_batch(
-                comp_not_before[mem], ready_t[mem], comm[mem], solve[mem]
-            )
-            dispatch_t[mem] = dsp
-            finish[mem] = fin
+            if pools[g] is not None:
+                heaps[g] = pools[g].heap()
+                pools[g] = None
+        if list_upto < s:
+            fin_l[list_upto:s] = finish[list_upto:s].tolist()
+        list_upto = e
+        disp_l: list[float] = []
+        ready_l: list[float] = []
+        push_disp, push_ready = disp_l.append, ready_l.append
+        lo = loop_ptr[s]
+        for i, rd, g, nb, c, w, hi in zip(
+            range(s, e),
+            [0.0] * (e - s) if mode == SEG_SCALAR else ready.tolist(),
+            gpu_l[s:e],
+            not_before[s:e],
+            comm_l[s:e],
+            work[s:e],
+            loop_ptr[s + 1 : e + 1],
+        ):
+            # A while loop beats building a range for the one or two
+            # in-edges most components have here.
+            while lo < hi:
+                r = fin_l[loop_src[lo]] + loop_notify[lo]
+                if r > rd:
+                    rd = r
+                lo += 1
+            # A free slot holds -inf, so it never delays the dispatch.
+            heap = heaps[g]
+            free = heap[0]
+            dsp = (free if free > nb else nb) + t_warp
+            fin = (dsp if rd <= dsp else rd) + c + w
+            heapreplace(heap, fin)
+            fin_l[i] = fin
+            push_disp(dsp)
+            push_ready(rd)
+        dispatch_t[s:e] = disp_l
+        ready_t[s:e] = ready_l
+    if arr_upto < n:
+        finish[arr_upto:] = fin_l[arr_upto:]
     spin = np.maximum(ready_t - dispatch_t, 0.0)
-    gpu_busy = np.zeros(n_gpus)
-    gpu_spin = np.zeros(n_gpus)
-    gpu_comm = np.zeros(n_gpus)
-    for g in range(n_gpus):
-        pos = pos_by_gpu[g]
-        if len(pos):
-            # ufunc.accumulate is strictly sequential, replaying the
-            # reference loop's per-GPU addition order bit for bit
-            # (np.sum's pairwise reduction would not).
-            gpu_busy[g] = np.add.accumulate(solve[pos])[-1]
-            gpu_spin[g] = np.add.accumulate(spin[pos])[-1]
-            gpu_comm[g] = np.add.accumulate(comm[pos])[-1]
-    gpu_finish = np.array([p.counters.last_finish for p in pools])
-    return finish, dispatch_t, ready_t, gpu_busy, gpu_spin, gpu_comm, gpu_finish
+    gpu_finish = np.zeros(n_gpus)
+    np.maximum.at(gpu_finish, place.gpu_of, finish)
+    return (
+        finish,
+        dispatch_t,
+        ready_t,
+        np.bincount(place.gpu_of, weights=solve, minlength=n_gpus),
+        np.bincount(place.gpu_of, weights=spin, minlength=n_gpus),
+        np.bincount(place.gpu_of, weights=comm, minlength=n_gpus),
+        gpu_finish,
+    )
 
 
 def simulate_execution(
@@ -454,7 +520,7 @@ def simulate_execution(
     design: Design | str = Design.SHMEM_READONLY,
     *,
     costs: CommCosts | None = None,
-    scheduler: str = "auto",
+    scheduler: str = "routed",
     sm_granularity: bool = False,
     schedule_out: dict | None = None,
 ) -> ExecutionReport:
@@ -480,14 +546,11 @@ def simulate_execution(
         (:func:`~repro.exec_model.artefacts.get_artefacts`), so repeated
         calls on the same matrix skip the structure analysis.
     scheduler:
-        ``"batched"`` forces the front-batched vectorised pass,
-        ``"reference"`` the original per-component loop, and ``"auto"``
-        (default) picks by mean dispatch-front width
-        (:data:`AUTO_WIDTH_THRESHOLD`) — heavily scattered numberings
-        have a schedule-computation dependency chain as long as the
-        component count, where batching cannot win.  All choices produce
-        bit-identical reports; ``sm_granularity`` always uses the
-        reference loop (the per-SM pool has no batch formulation).
+        ``"routed"`` (default) runs the front-routed pass, and
+        ``"reference"`` the per-component loop it is checked against.
+        Both produce bit-identical reports and schedules;
+        ``sm_granularity`` always uses the reference loop (the per-SM
+        pool has no batch formulation).
     sm_granularity:
         Schedule warps through per-SM slot pools with block placement
         (:class:`repro.machine.sm.SmWarpScheduler`) instead of the flat
@@ -514,13 +577,13 @@ def simulate_execution(
             f"distribution targets {dist.n_gpus} GPUs, machine has "
             f"{machine.n_gpus}"
         )
-    if scheduler not in ("auto", "batched", "reference"):
+    if scheduler not in ("routed", "reference"):
         raise ConfigurationError(
-            f"unknown scheduler {scheduler!r}; valid choices: auto, "
-            "batched, reference",
+            f"unknown scheduler {scheduler!r}; valid choices: routed, "
+            "reference",
             parameter="scheduler",
             value=scheduler,
-            choices=("auto", "batched", "reference"),
+            choices=("routed", "reference"),
         )
     artefacts = get_artefacts(lower)
     dag = artefacts.dag
@@ -634,12 +697,6 @@ def simulate_execution(
 
     # ---------------- the ascending list-scheduling pass ------------------
     in_ptr, in_idx = dag.in_ptr, dag.in_idx
-    if scheduler == "auto":
-        scheduler = (
-            "batched"
-            if artefacts.fronts.mean_width >= AUTO_WIDTH_THRESHOLD
-            else "reference"
-        )
     if sm_granularity or scheduler == "reference":
         finish, disp, ready, gpu_busy, gpu_spin, gpu_comm, gpu_finish = (
             _schedule_reference(
@@ -650,8 +707,8 @@ def simulate_execution(
         )
     else:
         finish, disp, ready, gpu_busy, gpu_spin, gpu_comm, gpu_finish = (
-            _schedule_batched(
-                gpu_spec, n_gpus, place, artefacts.fronts, comp_not_before,
+            _schedule_routed(
+                gpu_spec, n_gpus, place, artefacts.routing, comp_not_before,
                 in_ptr, in_idx, in_notify, gather_cost, update_cost, solve,
             )
         )

@@ -8,8 +8,8 @@ waiting time eats hardware and why workload imbalance hurts (Section V).
 
 :class:`WarpScheduler` implements dispatch-in-order list scheduling over
 the slot pool; the thread-level solver drives it directly.  The fast
-timing model runs the same rule inlined in its list loop, or batched by
-:class:`BatchWarpPool`.
+timing model runs the same rule inlined in its list loops, and batched
+by :class:`BatchWarpPool` on wide dispatch fronts.
 """
 
 from __future__ import annotations
@@ -89,11 +89,23 @@ class BatchWarpPool:
     ever hit.
     """
 
-    def __init__(self, spec: GpuSpec):
+    def __init__(self, spec: GpuSpec, heap: list[float] | None = None):
         self.spec = spec
-        self._free = np.empty(0, dtype=np.float64)  # sorted slot free times
+        # Sorted slot free times.  ``heap`` hands over a slot heap's
+        # contents in any order (only the multiset matters); -inf entries
+        # mark free slots and are dropped.
+        free = np.sort(np.array(heap if heap else (), dtype=np.float64))
+        self._free = free[np.searchsorted(free, -np.inf, side="right") :]
         self.counters = GpuCounters()
         self.fallbacks = 0  # batches resolved by the reference heap path
+
+    def heap(self) -> list[float]:
+        """The pool as a full ``heapq`` list, -inf for each free slot.
+
+        A sorted list is a valid heap, so no ``heapify`` is needed.
+        """
+        n_free = self.spec.warp_slots - len(self._free)
+        return [-np.inf] * n_free + self._free.tolist()
 
     @property
     def resident(self) -> int:

@@ -162,9 +162,15 @@ class CooMatrix:
             out._canonical = True
             return out
         keys = self.row * self.shape[1] + self.col
-        order = np.argsort(keys, kind="stable")
+        # Distinct keys have one sorted order, so any sort will do; with
+        # duplicates the stable order fixes reduceat's summation order.
+        order = np.argsort(keys)
+        head = run_heads(keys[order])
+        if not head.all():
+            order = np.argsort(keys, kind="stable")
+            head = run_heads(keys[order])
         keys = keys[order]
-        first = np.flatnonzero(run_heads(keys))
+        first = np.flatnonzero(head)
         uniq = keys[first]
         data = np.add.reduceat(self.data[order], first)
         out = CooMatrix(uniq // self.shape[1], uniq % self.shape[1], data, self.shape)

@@ -537,7 +537,7 @@ def check_timeline_schedule(
     machine: MachineConfig,
     design: Design | str = Design.SHMEM_READONLY,
     *,
-    scheduler: str = "auto",
+    scheduler: str = "routed",
 ) -> CausalityReport:
     """Price an execution, capture its schedule, and audit it.
 

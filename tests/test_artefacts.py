@@ -32,11 +32,25 @@ def test_sweep_builds_structure_once():
     assert art.build_counts["dag"] <= 1
     assert art.build_counts["levels"] == 1  # unified fault model only
     assert art.build_counts["fronts"] == 1
+    assert art.build_counts["routing"] == 1
     assert art.build_counts["edges"] == 1
     # One placement (same gpu_of content on both machines), one cost
     # table per (machine, design) pair.
     assert art.build_counts["placements"] == 1
     assert art.build_counts["costs"] == 2 * len(Design)
+
+
+def test_naive_cost_table_shared_across_ablation_knobs():
+    """The naive table reads neither knob, so one entry serves both."""
+    from repro.solvers.nvshmem import NaiveShmemSolver
+
+    low = random_lower(150, 3.0, seed=4)
+    machine = dgx1(n_gpus=2)
+    solver = NaiveShmemSolver(machine=machine, emulate=False)
+    solver.solve(low, np.ones(150))
+    dist = block_distribution(150, 2)
+    simulate_execution(low, dist, machine, Design.SHMEM_NAIVE)
+    assert get_artefacts(low).build_counts["costs"] == 1
 
 
 def test_placement_cache_keyed_by_content():

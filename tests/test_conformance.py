@@ -232,7 +232,7 @@ def test_des_solver_run_is_causal(causality_matrix):
     assert rep.ok, rep.summary()
 
 
-@pytest.mark.parametrize("scheduler", ["batched", "reference"])
+@pytest.mark.parametrize("scheduler", ["routed", "reference"])
 @pytest.mark.parametrize("design", list(Design))
 def test_timeline_schedules_are_causal(causality_matrix, design, scheduler):
     low = causality_matrix

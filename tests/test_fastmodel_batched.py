@@ -1,10 +1,11 @@
-"""Bit-exact equivalence of the batched scheduler with the reference loop.
+"""Bit-exact equivalence of the front-routed scheduler with the reference loop.
 
-The vectorised front-batched pass is only admissible because it replays
-the reference per-component loop's exact IEEE operation sequence; these
+The front-routed pass (wide fronts in array operations, narrow runs in
+chunks of a scalar loop) is only admissible because it replays the
+reference per-component loop's exact IEEE operation sequence; these
 tests pin that property across matrix shapes, designs, machine sizes,
 and distributions, plus the structural invariants of the dispatch-front
-decomposition and the batch slot pool it rests on.
+decomposition, its routing, and the batch slot pool they rest on.
 """
 
 import dataclasses
@@ -16,8 +17,21 @@ import numpy as np
 import pytest
 
 from repro.analysis.dag import build_dag
-from repro.analysis.levels import compute_dispatch_fronts, compute_levels
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.levels import (
+    CHUNK,
+    SEG_REDUCE,
+    SEG_SCALAR,
+    SEG_WIDE,
+    WIDE_FRONT,
+    compute_dispatch_fronts,
+    compute_front_routing,
+    compute_levels,
+)
 from repro.exec_model import Design, simulate_execution
+from repro.exec_model.artefacts import get_artefacts
 from repro.machine.gpu import BatchWarpPool, WarpScheduler
 from repro.machine.node import dgx1, dgx2
 from repro.machine.specs import V100
@@ -75,16 +89,14 @@ def test_batched_matches_reference_bitwise(design):
             ref = simulate_execution(
                 low, dist, machine, design, scheduler="reference"
             )
-            bat = simulate_execution(
-                low, dist, machine, design, scheduler="batched"
-            )
-            assert_reports_identical(ref, bat)
+            rtd = simulate_execution(low, dist, machine, design)
+            assert_reports_identical(ref, rtd)
 
 
 def test_batched_finish_times_identical():
     """Per-component finish times match, not just the aggregates."""
     from repro.exec_model.artefacts import get_artefacts
-    from repro.exec_model.timeline import _schedule_batched, _schedule_reference
+    from repro.exec_model.timeline import _schedule_reference, _schedule_routed
 
     low = dag_profile_matrix(300, 15, 3.0, "uniform", 0.5, 0.3, 0.6, seed=5)
     n = low.shape[0]
@@ -103,11 +115,11 @@ def test_batched_finish_times_identical():
         machine.gpu, 4, dist.gpu_of, nb, dag.in_ptr, dag.in_idx,
         in_notify, gather, update, solve,
     )
-    bat = _schedule_batched(
-        machine.gpu, 4, place, art.fronts, nb, dag.in_ptr, dag.in_idx,
+    rtd = _schedule_routed(
+        machine.gpu, 4, place, art.routing, nb, dag.in_ptr, dag.in_idx,
         in_notify, gather, update, solve,
     )
-    for a, b in zip(ref, bat):
+    for a, b in zip(ref, rtd):
         np.testing.assert_array_equal(a, b)
 
 
@@ -115,26 +127,136 @@ def test_sm_granularity_ignores_scheduler_choice():
     low = random_lower(120, 3.0, seed=2)
     machine = dgx1(n_gpus=2)
     dist = block_distribution(120, 2)
-    a = simulate_execution(
-        low, dist, machine, sm_granularity=True, scheduler="batched"
-    )
+    a = simulate_execution(low, dist, machine, sm_granularity=True)
     b = simulate_execution(
         low, dist, machine, sm_granularity=True, scheduler="reference"
     )
     assert_reports_identical(a, b)
 
 
-def test_auto_matches_forced_choices():
-    """auto is a pure dispatcher: its report equals both forced passes."""
-    wide = dag_profile_matrix(400, 8, 3.0, "uniform", 0.5, 0.3, 0.0, seed=9)
-    narrow = tridiagonal_lower(200)
+def _schedules(low, dist, machine, design=Design.SHMEM_READONLY):
+    out = {}
+    for scheduler in ("routed", "reference"):
+        sched: dict = {}
+        rep = simulate_execution(
+            low, dist, machine, design, scheduler=scheduler,
+            schedule_out=sched,
+        )
+        out[scheduler] = (rep, sched)
+    return out
+
+
+def assert_schedules_identical(low, dist, machine, design=Design.SHMEM_READONLY):
+    out = _schedules(low, dist, machine, design)
+    (rtd, rs), (ref, fs) = out["routed"], out["reference"]
+    assert_reports_identical(ref, rtd)
+    for f in ("finish", "dispatch", "ready"):
+        np.testing.assert_array_equal(rs[f], fs[f], err_msg=f)
+
+
+def test_scattered_numbering_spans_many_chunks():
+    """n >= 4 B scattered systems exercise reduced and scalar chunks."""
+    low = dag_profile_matrix(
+        6 * CHUNK, 40, 6.0, "uniform", 0.5, 0.3, 0.8, seed=21
+    )
+    routing = get_artefacts(low).routing
+    chunks = routing.seg_mode != SEG_WIDE
+    assert chunks.sum() >= 4
+    assert (routing.seg_mode == SEG_REDUCE).any()
+    for machine in (dgx1(n_gpus=2), dgx2(n_gpus=8)):
+        n = low.shape[0]
+        for dist in (
+            block_distribution(n, machine.n_gpus),
+            round_robin_distribution(n, machine.n_gpus, 4),
+        ):
+            assert_schedules_identical(low, dist, machine)
+
+
+def test_run_boundary_next_to_wide_front_with_saturated_pool():
+    """A wide front hands a full pool to a chunk, and back again.
+
+    Wide level-major fronts (order_mix > 0) saturate every GPU's slots;
+    a scattered tail follows as narrow chunks, and a final wide block
+    follows those.  Pools cross both run boundaries saturated.
+    """
+    wide = dag_profile_matrix(800, 4, 4.0, "uniform", 0.5, 0.4, 0.0, seed=3)
+    narrow = dag_profile_matrix(
+        3 * CHUNK, 30, 4.0, "uniform", 0.5, 0.4, 0.9, seed=4
+    )
+    low = _stack_lower(wide, narrow, wide)
+    routing = get_artefacts(low).routing
+    modes = routing.seg_mode.tolist()
+    assert modes[0] == SEG_WIDE and modes[-1] == SEG_WIDE
+    assert any(m != SEG_WIDE for m in modes)
+    n = low.shape[0]
     machine = dgx1(n_gpus=2)
-    for low in (wide, narrow):
-        dist = block_distribution(low.shape[0], 2)
-        auto = simulate_execution(low, dist, machine, scheduler="auto")
-        for forced in ("batched", "reference"):
-            rep = simulate_execution(low, dist, machine, scheduler=forced)
-            assert_reports_identical(auto, rep)
+    assert (np.diff(routing.seg_ptr)[routing.seg_mode == SEG_WIDE]).max() > (
+        2 * machine.gpu.warp_slots
+    )
+    for dist in (
+        block_distribution(n, 2),
+        round_robin_distribution(n, 2, 4),
+    ):
+        assert_schedules_identical(low, dist, machine)
+
+
+def _stack_lower(*blocks):
+    """Block-diagonal stack of lower-triangular matrices plus a coupling.
+
+    Each block after the first also depends on the last row of the block
+    before it, so the blocks run in sequence.
+    """
+    from repro.sparse.coo import CooMatrix
+
+    rows, cols, vals = [], [], []
+    off = 0
+    for k, blk in enumerate(blocks):
+        coo = blk.to_coo()
+        rows.append(coo.row + off)
+        cols.append(coo.col + off)
+        vals.append(coo.data)
+        if k:
+            rows.append(np.arange(off, off + blk.shape[0]))
+            cols.append(np.full(blk.shape[0], off - 1))
+            vals.append(np.full(blk.shape[0], 0.01))
+        off += blk.shape[0]
+    coo = CooMatrix(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+        (off, off),
+    )
+    return coo.to_csc()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(["dag", "scattered", "random", "banded", "grid"]),
+    n_gpus=st.sampled_from([1, 2, 4, 8]),
+    distribution=st.sampled_from(["block", "taskpool", "costaware"]),
+    seed=st.integers(0, 2**16),
+)
+def test_routed_equals_reference_property(family, n_gpus, distribution, seed):
+    from repro.runtime.config import RunConfig
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2 * CHUNK, 5 * CHUNK))
+    if family == "dag":
+        low = dag_profile_matrix(n, 20, 4.0, "uniform", 0.5, 0.3, 0.0, seed=seed)
+    elif family == "scattered":
+        low = dag_profile_matrix(n, 30, 5.0, "uniform", 0.5, 0.3, 0.7, seed=seed)
+    elif family == "random":
+        low = random_lower(n, 4.0, seed=seed)
+    elif family == "banded":
+        low = banded_lower(n, int(rng.integers(1, 8)))
+    else:
+        side = int(np.sqrt(n))
+        low = grid_graph_lower(side, side)
+    cfg = RunConfig(
+        topology="dgx2" if n_gpus == 8 else "dgx1", n_gpus=n_gpus,
+        distribution=distribution,
+    )
+    machine = cfg.resolve_machine()
+    dist = cfg.build_distribution(low.shape[0], n_gpus, lower=low)
+    assert_schedules_identical(low, dist, machine)
 
 
 def test_unknown_scheduler_rejected():
@@ -175,6 +297,26 @@ def test_fronts_equal_levels_for_level_major_numbering():
     # the greedy antichain decomposition recovers the level sets exactly.
     np.testing.assert_array_equal(fronts.front_ptr, levels.level_ptr)
     assert fronts.mean_width == levels.parallelism
+
+
+def test_routing_segments_cover_and_route_by_width():
+    for tag, low in matrices():
+        fronts = compute_dispatch_fronts(build_dag(low))
+        routing = compute_front_routing(build_dag(low), fronts)
+        ptr = routing.seg_ptr
+        assert ptr[0] == 0 and ptr[-1] == low.shape[0], tag
+        assert np.all(np.diff(ptr) >= 1), tag
+        sizes = np.diff(ptr)
+        wide = routing.seg_mode == SEG_WIDE
+        assert np.all(sizes[wide] >= WIDE_FRONT), tag
+        assert np.all(sizes[routing.seg_mode == SEG_REDUCE] <= CHUNK), tag
+        # Scalar chunks of one narrow run merge into one segment.
+        scalar = routing.seg_mode == SEG_SCALAR
+        assert not np.any(scalar[1:] & scalar[:-1]), tag
+        # Every wide front is a segment of its own.
+        fsizes = np.diff(fronts.front_ptr)
+        starts = fronts.front_ptr[:-1][fsizes >= WIDE_FRONT]
+        np.testing.assert_array_equal(ptr[:-1][wide], starts)
 
 
 def test_fronts_serial_chain():
@@ -242,9 +384,9 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "fastmodel_reports.json"
 def golden_cases():
     """The three scheduling regimes the golden file pins.
 
-    ``chain`` exercises the serial fallback path, ``scattered`` a
-    front-width below :data:`AUTO_WIDTH_THRESHOLD` (auto picks the
-    reference loop), ``level-major`` the wide-front batched fast path.
+    ``chain`` exercises the serial path (one scalar segment),
+    ``scattered`` narrow fronts in chunks, ``level-major`` wide fronts
+    in array operations.
     """
     return {
         "chain": tridiagonal_lower(120),
@@ -264,22 +406,14 @@ def _report_to_golden(rep) -> dict:
 
 
 def _golden_report(tag, low, scheduler):
-    from repro.exec_model.artefacts import get_artefacts
-    from repro.exec_model.timeline import AUTO_WIDTH_THRESHOLD
-
     machine = dgx1(n_gpus=4)
-    if tag == "scattered":
-        width = get_artefacts(low).fronts.mean_width
-        assert width < AUTO_WIDTH_THRESHOLD, (
-            f"scattered regime drifted: front width {width}"
-        )
     dist = block_distribution(low.shape[0], 4)
     return simulate_execution(
         low, dist, machine, Design.SHMEM_READONLY, scheduler=scheduler
     )
 
 
-@pytest.mark.parametrize("scheduler", ["batched", "reference"])
+@pytest.mark.parametrize("scheduler", ["routed", "reference"])
 def test_reports_match_golden(scheduler):
     """Both schedulers reproduce the checked-in reports bit for bit.
 

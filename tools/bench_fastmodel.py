@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Standalone fast-model scheduler microbenchmark.
 
-Times the reference per-component scheduling loop against the
-front-batched vectorised pass and writes ``BENCH_fastmodel.json``.
+Times the reference per-component scheduling loop against the default
+front-routed pass and writes ``BENCH_fastmodel.json``.
 
     python tools/bench_fastmodel.py                 # full Table I sweep
     python tools/bench_fastmodel.py --ci            # quick CI subset
     python tools/bench_fastmodel.py --repeats 5 --out results.json
 
-Exit status: 0 when every comparison is bit-identical and every clean
-(non-noisy) scaling case meets the speedup floor; 1 otherwise.  Noisy
-timings (cv above the threshold) downgrade the floor check to a
-warning — identity is always enforced.
+Exit status: 0 when every comparison is bit-identical, every clean
+(non-noisy) scaling case meets the speedup floor, and no clean Table I
+case runs the routed pass slower than the reference loop; 1 otherwise.
+Noisy timings (cv above the threshold) exempt a case from the timing
+checks — identity is always enforced.
 """
 
 from __future__ import annotations
@@ -49,21 +50,27 @@ def main(argv: list[str] | None = None) -> int:
     payload = run_sweep(ci=args.ci, repeats=args.repeats)
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    hdr = f"{'matrix':>18} {'n':>8} {'width':>9} {'auto':>10} " \
-          f"{'ref-ms':>9} {'bat-ms':>9} {'speedup':>8}  ok"
+    hdr = f"{'matrix':>18} {'n':>8} {'width':>9} {'segs':>6} " \
+          f"{'ref-ms':>9} {'rtd-ms':>9} {'speedup':>8}  ok"
     print(hdr)
     print("-" * len(hdr))
     for c in payload["cases"]:
         print(
             f"{c['name']:>18} {c['n']:>8} {c['mean_front_width']:>9.1f} "
-            f"{c['auto_scheduler']:>10} {c['t_reference'] * 1e3:>9.2f} "
-            f"{c['t_batched'] * 1e3:>9.2f} {c['speedup']:>7.2f}x  "
+            f"{c['n_segments']:>6} {c['t_reference'] * 1e3:>9.2f} "
+            f"{c['t_routed'] * 1e3:>9.2f} {c['speedup']:>7.2f}x  "
             f"{'yes' if c['identical'] else 'MISMATCH'}"
         )
     print(f"\nwrote {args.out}")
 
     if not payload["all_identical"]:
-        print("FAIL: batched pass produced a non-identical report")
+        print("FAIL: routed pass produced a non-identical report")
+        return 1
+    if payload["slower_than_reference"]:
+        print(
+            "FAIL: clean run of the routed pass slower than the reference "
+            "loop: " + ", ".join(payload["slower_than_reference"])
+        )
         return 1
     if payload["floor_misses"]:
         print(
@@ -73,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     if payload["noisy"]:
-        print("WARN: timer noise detected; speedup floor not enforced")
+        print("WARN: timer noise detected; timing checks not enforced")
     else:
         print("PASS")
     return 0

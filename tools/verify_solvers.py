@@ -88,7 +88,7 @@ def run_causality(seed: int, quick: bool) -> list[dict]:
                 check_timeline_schedule(
                     low, d, machine, design, scheduler=sched
                 )
-                for sched in ("batched", "reference")
+                for sched in ("routed", "reference")
                 for d in (
                     dist,
                     round_robin_distribution(n, machine.n_gpus, 4),
