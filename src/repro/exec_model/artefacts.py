@@ -74,19 +74,20 @@ class PlacementArtefacts:
     """Edge classifications for one component-to-GPU placement.
 
     Everything here depends only on ``gpu_of`` (and the structure), so it
-    is shared by every design priced on the same distribution.
+    is shared by every design priced on the same distribution.  Per edge
+    it holds one GPU-pair code, ``src_gpu * n_gpus + dst_gpu``, in the
+    narrowest signed int holding ``n_gpus**2 - 1`` (int16 up to 181
+    GPUs, int32 beyond): a flat index into any ``(n_gpus, n_gpus)``
+    table, from which ``np.divmod(code, n_gpus)`` recovers both GPUs.
     """
 
     gpu_of: np.ndarray
-    src_g: np.ndarray  # producer GPU per out-edge
-    dst_g: np.ndarray  # consumer GPU per out-edge
-    remote_edge: np.ndarray  # out-edge crosses GPUs
-    n_remote: int
+    n_remote: int  # out-edges crossing GPUs
     has_remote_pred: np.ndarray  # component has >= 1 remote predecessor
-    edge_pair: np.ndarray  # src_g * n_gpus + dst_g (flat cost lookup)
-    in_pair: np.ndarray  # same for in-edges (notify lookup)
+    edge_pair: np.ndarray  # GPU-pair code per out-edge (cost lookup)
+    in_pair: np.ndarray  # GPU-pair code per in-edge (notify lookup)
     nnz_per_gpu: np.ndarray
-    pos_by_gpu: tuple[np.ndarray, ...]  # sorted component ids per GPU
+    pos_by_gpu: tuple[np.ndarray, ...]  # sorted int32 component ids per GPU
     seg_cuts: tuple[np.ndarray, ...]  # per GPU: routing seg_ptr positions
 
 
@@ -208,27 +209,26 @@ class AnalysisArtefacts:
         edges = self.edges
         gpu_of = dist.gpu_of
         n_gpus = dist.n_gpus
-        src_g = gpu_of[edges["src"]]
-        dst_g = gpu_of[edges["dst"]]
-        remote_edge = src_g != dst_g
-        in_src_g = gpu_of[edges["in_src"]]
-        in_dst_g = gpu_of[edges["in_dst"]]
+        fits16 = n_gpus**2 - 1 <= np.iinfo(np.int16).max
+        code = np.int16 if fits16 else np.int32
+        gpu_c = gpu_of.astype(code)
+        src_g = gpu_c[edges["src"]]
+        dst_g = gpu_c[edges["dst"]]
+        in_src_g = gpu_c[edges["in_src"]]
+        in_dst_g = gpu_c[edges["in_dst"]]
         has_remote_pred = np.zeros(self.n, dtype=bool)
         has_remote_pred[edges["in_dst"][in_src_g != in_dst_g]] = True
+        by_gpu = np.argsort(gpu_of, kind="stable").astype(np.int32)
+        gpu_ends = np.cumsum(np.bincount(gpu_of, minlength=n_gpus))
+        pos_by_gpu = tuple(np.split(by_gpu, gpu_ends[:-1]))
         seg_ptr = self.routing.seg_ptr
-        pos_by_gpu = tuple(
-            np.nonzero(gpu_of == g)[0] for g in range(n_gpus)
-        )
         seg_cuts = tuple(np.searchsorted(pos, seg_ptr) for pos in pos_by_gpu)
         place = PlacementArtefacts(
             gpu_of=gpu_of,
-            src_g=src_g,
-            dst_g=dst_g,
-            remote_edge=remote_edge,
-            n_remote=int(remote_edge.sum()),
+            n_remote=int(np.count_nonzero(src_g != dst_g)),
             has_remote_pred=has_remote_pred,
-            edge_pair=src_g * n_gpus + dst_g,
-            in_pair=in_src_g * n_gpus + in_dst_g,
+            edge_pair=src_g * code(n_gpus) + dst_g,
+            in_pair=in_src_g * code(n_gpus) + in_dst_g,
             nnz_per_gpu=np.bincount(
                 gpu_of, weights=self.col_nnz.astype(np.float64), minlength=n_gpus
             ),
@@ -264,13 +264,15 @@ class AnalysisArtefacts:
         )
 
         place = self.placement(dist)
-        tier_e = rank_tier_matrix(machine)[place.src_g, place.dst_g]
+        tier_e = rank_tier_matrix(machine).ravel()[place.edge_pair]
         shape = machine.topology.node_shape
         gpus_per_node = shape[1] if shape is not None else machine.n_gpus
         phys = np.asarray(machine.active_gpus, dtype=np.int64)
         node_of_rank = phys // gpus_per_node
         node_of_comp = node_of_rank[place.gpu_of]
-        internode = node_of_rank[place.src_g] != node_of_rank[place.dst_g]
+        internode = (node_of_rank[:, None] != node_of_rank).ravel()[
+            place.edge_pair
+        ]
         tiers = EdgeTierArtefacts(
             tier_e=tier_e,
             n_local=int(np.count_nonzero(tier_e == LINK_TIER_LOCAL)),

@@ -217,8 +217,9 @@ def _unified_fault_model(
     # same sums np.add.at would give.
     gg = acc_group * n_gpus + acc_gpu
     order = np.argsort(gg)
-    head = run_heads(gg[order])
-    uniq_gg = gg[order][head]
+    sorted_gg = gg[order]
+    head = run_heads(sorted_gg)
+    uniq_gg = sorted_gg[head]
     gg_inv = np.empty(len(gg), dtype=np.int64)
     gg_inv[order] = np.cumsum(head) - 1
     cnt_gg = np.bincount(gg_inv, weights=acc_weight, minlength=len(uniq_gg))
@@ -232,18 +233,18 @@ def _unified_fault_model(
     mixing = mixing_raw * um.fault_batching
     faults_per_grp = tot * mixing
 
+    # Group of every access: remote edges first, then consumers.
+    acc_grp = grp_inv[gg_inv]
+    n_edge = len(r_src)
+
     # Per remote edge: its group's (batched) mixing = fault probability.
-    edge_grp = lvl[r_src] * n_pages + r_dst // epp
-    pos = np.searchsorted(uniq_grp, edge_grp)
-    edge_fault_prob = mixing[pos]
+    edge_fault_prob = mixing[acc_grp[:n_edge]]
 
     # Per consumer: the final successful poll faults with probability
     # ~ the page's raw contention mix (some remote producer wrote last,
     # stealing the page); batching does not apply to this one-shot read.
     consumer_fault_prob = np.zeros(n)
-    cons_grp = consumer_lvl * n_pages + consumers // epp
-    cons_pos = np.searchsorted(uniq_grp, cons_grp)
-    consumer_fault_prob[consumers] = mixing_raw[cons_pos]
+    consumer_fault_prob[consumers] = mixing_raw[acc_grp[n_edge:]]
 
     # Page-serialisation bound: each page services its faults serially.
     fault_eff = um.fault_cost * (1.0 + um.thrash_coupling * (n_gpus - 1))
@@ -601,8 +602,6 @@ def simulate_execution(
     place = artefacts.placement(dist)
     src, dst = edges["src"], edges["dst"]
     in_counts = edges["in_counts"]
-    src_g, dst_g = place.src_g, place.dst_g
-    remote_edge = place.remote_edge
     n_remote = place.n_remote
     n_local = int(len(src) - n_remote)
     has_remote_pred = place.has_remote_pred
@@ -613,6 +612,8 @@ def simulate_execution(
     fabric = 0.0
     serial_bound = 0.0
     if design is Design.UNIFIED and n_gpus > 1:
+        src_g, dst_g = np.divmod(place.edge_pair, n_gpus)
+        remote_edge = src_g != dst_g
         fm = _unified_fault_model(
             machine, artefacts.levels, gpu_of, src, dst, src_g, remote_edge,
             has_remote_pred,
@@ -635,11 +636,9 @@ def simulate_execution(
             else 0.0,
         )
     else:
-        edge_cost = np.where(
-            remote_edge,
-            costs.update_remote.ravel()[place.edge_pair],
-            costs.update_local,
-        )
+        update = costs.update_remote.copy()
+        np.fill_diagonal(update, costs.update_local)
+        edge_cost = update.ravel()[place.edge_pair]
         if n_gpus > 1:
             if design is Design.SHMEM_NAIVE:
                 fabric = 16.0 * n_remote  # get + put per remote update

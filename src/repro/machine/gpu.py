@@ -96,7 +96,6 @@ class BatchWarpPool:
         # mark free slots and are dropped.
         free = np.sort(np.array(heap if heap else (), dtype=np.float64))
         self._free = free[np.searchsorted(free, -np.inf, side="right") :]
-        self.counters = GpuCounters()
         self.fallbacks = 0  # batches resolved by the reference heap path
 
     def heap(self) -> list[float]:
@@ -197,8 +196,5 @@ class BatchWarpPool:
                 pool = np.sort(np.asarray(heap))
 
         self._free = pool
-        last = float(np.max(finish))
-        if last > self.counters.last_finish:
-            self.counters.last_finish = last
         return dispatch, finish
 

@@ -1,16 +1,24 @@
 """The shared analysis-artefact cache: build-once semantics and eviction."""
 
 import gc
+from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from repro.exec_model import Design, simulate_execution
-from repro.exec_model.artefacts import get_artefacts
+from repro.exec_model.artefacts import PlacementArtefacts, get_artefacts
 from repro.machine.node import dgx1, dgx2
 from repro.runtime.session import SolverSession
 from repro.solvers.des_solver import DesSolver
 from repro.tasks.schedule import block_distribution, round_robin_distribution
-from repro.workloads.generators import dag_profile_matrix, random_lower
+from repro.workloads.generators import (
+    banded_lower,
+    dag_profile_matrix,
+    grid_graph_lower,
+    random_lower,
+    tridiagonal_lower,
+)
 
 
 def test_sweep_builds_structure_once():
@@ -62,6 +70,50 @@ def test_placement_cache_keyed_by_content():
     p1 = art.placement(d1)
     assert art.placement(d2) is p1  # equal content, distinct objects
     assert art.placement(d3) is not p1
+
+
+PLACEMENT_FAMILIES = {
+    "tri": lambda: tridiagonal_lower(300),
+    "band": lambda: banded_lower(300, 4),
+    "grid": lambda: grid_graph_lower(18, 18),
+    "random": lambda: random_lower(300, 4.0, seed=5),
+    "dag": lambda: dag_profile_matrix(
+        300, 20, 3.0, "uniform", 0.5, 0.3, 0.5, seed=6
+    ),
+}
+
+
+@pytest.mark.parametrize("n_gpus", [1, 2, 4, 16, 181, 182, 256])
+@pytest.mark.parametrize("family", sorted(PLACEMENT_FAMILIES))
+def test_placement_stores_one_pair_code_per_edge(family, n_gpus):
+    """A placement keeps per edge only its GPU-pair codes: 2 bytes each
+    up to 181 GPUs, 4 beyond, and they decode to the edge's GPUs."""
+    low = PLACEMENT_FAMILIES[family]()
+    art = get_artefacts(low)
+    edges = art.edges
+    n_edges = len(edges["src"])
+    assert n_edges not in (0, art.n)  # per-edge arrays are told by length
+    place = art.placement(round_robin_distribution(art.n, n_gpus, 2))
+    values = [getattr(place, f.name) for f in fields(PlacementArtefacts)]
+    per_edge = [
+        v for v in values
+        if isinstance(v, np.ndarray) and v.shape == (n_edges,)
+    ]
+    budget = 4 if n_gpus <= 181 else 8
+    assert sum(a.nbytes for a in per_edge) <= budget * n_edges
+    gpu_of = place.gpu_of
+    for pair, src, dst in (
+        (place.edge_pair, edges["src"], edges["dst"]),
+        (place.in_pair, edges["in_src"], edges["in_dst"]),
+    ):
+        src_g, dst_g = np.divmod(pair, n_gpus)
+        np.testing.assert_array_equal(src_g, gpu_of[src])
+        np.testing.assert_array_equal(dst_g, gpu_of[dst])
+    assert place.n_remote == np.count_nonzero(
+        gpu_of[edges["src"]] != gpu_of[edges["dst"]]
+    )
+    if n_gpus > 1:
+        assert place.n_remote > 0
 
 
 def test_cost_table_cache_requires_same_machine_object():

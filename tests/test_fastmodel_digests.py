@@ -7,8 +7,14 @@ Every :class:`~repro.exec_model.timeline.ExecutionReport` field and the
 ``finish``/``dispatch``/``ready`` schedule arrays are hashed (sha256);
 a change to the scheduling pass, the cost tables or the fault model
 must leave every byte as it was.  The digests in
-``tests/golden/fastmodel_digests.json`` are the reference.  An
-intentional change re-records them with::
+``tests/golden/fastmodel_digests.json`` are the reference.
+
+A second golden, ``tests/golden/cluster256_digests.json``, pins the
+same stand-ins on a 256-GPU ``cluster(32, 8)``, whose GPU-pair codes
+(up to ``256**2 - 1``) do not fit the 16-bit codes of smaller machines:
+block and hierarchical placement x the read-only, naive and unified
+designs, plus every field of the placement's edge-tier classification.
+An intentional change re-records both with::
 
     PYTHONPATH=src python tests/test_fastmodel_digests.py --write
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +37,7 @@ from repro.runtime.config import RunConfig
 from repro.workloads.suite import SUITE
 
 GOLDEN = Path(__file__).parent / "golden" / "fastmodel_digests.json"
+GOLDEN_256 = Path(__file__).parent / "golden" / "cluster256_digests.json"
 
 #: The price sweep's stand-ins (``perfbench/mixes.py``).
 MATRICES = (
@@ -69,6 +76,18 @@ def sweep_configs() -> list[RunConfig]:
     return configs
 
 
+def cluster256_configs() -> list[RunConfig]:
+    """Placement x design grid on the 256-GPU cluster."""
+    return [
+        RunConfig(
+            design=d, topology="cluster", n_nodes=32, gpus_per_node=8,
+            distribution=dist,
+        )
+        for dist in ("block", "hierarchical")
+        for d in ("shmem_readonly", "shmem_naive", "unified")
+    ]
+
+
 def stand_in(name: str):
     entry = SUITE[name]
     entry = replace(entry, seed=entry.seed + 1000 * SEED, n=N)
@@ -88,11 +107,38 @@ def _sha(report, sched: dict) -> str:
     return h.hexdigest()
 
 
-def digests(name: str, **kw) -> list[str]:
-    """One digest per sweep configuration, in grid order."""
+def _tier_sha(tiers) -> str:
+    h = hashlib.sha256()
+    for f in fields(tiers):
+        v = getattr(tiers, f.name)
+        if isinstance(v, np.ndarray):
+            v = np.ascontiguousarray(v)
+            h.update(f"{f.name}{v.dtype.str}{v.shape}".encode())
+            h.update(v.tobytes())
+        else:
+            h.update(f"{f.name}{v!r}".encode())
+    return h.hexdigest()
+
+
+def cluster256_digests(name: str) -> dict:
+    """Report digests per 256-GPU config and edge-tier digests per
+    placement, in grid order."""
+    lower = stand_in(name)
+    out: dict = {"reports": digests(name, configs=cluster256_configs())}
+    tiers = []
+    for cfg in cluster256_configs()[::3]:  # one config per placement
+        machine = cfg.resolve_machine()
+        dist = cfg.build_distribution(lower.shape[0], machine.n_gpus, lower=lower)
+        tiers.append(_tier_sha(get_artefacts(lower).edge_tiers(dist, machine)))
+    out["edge_tiers"] = tiers
+    return out
+
+
+def digests(name: str, configs=None, **kw) -> list[str]:
+    """One digest per configuration (default: the sweep's), in grid order."""
     lower = stand_in(name)
     out = []
-    for cfg in sweep_configs():
+    for cfg in configs or sweep_configs():
         machine = cfg.resolve_machine()
         dist = cfg.build_distribution(lower.shape[0], machine.n_gpus, lower=lower)
         sched: dict = {}
@@ -106,6 +152,11 @@ def digests(name: str, **kw) -> list[str]:
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_256() -> dict:
+    return json.loads(GOLDEN_256.read_text())
 
 
 def test_golden_covers_every_stand_in(golden):
@@ -126,9 +177,15 @@ def test_digests_match_golden(name, golden):
     assert digests(name) == golden[name]
 
 
+@pytest.mark.parametrize("name", MATRICES)
+def test_cluster256_digests_match_golden(name, golden_256):
+    assert cluster256_digests(name) == golden_256[name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_fastmodel_digests.py --write")
-    record = {name: digests(name) for name in MATRICES}
-    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    for path, digest in ((GOLDEN, digests), (GOLDEN_256, cluster256_digests)):
+        record = {name: digest(name) for name in MATRICES}
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")

@@ -202,11 +202,12 @@ class TestFabricReach:
         dist = round_robin_distribution(low.shape[0], 4, 2)
         art = get_artefacts(low)
         place = art.placement(dist)
-        local = place.src_g == place.dst_g
+        src_g, dst_g = np.divmod(place.edge_pair, machine.n_gpus)
+        local = src_g == dst_g
 
         def priced():
             costs = art.comm_costs(machine, Design.SHMEM_READONLY)
-            return edge_cost_tables(costs, place.src_g, place.dst_g, local)
+            return edge_cost_tables(costs, src_g, dst_g, local)
 
         before = priced()
         tiers = art.edge_tiers(dist, machine)
@@ -214,7 +215,7 @@ class TestFabricReach:
             np.testing.assert_array_equal(old, new)
         rt = rank_tier_matrix(machine)
         np.testing.assert_array_equal(
-            tiers.tier_e, rt[place.src_g, place.dst_g]
+            tiers.tier_e, rt[src_g, dst_g]
         )
         assert rt[0, 1] == 1 and rt[0, 2] == 2 and rt[3, 3] == 0
 
